@@ -18,7 +18,6 @@ from .spectral import (Spectrum, default_grid, exact_spectrum_oracle,
                        filter_fourier, spectral_function)
 from .toymodel import PeakShiftResult, TwoPeakModel, peak_shift, two_peak_spectrum
 from .trotter import (KAPPA4, Filter, TrotterPlan, depth_cutoff, filter_value,
-                      gate_count, single_step_unitary, trotter_propagator,
-                      truncation_error_bound)
+                      gate_count, trotter_propagator, truncation_error_bound)
 
 __version__ = "0.1.0"

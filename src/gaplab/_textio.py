@@ -1,4 +1,4 @@
-"""Minimal CSV-with-metadata-header reading and writing.
+"""Minimal CSV-with-metadata-header reading and writing, and the JSON writer.
 
 Files carry their provenance as `# key = <json>` lines before the column
 header, so every output can be parsed back into the run that produced it.
@@ -21,6 +21,13 @@ def write_table(path, metadata: dict, columns: list, rows):
         fh.write(",".join(columns) + "\n")
         for row in rows:
             fh.write(",".join(_cell(v) for v in row) + "\n")
+
+
+def write_json(path, payload: dict):
+    """One indented, key-sorted JSON document per file, newline-terminated."""
+    with open(path, "w", encoding="utf-8") as fh:
+        json.dump(payload, fh, indent=1, sort_keys=True)
+        fh.write("\n")
 
 
 def _cell(v):

@@ -19,12 +19,11 @@ import sys
 import numpy as np
 
 from . import gapfinder, scaling, spectral, toymodel, trotter
-from ._textio import write_table
-from .errors import (DataError, GapSearchError, GaplabError, NumericError,
-                     ParameterError)
+from ._textio import read_table, write_json, write_table
+from .errors import DataError, GapSearchError, GaplabError, ParameterError
 from .gapfinder import GapSearchConfig, find_gap, gap_error, spectral_error
 from .model import (SpinModel, exact_diagonalize, perturbative_gap_guess)
-from .simulator import InputOrientation, TimeGrid, run_time_series
+from .simulator import InputOrientation, run_time_series
 from .spectral import exact_spectrum_oracle, spectral_function
 from .trotter import Filter, TrotterPlan, depth_cutoff
 
@@ -115,21 +114,6 @@ def _resolve(args, parser, extra_defaults=None, base=None):
     return cfg
 
 
-def _grid_config(cfg, parser):
-    """Fill in the grid keys: d_omega = eta/4 and L = 2 ceil(7h/d_omega)."""
-    d_omega = cfg.get("d_omega_over_h")
-    if d_omega is None:
-        if cfg["filter"] == "none" or cfg["eta_over_h"] <= 0:
-            parser.error("--filter none needs an explicit --d-omega-over-h")
-        d_omega = cfg["eta_over_h"] / 4.0
-    length = cfg.get("l_points")
-    if length is None:
-        length = 2 * math.ceil(7.0 / d_omega)
-    cfg["d_omega_over_h"] = float(d_omega)
-    cfg["l_points"] = int(length)
-    return cfg
-
-
 def _build(cfg):
     model = SpinModel(n_spins=cfg["n"], coupling=cfg["j_over_h"], field=1.0)
     plan = TrotterPlan(order=cfg["p"], depth=cfg["m"])
@@ -138,10 +122,15 @@ def _build(cfg):
     return model, plan, filt
 
 
-def _grid(cfg):
-    d_omega = cfg["d_omega_over_h"]
-    length = cfg["l_points"]
-    return TimeGrid(dt=2.0 * math.pi / (length * d_omega), length=length)
+def _grid(cfg, filt, parser):
+    """The run's time grid; records the resolved d_omega and L in cfg."""
+    try:
+        d_omega, length = spectral.grid_size(filt, cfg["d_omega_over_h"],
+                                             cfg["l_points"])
+    except ParameterError as exc:
+        parser.error(f"{exc}; give --d-omega-over-h")
+    cfg["d_omega_over_h"], cfg["l_points"] = d_omega, length
+    return spectral.default_grid(filt, d_omega, length)
 
 
 def _public(cfg):
@@ -157,7 +146,6 @@ def read_config_header(path) -> dict:
     if str(path).endswith(".json"):
         with open(path, "r", encoding="utf-8") as fh:
             return json.load(fh)["config"]
-    from ._textio import read_table
     meta, _, _ = read_table(path)
     return meta["config"]
 
@@ -198,9 +186,9 @@ def cmd_depth_bound(args, parser) -> int:
     return 0
 
 
-def _spectrum_pipeline(cfg):
+def _spectrum_pipeline(cfg, parser):
     model, plan, filt = _build(cfg)
-    grid = _grid(cfg)
+    grid = _grid(cfg, filt, parser)
     orientation = InputOrientation.uniform(model.n_spins,
                                            cfg["theta_over_pi"] * math.pi)
     series = run_time_series(model, plan, orientation, grid,
@@ -209,8 +197,8 @@ def _spectrum_pipeline(cfg):
 
 
 def cmd_spectrum(args, parser) -> int:
-    cfg = _grid_config(_resolve(args, parser, {"oracle": False}), parser)
-    model, plan, filt, grid, orientation, spec = _spectrum_pipeline(cfg)
+    cfg = _resolve(args, parser, {"oracle": False})
+    model, plan, filt, grid, orientation, spec = _spectrum_pipeline(cfg, parser)
     extra = {}
     if cfg["oracle"]:
         if filt.family == "none":
@@ -223,8 +211,8 @@ def cmd_spectrum(args, parser) -> int:
 
 
 def cmd_gap(args, parser) -> int:
-    cfg = _grid_config(_resolve(args, parser), parser)
-    model, plan, filt, grid, orientation, spec = _spectrum_pipeline(cfg)
+    cfg = _resolve(args, parser)
+    model, plan, filt, grid, orientation, spec = _spectrum_pipeline(cfg, parser)
     eig = exact_diagonalize(model)
     delta_exact = float(eig.energies[1] - eig.energies[0])
     delta0 = perturbative_gap_guess(model)
@@ -243,11 +231,7 @@ def cmd_gap(args, parser) -> int:
     except GapSearchError as exc:
         result.update({"gap": None, "failure": str(exc)})
         code = _FAILURE_EXIT
-    payload = dict(_meta("gap", cfg))
-    payload["result"] = result
-    with open(args.out, "w", encoding="utf-8") as fh:
-        json.dump(payload, fh, indent=1, sort_keys=True)
-        fh.write("\n")
+    write_json(args.out, {**_meta("gap", cfg), "result": result})
     return code
 
 
@@ -258,13 +242,13 @@ def _theta_values(cfg):
 
 
 def cmd_sweep_theta(args, parser) -> int:
-    cfg = _grid_config(_resolve(args, parser, {"theta_count": 25,
-                                               "theta_list": None}), parser)
+    cfg = _resolve(args, parser, {"theta_count": 25, "theta_list": None})
     if args.theta_list is not None:
         cfg["theta_list"] = _floats(args.theta_list)
     model, plan, filt = _build(cfg)
+    grid = _grid(cfg, filt, parser)
     guess = perturbative_gap_guess(model)
-    result = gapfinder.theta_sweep(model, plan, filt, _grid(cfg),
+    result = gapfinder.theta_sweep(model, plan, filt, grid,
                                    _theta_values(cfg), shots=cfg["shots"],
                                    seed=cfg["seed"],
                                    search=_search_config(cfg, guess))
@@ -276,14 +260,16 @@ def cmd_sweep_theta(args, parser) -> int:
 
 
 def cmd_scaling(args, parser) -> int:
-    cfg = _grid_config(_resolve(args, parser, {
+    cfg = _resolve(args, parser, {
         "j_list": [0.2, 0.4, 0.6, 0.8], "n_list": [2, 3, 4, 5],
         "theta_count": 25, "synthetic_perturbative": False,
-        "samples_out": None}), parser)
+        "samples_out": None})
     if args.j_list is not None:
         cfg["j_list"] = _floats(args.j_list)
     if args.n_list is not None:
         cfg["n_list"] = _ints(args.n_list)
+    filt = Filter(cfg["filter"], cfg["eta_over_h"])
+    grid = _grid(cfg, filt, parser)
 
     extrapolations = {}
     samples = []
@@ -298,11 +284,10 @@ def cmd_scaling(args, parser) -> int:
                                 "gap": points[-1][1], "theta_star": None})
                 continue
             plan = TrotterPlan(cfg["p"], cfg["m"])
-            filt = Filter(cfg["filter"], cfg["eta_over_h"])
             cell_seed = int(np.random.SeedSequence(
                 (cfg["seed"], j_index, n)).generate_state(1)[0])
             sweep = gapfinder.theta_sweep(
-                model, plan, filt, _grid(cfg), _theta_values(cfg),
+                model, plan, filt, grid, _theta_values(cfg),
                 shots=cfg["shots"], seed=cell_seed,
                 search=_search_config(cfg, perturbative_gap_guess(model)))
             try:
@@ -326,10 +311,7 @@ def cmd_scaling(args, parser) -> int:
     scaling.phase_diagram_to_csv(diagram, args.out,
                                  metadata=_meta("scaling", cfg))
     if cfg["samples_out"]:
-        with open(cfg["samples_out"], "w", encoding="utf-8") as fh:
-            json.dump({"config": _public(cfg), "samples": samples}, fh,
-                      indent=1, sort_keys=True)
-            fh.write("\n")
+        write_json(cfg["samples_out"], {"config": _public(cfg), "samples": samples})
     return _PARTIAL_EXIT if failed_cells else 0
 
 
@@ -417,9 +399,6 @@ def main(argv=None) -> int:
     except (ParameterError, DataError) as exc:
         print(f"gaplab: {exc}", file=sys.stderr)
         return _USAGE_EXIT
-    except (NumericError, GapSearchError) as exc:
-        print(f"gaplab: {exc}", file=sys.stderr)
-        return _FAILURE_EXIT
     except GaplabError as exc:
         print(f"gaplab: {exc}", file=sys.stderr)
         return _FAILURE_EXIT

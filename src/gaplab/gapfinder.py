@@ -14,6 +14,7 @@ from dataclasses import asdict, dataclass
 
 import numpy as np
 
+from ._textio import write_json
 from .errors import DataError, GapSearchError, NumericError, ParameterError
 from .model import (SpinModel, commutator_norm_bounds, exact_diagonalize,
                     perturbative_gap_guess)
@@ -32,8 +33,6 @@ class GapSearchConfig:
     widen_factor: float = 1.5
     max_window: float | None = None         # default 10 eta
     require_local_max: bool = True
-    parabolic_refine: bool = False          # exploration only; off keeps the
-                                            # estimator on the grid
 
     def __post_init__(self):
         if self.initial_guess <= 0:
@@ -84,13 +83,8 @@ def find_gap(spectrum: Spectrum, config: GapSearchConfig) -> GapEstimate:
             continue
         if candidates:
             m = max(candidates, key=lambda m: av[m])
-            gap = float(om[m])
-            if config.parabolic_refine:
-                y0, y1, y2 = av[m - 1], av[m], av[m + 1]
-                denom = y0 - 2 * y1 + y2
-                if denom < 0:
-                    gap += 0.5 * (y0 - y2) / denom * spectrum.d_omega
-            return GapEstimate(gap=gap, peak_height=float(av[m]), window_used=width)
+            return GapEstimate(gap=float(om[m]), peak_height=float(av[m]),
+                               window_used=width)
     raise GapSearchError(
         f"no local maximum within +-{max(_windows(config, spectrum.filter.eta)) / 2:.4g} "
         f"of {config.initial_guess:.4g}")
@@ -186,12 +180,6 @@ class SweepResult:
         return [r.theta for r in self.records
                 if r.failure is None and r.eps_gap >= threshold]
 
-    def best_theta(self) -> float:
-        ok = [r for r in self.records if r.failure is None]
-        if not ok:
-            raise GapSearchError("every orientation in the sweep failed")
-        return max(ok, key=lambda r: r.peak_height).theta
-
     def best_record(self) -> SweepRecord:
         ok = [r for r in self.records if r.failure is None]
         if not ok:
@@ -253,11 +241,9 @@ def sweep_to_json(result: SweepResult, path, metadata: dict | None = None):
         "n_records": len(result.records),
         "n_failed": len(result.failed()),
         "unfavored_thetas": result.unfavored_thetas(),
-        "theta_star": result.best_theta() if ok else None,
+        "theta_star": result.best_record().theta if ok else None,
     }
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(payload, fh, indent=1, sort_keys=True)
-        fh.write("\n")
+    write_json(path, payload)
 
 
 def read_sweep(path):

@@ -10,6 +10,8 @@ the module is the ground-truth oracle for the rest of the package.
 
 from __future__ import annotations
 
+import math
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -52,10 +54,12 @@ class SpinModel:
     field: float      # h > 0, transverse field and unit scale
 
     def __post_init__(self):
-        if self.n_spins < 2:
-            raise ParameterError(f"need at least 2 spins, got {self.n_spins}")
-        if not self.field > 0:
-            raise ParameterError(f"field must be positive, got {self.field}")
+        if not isinstance(self.n_spins, numbers.Integral) or self.n_spins < 2:
+            raise ParameterError(f"need an integer >= 2 spins, got {self.n_spins}")
+        if not math.isfinite(self.coupling):
+            raise ParameterError(f"coupling must be finite, got {self.coupling}")
+        if not (self.field > 0 and math.isfinite(self.field)):
+            raise ParameterError(f"field must be positive and finite, got {self.field}")
 
     @property
     def dim(self) -> int:

@@ -14,6 +14,7 @@ all-zeros event.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -47,9 +48,10 @@ class TimeGrid:
     length: int
 
     def __post_init__(self):
-        if self.dt <= 0:
-            raise ParameterError(f"dt must be positive, got {self.dt}")
-        if self.length < 2 or self.length % 2:
+        if not (self.dt > 0 and math.isfinite(self.dt)):
+            raise ParameterError(f"dt must be positive and finite, got {self.dt}")
+        if (not isinstance(self.length, numbers.Integral) or self.length < 2
+                or self.length % 2):
             raise ParameterError(f"length must be even and >= 2, got {self.length}")
 
     @property
@@ -78,7 +80,7 @@ class TimeSeries:
         if len(self.p_plus) != self.grid.length or len(self.p_minus) != self.grid.length:
             raise DataError("series length does not match the time grid")
         for arr in (self.p_plus, self.p_minus):
-            if arr.min() < -1e-9 or arr.max() > 1 + 1e-9:
+            if not np.all((arr >= -1e-9) & (arr <= 1 + 1e-9)):
                 raise DataError("return probabilities must lie in [0, 1]")
         if self.shots is None and not (
                 abs(self.p_plus[0] - 1.0) < 1e-12 and abs(self.p_minus[0] - 1.0) < 1e-12):
@@ -204,35 +206,28 @@ def _pick_method(model: SpinModel, plan: TrotterPlan) -> str:
 
 
 def propagator_overlap(model: SpinModel, plan: TrotterPlan,
-                       orientation: InputOrientation, t: float,
-                       method: str = "auto") -> float:
+                       orientation: InputOrientation, t: float) -> float:
     """P(t) = |<psi| U_M(t) |psi>|^2, the all-zeros return probability.
 
-    `method` picks the internal path: "matrix" powers the dense step,
-    "gates" streams the circuit through the statevector; "auto" chooses by
-    estimated cost.  Both paths agree to 1e-10 and exist as mutual checks.
+    `_pick_method` chooses by estimated cost between powering the dense step
+    and streaming the circuit through the statevector; the two agree to 1e-10.
     """
     if len(orientation.angles) != model.n_spins:
         raise ParameterError("orientation length does not match the chain")
     if t == 0:
         return 1.0
     psi = prepare_input(orientation)
-    if method == "auto":
-        method = _pick_method(model, plan)
-    if method == "matrix":
+    if _pick_method(model, plan) == "matrix":
         amp = psi.conj() @ (trotter_propagator(model, plan, t) @ psi)
-    elif method == "gates":
-        evolved = apply_gates(psi, gate_sequence(model, plan, t), model.n_spins)
-        amp = np.vdot(psi, evolved)
     else:
-        raise ParameterError(f"unknown method {method!r}")
+        amp = np.vdot(psi, apply_gates(psi, gate_sequence(model, plan, t),
+                                       model.n_spins))
     return min(max(float(np.abs(amp) ** 2), 0.0), 1.0)
 
 
 def run_time_series(model: SpinModel, plan: TrotterPlan,
                     orientation: InputOrientation, grid: TimeGrid,
-                    shots: int | None = None, seed: int = 0,
-                    method: str = "auto") -> TimeSeries:
+                    shots: int | None = None, seed: int = 0) -> TimeSeries:
     """Both time branches of P on the grid, exact or binomially sampled.
 
     Each (branch, n) point draws from its own generator seeded by
@@ -246,7 +241,7 @@ def run_time_series(model: SpinModel, plan: TrotterPlan,
         vals = np.empty(grid.length)
         for n, t in enumerate(times):
             p = 1.0 if t == 0 else propagator_overlap(
-                model, plan, orientation, sign * t, method=method)
+                model, plan, orientation, sign * t)
             if shots is not None:
                 rng = np.random.default_rng([seed, b, n])
                 p = rng.binomial(shots, p) / shots

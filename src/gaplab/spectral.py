@@ -20,12 +20,11 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from ._textio import read_table, write_table
 from .errors import DataError, NumericError, ParameterError
 from .model import EigenDecomposition
 from .simulator import InputOrientation, TimeGrid, TimeSeries, prepare_input
 from .trotter import Filter, filter_value
-
-_CHUNK = 512  # frequency rows per transform block, caps the cos-matrix memory
 
 
 @dataclass
@@ -56,29 +55,40 @@ class Spectrum:
         return float(self.d_omega * self.values.sum())
 
 
-def default_grid(filt: Filter, field_scale: float = 1.0) -> TimeGrid:
-    """Sampling grid tied to the broadening: d_omega = eta/4, L = 2 ceil(7h/d_omega)."""
-    if filt.family == "none" or filt.eta <= 0:
-        raise ParameterError("the default grid needs a filter with eta > 0")
-    d_omega = filt.eta / 4.0
-    length = 2 * math.ceil(7.0 * field_scale / d_omega)
-    dt = 2.0 * math.pi / (length * d_omega)
-    return TimeGrid(dt=dt, length=length)
+def grid_size(filt: Filter, d_omega: float | None = None,
+              length: int | None = None) -> tuple[float, int]:
+    """The default grid rule: d_omega = eta/4 and L = 2 ceil(7h/d_omega).
+
+    An explicit d_omega or L replaces its rule; without d_omega the filter
+    must carry a broadening eta > 0.
+    """
+    if d_omega is None:
+        if filt.family == "none" or filt.eta <= 0:
+            raise ParameterError("the default grid needs a filter with eta > 0")
+        d_omega = filt.eta / 4.0
+    if length is None:
+        length = 2 * math.ceil(7.0 / d_omega)
+    return float(d_omega), int(length)
+
+
+def default_grid(filt: Filter, d_omega: float | None = None,
+                 length: int | None = None) -> TimeGrid:
+    """Sampling grid of grid_size, with dt = 2 pi / (L d_omega)."""
+    d_omega, length = grid_size(filt, d_omega, length)
+    return TimeGrid(dt=2.0 * math.pi / (length * d_omega), length=length)
 
 
 def transform(grid: TimeGrid, p_plus: np.ndarray, p_minus: np.ndarray,
               filt: Filter) -> np.ndarray:
-    """The double-branch cosine transform with the shared n = 0 term counted once."""
-    times = grid.times
-    weights = filter_value(filt, times) * (np.asarray(p_plus, dtype=float)
-                                           + np.asarray(p_minus, dtype=float))
+    """The double-branch cosine transform with the shared n = 0 term counted once.
+
+    On the grid omega_m t_n = 2 pi m n / L, so the cosine sum over n is the
+    real part of a length-L discrete Fourier transform.
+    """
+    weights = filter_value(filt, grid.times) * (np.asarray(p_plus, dtype=float)
+                                                + np.asarray(p_minus, dtype=float))
     weights[0] *= 0.5
-    omegas = np.arange(grid.length) * grid.d_omega
-    out = np.empty(grid.length)
-    for start in range(0, grid.length, _CHUNK):
-        block = omegas[start:start + _CHUNK]
-        out[start:start + _CHUNK] = np.cos(np.outer(block, times)) @ weights
-    return out * (grid.dt / (2.0 * math.pi))
+    return np.fft.fft(weights).real * (grid.dt / (2.0 * math.pi))
 
 
 def spectral_function(series: TimeSeries, filt: Filter) -> Spectrum:
@@ -142,11 +152,10 @@ def exact_spectrum_oracle(eig: EigenDecomposition, orientation: InputOrientation
 
 def spectrum_to_csv(spectrum: Spectrum, path, metadata: dict | None = None,
                     extra_columns: dict | None = None):
-    from ._textio import write_table
-
     meta = dict(metadata or {})
     meta.update({"d_omega": spectrum.d_omega,
-                 "filter": spectrum.filter.family, "eta": spectrum.filter.eta})
+                 "filter": spectrum.filter.family, "eta": spectrum.filter.eta,
+                 "omega_max_physical": spectrum.omega_max_physical})
     meta.update(spectrum.provenance)
     columns = ["m", "omega_m", "A_m"] + list(extra_columns or {})
     extras = [np.asarray(v, dtype=float) for v in (extra_columns or {}).values()]
@@ -157,8 +166,6 @@ def spectrum_to_csv(spectrum: Spectrum, path, metadata: dict | None = None,
 
 def read_spectrum(path):
     """Inverse of spectrum_to_csv; returns (Spectrum, metadata)."""
-    from ._textio import read_table
-
     meta, columns, rows = read_table(path)
     if columns[:3] != ["m", "omega_m", "A_m"]:
         raise DataError(f"unexpected columns {columns}")
@@ -167,5 +174,7 @@ def read_spectrum(path):
     filt = Filter(meta.get("filter", "none"), float(meta.get("eta", 0.0)))
     if len(omegas) < 2:
         raise NumericError("spectrum file needs at least two rows")
+    fold = meta.get("omega_max_physical")
     return Spectrum(omegas=omegas, values=values,
-                    d_omega=float(meta["d_omega"]), filter=filt), meta
+                    d_omega=float(meta["d_omega"]), filter=filt,
+                    omega_max_physical=None if fold is None else float(fold)), meta

@@ -13,6 +13,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 from scipy.optimize import minimize_scalar
 
+from ._textio import write_table
 from .errors import ParameterError
 from .spectral import Spectrum, filter_fourier
 from .trotter import Filter
@@ -104,7 +105,5 @@ def shift_table(center: float, separation: float, lambdas, etas, families=("lore
 
 
 def shift_table_to_csv(rows, path, metadata: dict | None = None):
-    from ._textio import write_table
-
     write_table(path, dict(metadata or {}),
                 ["eta", "lambda", "family", "shift"], rows)

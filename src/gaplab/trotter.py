@@ -13,6 +13,7 @@ z basis and e^{-iH2 s} is a tensor power of one single-spin x rotation.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -41,14 +42,10 @@ class TrotterPlan:
     depth: int
 
     def __post_init__(self):
-        if self.order not in (1, 2, 4):
+        if not isinstance(self.order, numbers.Integral) or self.order not in (1, 2, 4):
             raise ParameterError(f"order must be 1, 2 or 4, got {self.order}")
-        if self.depth < 1:
-            raise ParameterError(f"depth must be >= 1, got {self.depth}")
-
-    @property
-    def kappa4(self) -> float:
-        return KAPPA4
+        if not isinstance(self.depth, numbers.Integral) or self.depth < 1:
+            raise ParameterError(f"depth must be an integer >= 1, got {self.depth}")
 
 
 @dataclass(frozen=True)
@@ -65,8 +62,8 @@ class Filter:
     def __post_init__(self):
         if self.family not in FILTER_FAMILIES:
             raise ParameterError(f"unknown filter family {self.family!r}")
-        if self.eta < 0:
-            raise ParameterError(f"broadening must be >= 0, got {self.eta}")
+        if not (self.eta >= 0 and math.isfinite(self.eta)):
+            raise ParameterError(f"broadening must be finite and >= 0, got {self.eta}")
 
     @property
     def sigma(self) -> float:
@@ -116,6 +113,7 @@ def _x_rotation_power(model: SpinModel, dt: float) -> np.ndarray:
 
 
 def _step(model: SpinModel, order: int, dt: float) -> np.ndarray:
+    """One product-formula step over time dt (negative dt reverses all angles)."""
     d1 = np.exp(-1j * h1_diagonal(model) * dt)
     if order == 1:
         return d1[:, None] * _x_rotation_power(model, dt)
@@ -126,11 +124,6 @@ def _step(model: SpinModel, order: int, dt: float) -> np.ndarray:
     u_m = _step(model, 2, (1.0 - 4.0 * KAPPA4) * dt)
     u_kk = u_k @ u_k
     return u_kk @ u_m @ u_kk
-
-
-def single_step_unitary(model: SpinModel, plan: TrotterPlan, dt: float) -> np.ndarray:
-    """One product-formula step over time dt (negative dt reverses all angles)."""
-    return _step(model, plan.order, dt)
 
 
 def trotter_propagator(model: SpinModel, plan: TrotterPlan, t: float) -> np.ndarray:

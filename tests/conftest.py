@@ -6,6 +6,16 @@ results are checked against a second code path, not against themselves.
 
 import numpy as np
 import pytest
+from hypothesis import settings
+
+from gaplab.simulator import apply_gates, gate_sequence, prepare_input
+from gaplab.trotter import trotter_propagator
+
+# Property tests draw a fixed example sequence, so every run checks the
+# same cases and a failure reproduces.
+settings.register_profile("derandomized", derandomize=True, deadline=None,
+                          max_examples=50)
+settings.load_profile("derandomized")
 
 SX = np.array([[0, 1], [1, 0]], dtype=complex)
 SY = np.array([[0, -1j], [1j, 0]], dtype=complex)
@@ -39,6 +49,20 @@ def naive_tfim(n, coupling, field):
 
 def operator_norm(a):
     return float(np.linalg.norm(a, 2))
+
+
+def overlap_by_path(model, plan, orientation, t, path):
+    """|<psi|U_M(t)|psi>|^2 through one named path of propagator_overlap.
+
+    "matrix" powers the dense step, "gates" streams the circuit; production
+    picks one of the two by cost, so tests reach both through here.
+    """
+    psi = prepare_input(orientation)
+    if path == "matrix":
+        evolved = trotter_propagator(model, plan, t) @ psi
+    else:
+        evolved = apply_gates(psi, gate_sequence(model, plan, t), model.n_spins)
+    return float(abs(np.vdot(psi, evolved)) ** 2)
 
 
 @pytest.fixture

@@ -30,7 +30,6 @@ from gaplab import (
     peak_shift,
     perturbative_gap_guess,
     prepare_input,
-    propagator_overlap,
     run_time_series,
     spectral_error,
     spectral_error_bound,
@@ -42,7 +41,7 @@ from gaplab import (
 )
 from gaplab.model import explicit_commutators, pauli_form_commutators, spectral_norm
 
-from conftest import operator_norm
+from conftest import operator_norm, overlap_by_path
 
 
 def _report(number, text):
@@ -304,9 +303,8 @@ def test_criterion_11_decoupled_chain_closed_form():
         for ht in np.linspace(0.3, 4.0, 9):
             ref = (math.cos(field * ht) ** 2
                    + math.sin(field * ht) ** 2 * math.sin(theta) ** 2) ** n
-            for method in ("gates", "matrix"):
-                got = propagator_overlap(model, plan, orientation, ht,
-                                         method=method)
+            for path in ("gates", "matrix"):
+                got = overlap_by_path(model, plan, orientation, ht, path)
                 worst = max(worst, abs(got - ref))
                 assert abs(got - ref) <= 1e-10
     _report(11, f"J=0 return probability matches the product closed form, "

@@ -1,9 +1,14 @@
 import json
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import gaplab
 from gaplab import Filter, SpinModel, depth_cutoff
 from gaplab.cli import main, read_config_header
 from gaplab._textio import read_table
@@ -212,3 +217,14 @@ class TestToy:
         with pytest.raises(SystemExit) as exc:
             run(["toy"])
         assert exc.value.code == 1
+
+
+def test_import_leaves_scipy_stats_unloaded():
+    # scipy.stats costs about half a second of start-up; the t quantile
+    # comes from scipy.special instead
+    env = dict(os.environ, PYTHONPATH=str(Path(gaplab.__file__).parents[1]))
+    out = subprocess.run(
+        [sys.executable, "-c",
+         "import sys, gaplab.cli; print('scipy.stats' in sys.modules)"],
+        env=env, capture_output=True, text=True, check=True)
+    assert out.stdout.strip() == "False"

@@ -218,7 +218,7 @@ class TestThetaSweep:
         assert not result.failed()
         unfavored = result.unfavored_thetas()
         assert unfavored, "small-theta zone should exceed the error threshold"
-        assert result.best_theta() not in unfavored
+        assert result.best_record().theta not in unfavored
         for r in result.records:
             assert r.eps_bound >= r.eps_spect
             assert r.D == 4 * 100
@@ -234,12 +234,12 @@ class TestThetaSweep:
                              [0.0, 0.27 * math.pi], search=search)
         assert len(result.failed()) == 1
         assert result.failed()[0].theta == 0.0
-        assert result.best_theta() == pytest.approx(0.27 * math.pi)
+        assert result.best_record().theta == pytest.approx(0.27 * math.pi)
 
         alone = theta_sweep(model, TrotterPlan(1, 35), filt, grid, [0.0],
                             search=search)
         with pytest.raises(GapSearchError):
-            alone.best_theta()
+            alone.best_record()
 
     def test_shot_mode_records_derived_seeds(self):
         model = SpinModel(3, 0.4, 1.0)

@@ -1,0 +1,126 @@
+"""Property tests: the FFT transform against the cosine sum, and file round trips.
+
+Examples are drawn under the derandomized profile loaded in conftest, so a
+run is repeatable.
+"""
+
+import math
+import tempfile
+from pathlib import Path
+
+import numpy as np
+from hypothesis import example, given
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
+
+from gaplab import Filter, TimeGrid, TimeSeries, filter_value
+from gaplab.scaling import (PhaseDiagram, PhaseDiagramRow, phase_diagram_to_csv,
+                            read_phase_diagram)
+from gaplab.simulator import read_time_series, time_series_to_csv
+from gaplab.spectral import Spectrum, read_spectrum, spectrum_to_csv, transform
+
+EPS = np.finfo(float).eps
+finite = st.floats(allow_nan=False, allow_infinity=False)
+unit = st.floats(0.0, 1.0)
+filters = st.one_of(
+    st.just(Filter.none()),
+    st.builds(Filter.lorentzian, st.floats(0.0, 2.0)),
+    st.builds(Filter.gaussian, st.floats(0.0, 2.0)))
+
+
+def cosine_transform(grid, p_plus, p_minus, filt):
+    """Reference: A_m = dt/2pi sum_n cos(omega_m t_n) w_n, term by term."""
+    times = grid.times
+    weights = filter_value(filt, times) * (p_plus + p_minus)
+    weights[0] *= 0.5
+    omegas = np.arange(grid.length) * grid.d_omega
+    return np.cos(np.outer(omegas, times)) @ weights * (grid.dt / (2 * math.pi))
+
+
+@st.composite
+def sampled_series(draw, max_half=400):
+    """(grid, p_plus, p_minus) on an even-length grid."""
+    length = 2 * draw(st.integers(1, max_half))
+    grid = TimeGrid(dt=draw(st.floats(0.01, 2.0)), length=length)
+    return (grid, draw(arrays(float, length, elements=unit)),
+            draw(arrays(float, length, elements=unit)))
+
+
+def _criterion_6_grid():
+    # eta = 0.02: L = 2800, the longest grid the acceptance tests use
+    grid = TimeGrid(dt=2 * math.pi / (2800 * 0.005), length=2800)
+    rng = np.random.default_rng(6)
+    return grid, rng.uniform(0, 1, 2800), rng.uniform(0, 1, 2800)
+
+
+@given(sampled_series(), filters)
+@example(_criterion_6_grid(), Filter.lorentzian(0.02))
+def test_fft_matches_cosine_sum(series, filt):
+    grid, p_plus, p_minus = series
+    got = transform(grid, p_plus, p_minus, filt)
+    ref = cosine_transform(grid, p_plus, p_minus, filt)
+    # the reference rounds each phase omega_m t_n (up to 2 pi L) to a few
+    # ulps, so terms carry errors up to ~ 6 pi L eps |w_n|
+    scale = grid.dt / (2 * math.pi) * np.sum(p_plus + p_minus)
+    assert np.max(np.abs(got - ref)) <= 32 * grid.length * EPS * scale
+
+
+@st.composite
+def time_series(draw):
+    length = 2 * draw(st.integers(1, 40))
+    grid = TimeGrid(dt=draw(st.floats(1e-6, 1e3)), length=length)
+    shots = draw(st.one_of(st.none(), st.integers(1, 10**6)))
+    p_plus = draw(arrays(float, length, elements=unit))
+    p_minus = draw(arrays(float, length, elements=unit))
+    if shots is None:
+        p_plus[0] = p_minus[0] = 1.0
+    seed = None if shots is None else draw(st.integers(0, 2**32 - 1))
+    return TimeSeries(grid=grid, p_plus=p_plus, p_minus=p_minus,
+                      shots=shots, seed=seed)
+
+
+@given(time_series())
+def test_time_series_csv_round_trip(series):
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "series.csv"
+        time_series_to_csv(series, path, metadata={"label": "x"})
+        back, meta = read_time_series(path)
+    assert back.grid == series.grid
+    assert np.array_equal(back.p_plus, series.p_plus)
+    assert np.array_equal(back.p_minus, series.p_minus)
+    assert (back.shots, back.seed) == (series.shots, series.seed)
+    assert meta["label"] == "x"
+
+
+@st.composite
+def spectra(draw):
+    length = draw(st.integers(2, 40))
+    return Spectrum(omegas=draw(arrays(float, length, elements=finite)),
+                    values=draw(arrays(float, length, elements=finite)),
+                    d_omega=draw(st.floats(1e-6, 10.0)),
+                    filter=draw(filters),
+                    omega_max_physical=draw(st.one_of(st.none(), finite)))
+
+
+@given(spectra())
+def test_spectrum_csv_round_trip(spec):
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "spec.csv"
+        spectrum_to_csv(spec, path)
+        back, _ = read_spectrum(path)
+    assert np.array_equal(back.omegas, spec.omegas)
+    assert np.array_equal(back.values, spec.values)
+    assert back.d_omega == spec.d_omega
+    assert back.filter == spec.filter
+    assert back.omega_max_physical == spec.omega_max_physical
+
+
+@given(st.lists(st.builds(PhaseDiagramRow, finite, finite, finite, finite, finite),
+                max_size=10))
+def test_phase_diagram_csv_round_trip(rows):
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "diagram.csv"
+        phase_diagram_to_csv(PhaseDiagram(rows=rows), path, metadata={"m": 35})
+        back, meta = read_phase_diagram(path)
+    assert back.rows == rows
+    assert meta["m"] == 35

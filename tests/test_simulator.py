@@ -25,7 +25,7 @@ from gaplab.simulator import (apply_gates, gate_sequence_unitary,
                               time_series_to_csv)
 from gaplab.trotter import KAPPA4
 
-from conftest import naive_tfim, operator_norm
+from conftest import naive_tfim, operator_norm, overlap_by_path
 
 
 class TestPrepareInput:
@@ -122,8 +122,8 @@ class TestPropagatorOverlap:
         model = SpinModel(4, 0.4, 1.0)
         plan = TrotterPlan(1, 35)
         orientation = InputOrientation.uniform(4, 0.27 * math.pi)
-        p_gates = propagator_overlap(model, plan, orientation, 1.0, method="gates")
-        p_matrix = propagator_overlap(model, plan, orientation, 1.0, method="matrix")
+        p_gates = overlap_by_path(model, plan, orientation, 1.0, "gates")
+        p_matrix = overlap_by_path(model, plan, orientation, 1.0, "matrix")
         assert abs(p_gates - p_matrix) < 1e-10
 
     @pytest.mark.parametrize("order", [1, 2, 4])
@@ -137,8 +137,8 @@ class TestPropagatorOverlap:
         for ht in (0.4, 1.1, 2.9):
             ref = (math.cos(field * ht) ** 2
                    + math.sin(field * ht) ** 2 * math.sin(theta) ** 2) ** n
-            for method in ("gates", "matrix"):
-                got = propagator_overlap(model, plan, orientation, ht, method=method)
+            for path in ("gates", "matrix"):
+                got = overlap_by_path(model, plan, orientation, ht, path)
                 assert got == pytest.approx(ref, abs=1e-10)
 
     def test_asymmetry_within_twice_the_bound(self):

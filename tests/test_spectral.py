@@ -7,6 +7,7 @@ from scipy.optimize import brentq
 
 from gaplab import (
     Filter,
+    GapSearchConfig,
     InputOrientation,
     ParameterError,
     SpinModel,
@@ -16,6 +17,7 @@ from gaplab import (
     exact_diagonalize,
     exact_spectrum_oracle,
     filter_fourier,
+    find_gap,
     prepare_input,
     spectral_function,
 )
@@ -186,3 +188,19 @@ class TestOracle:
         assert back.d_omega == oracle.d_omega
         assert back.filter.family == "gaussian"
         assert meta["label"] == "oracle"
+
+
+def test_read_back_spectrum_keeps_its_fold(tmp_path):
+    # a line at 6.5 below the fold at 7.05 mirrors to 7.6 above it; a guess
+    # of 7.7 must widen down to the physical peak, not stop at the mirror
+    filt = Filter.gaussian(0.3)
+    grid = default_grid(filt)
+    spec = spectral_function(
+        series_from_values(grid, 0.5 * (1 + np.cos(6.5 * grid.times))), filt)
+    path = tmp_path / "spec.csv"
+    spectrum_to_csv(spec, path)
+    back, _ = read_spectrum(path)
+    assert back.omega_max_physical == spec.omega_max_physical == 7.05
+    search = GapSearchConfig(initial_guess=7.7, initial_window=0.4, max_window=2.6)
+    assert find_gap(back, search) == find_gap(spec, search)
+    assert abs(find_gap(spec, search).gap - 6.5) <= grid.d_omega
