@@ -12,8 +12,7 @@ from .model import (BoundSet, CommutatorSet, EigenDecomposition, SpinModel,
 from .scaling import (Extrapolation, PhaseDiagram, ScalingSample, extrapolate,
                       phase_diagram)
 from .simulator import (Gate, InputOrientation, TimeGrid, TimeSeries,
-                        gate_sequence, prepare_input, propagator_overlap,
-                        run_time_series)
+                        gate_sequence, prepare_input, run_time_series)
 from .spectral import (Spectrum, default_grid, exact_spectrum_oracle,
                        filter_fourier, spectral_function)
 from .toymodel import PeakShiftResult, TwoPeakModel, peak_shift, two_peak_spectrum

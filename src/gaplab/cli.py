@@ -122,6 +122,14 @@ def _build(cfg):
     return model, plan, filt
 
 
+def _require_broadened(cfg, parser):
+    """Exit before simulating when the filter is none: an unfiltered line
+    shape has zero width, so neither the peak search nor the oracle can use it."""
+    if cfg["filter"] == "none":
+        parser.error("the peak search and the oracle need a broadened filter, "
+                     "not --filter none")
+
+
 def _grid(cfg, filt, parser):
     """The run's time grid; records the resolved d_omega and L in cfg."""
     try:
@@ -191,18 +199,18 @@ def _spectrum_pipeline(cfg, parser):
     grid = _grid(cfg, filt, parser)
     orientation = InputOrientation.uniform(model.n_spins,
                                            cfg["theta_over_pi"] * math.pi)
-    series = run_time_series(model, plan, orientation, grid,
-                             shots=cfg["shots"], seed=cfg["seed"])
+    [series] = run_time_series(model, plan, [orientation], grid,
+                               shots=cfg["shots"], seeds=[cfg["seed"]])
     return model, plan, filt, grid, orientation, spectral_function(series, filt)
 
 
 def cmd_spectrum(args, parser) -> int:
     cfg = _resolve(args, parser, {"oracle": False})
+    if cfg["oracle"]:
+        _require_broadened(cfg, parser)
     model, plan, filt, grid, orientation, spec = _spectrum_pipeline(cfg, parser)
     extra = {}
     if cfg["oracle"]:
-        if filt.family == "none":
-            parser.error("--oracle needs a broadened filter")
         eig = exact_diagonalize(model)
         extra["A_oracle"] = exact_spectrum_oracle(eig, orientation, filt, grid).values
     spectral.spectrum_to_csv(spec, args.out, metadata=_meta("spectrum", cfg),
@@ -212,6 +220,7 @@ def cmd_spectrum(args, parser) -> int:
 
 def cmd_gap(args, parser) -> int:
     cfg = _resolve(args, parser)
+    _require_broadened(cfg, parser)
     model, plan, filt, grid, orientation, spec = _spectrum_pipeline(cfg, parser)
     eig = exact_diagonalize(model)
     delta_exact = float(eig.energies[1] - eig.energies[0])
@@ -245,6 +254,7 @@ def cmd_sweep_theta(args, parser) -> int:
     cfg = _resolve(args, parser, {"theta_count": 25, "theta_list": None})
     if args.theta_list is not None:
         cfg["theta_list"] = _floats(args.theta_list)
+    _require_broadened(cfg, parser)
     model, plan, filt = _build(cfg)
     grid = _grid(cfg, filt, parser)
     guess = perturbative_gap_guess(model)
@@ -268,6 +278,8 @@ def cmd_scaling(args, parser) -> int:
         cfg["j_list"] = _floats(args.j_list)
     if args.n_list is not None:
         cfg["n_list"] = _ints(args.n_list)
+    if not cfg["synthetic_perturbative"]:
+        _require_broadened(cfg, parser)
     filt = Filter(cfg["filter"], cfg["eta_over_h"])
     grid = _grid(cfg, filt, parser)
 

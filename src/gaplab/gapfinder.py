@@ -199,7 +199,8 @@ def theta_sweep(model: SpinModel, plan: TrotterPlan, filt: Filter,
 
     Per theta: simulate the series, transform, search for the gap, and score
     it against the exact diagonalization; search failures are recorded and do
-    not abort the sweep.  Shot-mode runs draw from per-theta derived seeds.
+    not abort the sweep.  All orientations are simulated in one call, sharing
+    each propagator; shot-mode runs draw from per-theta derived seeds.
     """
     eig = exact_diagonalize(model)
     exact_gap = float(eig.energies[1] - eig.energies[0])
@@ -207,16 +208,18 @@ def theta_sweep(model: SpinModel, plan: TrotterPlan, filt: Filter,
     eps_bound = spectral_error_bound(model, plan, filt, grid)
     circuit_depth = gate_count(plan.order, model.n_spins) * plan.depth
 
+    thetas = list(thetas)
+    orientations = [InputOrientation.uniform(model.n_spins, theta) for theta in thetas]
+    seeds = [_derived_seed(seed, l) for l in range(len(thetas))] \
+        if shots is not None else None
+    all_series = run_time_series(model, plan, orientations, grid, shots=shots,
+                                 seeds=seeds)
     records = []
-    for l, theta in enumerate(thetas):
-        orientation = InputOrientation.uniform(model.n_spins, theta)
-        theta_seed = _derived_seed(seed, l) if shots is not None else None
-        series = run_time_series(model, plan, orientation, grid, shots=shots,
-                                 seed=theta_seed if theta_seed is not None else 0)
+    for theta, orientation, series in zip(thetas, orientations, all_series):
         spec = spectral_function(series, filt)
         oracle = exact_spectrum_oracle(eig, orientation, filt, grid)
         base = dict(theta=float(theta), eta=filt.eta, filter=filt.family,
-                    p=plan.order, M=plan.depth, D=circuit_depth, seed=theta_seed)
+                    p=plan.order, M=plan.depth, D=circuit_depth, seed=series.seed)
         cfg = search if search is not None else GapSearchConfig(initial_guess=guess)
         try:
             est = find_gap(spec, cfg)

@@ -12,7 +12,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import stdtrit
 
 from ._textio import read_table, write_table
 from .errors import DataError, NumericError
@@ -53,10 +52,17 @@ class Extrapolation:
         """Confidence band for the fitted line at regressor values x = 1/N."""
         x = np.asarray(x, dtype=float)
         mid = self.intercept + self.slope * x
-        tq = stdtrit(self.dof, 0.5 + self.confidence / 2.0)
+        tq = _t_quantile(self.dof, self.confidence)
         half = tq * self._resid_scale * np.sqrt(
             1.0 / (self.dof + 2) + (x - self._x_mean) ** 2 / self._sxx)
         return mid - half, mid + half
+
+
+def _t_quantile(dof: int, confidence: float) -> float:
+    """Two-sided Student-t quantile; scipy is imported on first use, since it
+    costs about 0.4 s of start-up that only extrapolation needs."""
+    from scipy.special import stdtrit
+    return stdtrit(dof, 0.5 + confidence / 2.0)
 
 
 def extrapolate(sample: ScalingSample, confidence: float = 0.95) -> Extrapolation:
@@ -76,7 +82,7 @@ def extrapolate(sample: ScalingSample, confidence: float = 0.95) -> Extrapolatio
     dof = n_pts - 2
     s = float(np.sqrt(np.sum(resid**2) / dof))
     se_icpt = s * np.sqrt(1.0 / n_pts + x_mean**2 / sxx)
-    tq = stdtrit(dof, 0.5 + confidence / 2.0)
+    tq = _t_quantile(dof, confidence)
     band = (intercept - tq * se_icpt, intercept + tq * se_icpt)
     return Extrapolation(intercept=intercept, slope=slope,
                          stderr_intercept=float(se_icpt), dof=dof,

@@ -9,6 +9,12 @@ all-zeros outcome,
 on a uniform time grid for both time directions.  Finite measurement
 statistics replace each P by a seeded binomial draw over the single
 all-zeros event.
+
+One engine, `run_time_series`, produces every series: it builds the dense
+U_M(t) once per signed time and applies it to all input orientations
+together.  The gate list (`gate_sequence`, `apply_gates`) describes the
+circuit a device would run; no production path executes it, and the tests
+use it as an independent oracle for the dense propagator.
 """
 
 from __future__ import annotations
@@ -21,7 +27,7 @@ import numpy as np
 
 from ._textio import read_table, write_table
 from .errors import DataError, ParameterError
-from .model import SpinModel
+from .model import MAX_DENSE_SPINS, SpinModel, _check_dense
 from .trotter import KAPPA4, TrotterPlan, trotter_propagator
 
 
@@ -96,7 +102,7 @@ def prepare_input(orientation: InputOrientation) -> np.ndarray:
 
 
 # --------------------------------------------------------------------------
-# Gate-level path.
+# Gate-level circuit description.
 # --------------------------------------------------------------------------
 
 
@@ -145,15 +151,6 @@ def gate_sequence(model: SpinModel, plan: TrotterPlan, t: float) -> list:
     return gates
 
 
-def literal_gate_count(model: SpinModel, plan: TrotterPlan) -> dict:
-    """Literal per-iteration gate tally (contrast with trotter.gate_count)."""
-    n = model.n_spins
-    layers = _iteration_layers(plan.order)
-    n_zz = sum(1 for kind, _ in layers if kind == "zz") * (n - 1)
-    n_x = sum(1 for kind, _ in layers if kind == "x") * n
-    return {"rzz": n_zz, "rx": n_x, "total": n_zz + n_x}
-
-
 def apply_gates(state: np.ndarray, gates, n_spins: int) -> np.ndarray:
     """Apply a gate list to a statevector (site 0 = most significant qubit)."""
     st = np.array(state, dtype=complex).reshape((2,) * n_spins)
@@ -180,75 +177,51 @@ def apply_gates(state: np.ndarray, gates, n_spins: int) -> np.ndarray:
     return st.reshape(-1)
 
 
-def gate_sequence_unitary(model: SpinModel, plan: TrotterPlan, t: float) -> np.ndarray:
-    """Dense matrix assembled by pushing basis columns through the gate list."""
-    gates = gate_sequence(model, plan, t)
-    dim = model.dim
-    out = np.empty((dim, dim), dtype=complex)
-    for col in range(dim):
-        e = np.zeros(dim, dtype=complex)
-        e[col] = 1.0
-        out[:, col] = apply_gates(e, gates, model.n_spins)
-    return out
-
-
 # --------------------------------------------------------------------------
 # Return probabilities.
 # --------------------------------------------------------------------------
 
 
-def _pick_method(model: SpinModel, plan: TrotterPlan) -> str:
-    # Dense powering costs ~dim^3 log M; the gate path costs ~M * gates * dim.
-    dim = model.dim
-    matrix_cost = dim**3 * (math.log2(max(plan.depth, 2)) + 2)
-    gate_cost = plan.depth * literal_gate_count(model, plan)["total"] * dim * 6
-    return "matrix" if matrix_cost <= gate_cost else "gates"
+def run_time_series(model: SpinModel, plan: TrotterPlan, orientations,
+                    grid: TimeGrid, shots: int | None = None,
+                    seeds=None) -> list:
+    """Both time branches of P on the grid for each orientation, exact or sampled.
 
-
-def propagator_overlap(model: SpinModel, plan: TrotterPlan,
-                       orientation: InputOrientation, t: float) -> float:
-    """P(t) = |<psi| U_M(t) |psi>|^2, the all-zeros return probability.
-
-    `_pick_method` chooses by estimated cost between powering the dense step
-    and streaming the circuit through the statevector; the two agree to 1e-10.
+    U_M(t) does not depend on the input state, so each of the 2L signed times
+    builds one propagator and applies it to all K input states at once; memory
+    stays O(dim^2 + dim K).  In shot mode each (seed, branch, n) point draws
+    from its own generator, so any execution order gives identical data;
+    `seeds` holds one seed per orientation (default 0 for each).
     """
-    if len(orientation.angles) != model.n_spins:
+    _check_dense(model.n_spins, MAX_DENSE_SPINS)
+    orientations = list(orientations)
+    if not orientations:
+        raise ParameterError("need at least one input orientation")
+    if any(len(o.angles) != model.n_spins for o in orientations):
         raise ParameterError("orientation length does not match the chain")
-    if t == 0:
-        return 1.0
-    psi = prepare_input(orientation)
-    if _pick_method(model, plan) == "matrix":
-        amp = psi.conj() @ (trotter_propagator(model, plan, t) @ psi)
-    else:
-        amp = np.vdot(psi, apply_gates(psi, gate_sequence(model, plan, t),
-                                       model.n_spins))
-    return min(max(float(np.abs(amp) ** 2), 0.0), 1.0)
-
-
-def run_time_series(model: SpinModel, plan: TrotterPlan,
-                    orientation: InputOrientation, grid: TimeGrid,
-                    shots: int | None = None, seed: int = 0) -> TimeSeries:
-    """Both time branches of P on the grid, exact or binomially sampled.
-
-    Each (branch, n) point draws from its own generator seeded by
-    (seed, branch, n), so any execution order gives identical data.
-    """
     if shots is not None and shots < 1:
         raise ParameterError(f"shots must be >= 1, got {shots}")
-    times = grid.times
-    branches = []
+    seeds = [0] * len(orientations) if seeds is None else list(seeds)
+    if len(seeds) != len(orientations):
+        raise ParameterError("need one seed per orientation")
+    psi = np.stack([prepare_input(o) for o in orientations], axis=1)
+    probs = np.ones((len(orientations), 2, grid.length))
     for b, sign in enumerate((1.0, -1.0)):
-        vals = np.empty(grid.length)
-        for n, t in enumerate(times):
-            p = 1.0 if t == 0 else propagator_overlap(
-                model, plan, orientation, sign * t)
-            if shots is not None:
-                rng = np.random.default_rng([seed, b, n])
-                p = rng.binomial(shots, p) / shots
-            vals[n] = p
-        branches.append(vals)
-    return TimeSeries(grid=grid, p_plus=branches[0], p_minus=branches[1],
-                      shots=shots, seed=seed if shots is not None else None)
+        for n, t in enumerate(grid.times):
+            if t == 0:
+                continue
+            evolved = trotter_propagator(model, plan, sign * t) @ psi
+            amp = np.einsum("ik,ik->k", psi.conj(), evolved)
+            probs[:, b, n] = np.clip(np.abs(amp) ** 2, 0.0, 1.0)
+    if shots is not None:
+        for k, seed in enumerate(seeds):
+            for b in range(2):
+                for n in range(grid.length):
+                    rng = np.random.default_rng([seed, b, n])
+                    probs[k, b, n] = rng.binomial(shots, probs[k, b, n]) / shots
+    return [TimeSeries(grid=grid, p_plus=p[0], p_minus=p[1], shots=shots,
+                       seed=seed if shots is not None else None)
+            for p, seed in zip(probs, seeds)]
 
 
 # --------------------------------------------------------------------------

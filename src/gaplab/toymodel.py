@@ -11,7 +11,6 @@ from __future__ import annotations
 from dataclasses import dataclass, replace
 
 import numpy as np
-from scipy.optimize import minimize_scalar
 
 from ._textio import write_table
 from .errors import ParameterError
@@ -68,6 +67,8 @@ def peak_shift(m: TwoPeakModel, eta: float | None = None) -> PeakShiftResult:
     local maxima and a second peak present), the merged maximum is reported
     with `absorbed` set.
     """
+    from scipy.optimize import minimize_scalar  # deferred: costs ~0.25 s to import
+
     if eta is not None:
         m = replace(m, filter=replace(m.filter, eta=float(eta)))
     width = m.filter.eta

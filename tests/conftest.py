@@ -9,7 +9,7 @@ import pytest
 from hypothesis import settings
 
 from gaplab.simulator import apply_gates, gate_sequence, prepare_input
-from gaplab.trotter import trotter_propagator
+from gaplab.trotter import TrotterPlan, trotter_propagator
 
 # Property tests draw a fixed example sequence, so every run checks the
 # same cases and a failure reproduces.
@@ -52,10 +52,10 @@ def operator_norm(a):
 
 
 def overlap_by_path(model, plan, orientation, t, path):
-    """|<psi|U_M(t)|psi>|^2 through one named path of propagator_overlap.
+    """|<psi|U_M(t)|psi>|^2 through one named path, for a single state.
 
-    "matrix" powers the dense step, "gates" streams the circuit; production
-    picks one of the two by cost, so tests reach both through here.
+    "matrix" powers the dense step, as the production engine does; "gates"
+    streams the circuit, which only the tests execute.
     """
     psi = prepare_input(orientation)
     if path == "matrix":
@@ -63,6 +63,25 @@ def overlap_by_path(model, plan, orientation, t, path):
     else:
         evolved = apply_gates(psi, gate_sequence(model, plan, t), model.n_spins)
     return float(abs(np.vdot(psi, evolved)) ** 2)
+
+
+def gate_sequence_unitary(model, plan, t):
+    """Dense matrix assembled by pushing basis columns through the gate list."""
+    gates = gate_sequence(model, plan, t)
+    out = np.empty((model.dim, model.dim), dtype=complex)
+    for col in range(model.dim):
+        e = np.zeros(model.dim, dtype=complex)
+        e[col] = 1.0
+        out[:, col] = apply_gates(e, gates, model.n_spins)
+    return out
+
+
+def literal_gate_count(model, plan):
+    """Literal per-iteration gate tally of the circuit (contrast with
+    trotter.gate_count, which counts a layer of parallel rx gates once)."""
+    gates = gate_sequence(model, TrotterPlan(plan.order, 1), 1.0)
+    n_zz = sum(g.kind == "rzz" for g in gates)
+    return {"rzz": n_zz, "rx": len(gates) - n_zz, "total": len(gates)}
 
 
 @pytest.fixture

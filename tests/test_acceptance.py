@@ -122,15 +122,15 @@ def test_criterion_04_gap_recovery():
     exact_gap = eig.energies[1] - eig.energies[0]
     config = GapSearchConfig(initial_guess=perturbative_gap_guess(model))
 
-    series = run_time_series(model, plan, orientation, grid)
+    [series] = run_time_series(model, plan, [orientation], grid)
     est = find_gap(spectral_function(series, filt), config)
     exact_dev = abs(est.gap - exact_gap)
     assert exact_dev <= filt.eta
 
     hits = 0
     for seed in range(10):
-        series = run_time_series(model, plan, orientation, grid,
-                                 shots=1024, seed=seed)
+        [series] = run_time_series(model, plan, [orientation], grid,
+                                   shots=1024, seeds=[seed])
         est = find_gap(spectral_function(series, filt), config)
         hits += abs(est.gap - exact_gap) <= filt.eta
     assert hits >= 9
@@ -152,8 +152,8 @@ def test_criterion_05_spectral_convergence():
     eps_s, eps_b = [], []
     for m_depth in depths:
         plan = TrotterPlan(1, m_depth)
-        spec = spectral_function(
-            run_time_series(model, plan, orientation, grid), filt)
+        [series] = run_time_series(model, plan, [orientation], grid)
+        spec = spectral_function(series, filt)
         eps_s.append(spectral_error(spec, oracle))
         eps_b.append(spectral_error_bound(model, plan, filt, grid))
     for a, b in zip(eps_s, eps_s[1:]):

@@ -201,6 +201,26 @@ class TestScaling:
         assert all(s["theta_star"] is not None for s in detail["samples"])
 
 
+class TestUnfilteredRuns:
+    @pytest.mark.parametrize("command", ["gap", "sweep-theta", "scaling"])
+    def test_gap_commands_reject_filter_none_before_simulating(
+            self, tmp_path, monkeypatch, command):
+        def no_simulation(*args, **kwargs):
+            raise AssertionError("an unfiltered gap run was simulated")
+        monkeypatch.setattr("gaplab.cli.run_time_series", no_simulation)
+        monkeypatch.setattr("gaplab.gapfinder.run_time_series", no_simulation)
+        with pytest.raises(SystemExit) as exc:
+            run([command, "--exact", "--filter", "none", "--d-omega-over-h",
+                 "0.075", "--out", str(tmp_path / "x.out")])
+        assert exc.value.code == 1
+
+    def test_spectrum_accepts_filter_none(self, tmp_path):
+        out = tmp_path / "raw.csv"
+        assert run(["spectrum", "--exact", "--filter", "none",
+                    "--d-omega-over-h", "0.5", "--out", str(out)]) == 0
+        assert read_config_header(out)["filter"] == "none"
+
+
 class TestToy:
     def test_toy_table(self, tmp_path):
         out = tmp_path / "toy.csv"
@@ -220,11 +240,12 @@ class TestToy:
 
 
 def test_import_leaves_scipy_stats_unloaded():
-    # scipy.stats costs about half a second of start-up; the t quantile
-    # comes from scipy.special instead
+    # scipy costs over half a second of start-up that gap, spectrum and
+    # sweep-theta never use: scaling and toymodel import it on first call
     env = dict(os.environ, PYTHONPATH=str(Path(gaplab.__file__).parents[1]))
     out = subprocess.run(
         [sys.executable, "-c",
-         "import sys, gaplab.cli; print('scipy.stats' in sys.modules)"],
+         "import sys, gaplab.cli; "
+         "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"],
         env=env, capture_output=True, text=True, check=True)
-    assert out.stdout.strip() == "False"
+    assert out.stdout.strip() == "[]"

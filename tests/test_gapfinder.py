@@ -167,9 +167,8 @@ class TestSpectralErrorBound:
         oracle = exact_spectrum_oracle(eig, orientation, self.filt, self.grid)
         for depth in (10, 35, 100):
             plan = TrotterPlan(1, depth)
-            spec = spectral_function(
-                run_time_series(self.model, plan, orientation, self.grid),
-                self.filt)
+            [series] = run_time_series(self.model, plan, [orientation], self.grid)
+            spec = spectral_function(series, self.filt)
             assert (spectral_error_bound(self.model, plan, self.filt, self.grid)
                     >= spectral_error(spec, oracle))
 
@@ -197,9 +196,9 @@ class TestEmpiricalCutoff:
             grid = default_grid(filt)
             errs = []
             for m in depths:
-                spec = spectral_function(
-                    run_time_series(model, TrotterPlan(1, m), orientation, grid),
-                    filt)
+                [series] = run_time_series(model, TrotterPlan(1, m),
+                                           [orientation], grid)
+                spec = spectral_function(series, filt)
                 est = find_gap(spec, GapSearchConfig(initial_guess=1.4))
                 errs.append(gap_error(est, exact_gap))
             cutoffs[family] = empirical_depth_cutoff(
@@ -273,8 +272,8 @@ class TestResolutionFloor:
         orientation = InputOrientation.uniform(4, 0.27 * math.pi)
         eig = exact_diagonalize(model)
         exact_gap = eig.energies[1] - eig.energies[0]
-        spec = spectral_function(
-            run_time_series(model, TrotterPlan(1, 150), orientation, grid), filt)
+        [series] = run_time_series(model, TrotterPlan(1, 150), [orientation], grid)
+        spec = spectral_function(series, filt)
         est = find_gap(spec, GapSearchConfig(initial_guess=1.4))
         assert gap_error(est, exact_gap) <= 2 * eta / exact_gap
 

@@ -8,24 +8,23 @@ from gaplab import (
     DataError,
     InputOrientation,
     ParameterError,
+    ResourceLimitError,
     SpinModel,
     TimeGrid,
     TimeSeries,
     TrotterPlan,
     gate_sequence,
     prepare_input,
-    propagator_overlap,
     run_time_series,
     trotter_propagator,
     truncation_error_bound,
     Filter,
 )
-from gaplab.simulator import (apply_gates, gate_sequence_unitary,
-                              literal_gate_count, read_time_series,
-                              time_series_to_csv)
+from gaplab.simulator import apply_gates, read_time_series, time_series_to_csv
 from gaplab.trotter import KAPPA4
 
-from conftest import naive_tfim, operator_norm, overlap_by_path
+from conftest import (gate_sequence_unitary, literal_gate_count, naive_tfim,
+                      operator_norm, overlap_by_path)
 
 
 class TestPrepareInput:
@@ -115,7 +114,9 @@ class TestPropagatorOverlap:
     def test_zero_time(self):
         model = SpinModel(3, 0.4, 1.0)
         orientation = InputOrientation.uniform(3, 0.27 * math.pi)
-        assert propagator_overlap(model, TrotterPlan(1, 5), orientation, 0.0) == 1.0
+        [series] = run_time_series(model, TrotterPlan(1, 5), [orientation],
+                                   TimeGrid(dt=0.5, length=4))
+        assert series.p_plus[0] == 1.0 and series.p_minus[0] == 1.0
 
     def test_paths_agree(self):
         # two independent internal code paths on the documented working point
@@ -145,11 +146,12 @@ class TestPropagatorOverlap:
         model = SpinModel(3, 0.4, 1.0)
         plan = TrotterPlan(1, 16)
         orientation = InputOrientation.uniform(3, 0.27 * math.pi)
-        for t in (0.5, 1.0, 1.5):
-            p_fwd = propagator_overlap(model, plan, orientation, t)
-            p_bwd = propagator_overlap(model, plan, orientation, -t)
-            bound = truncation_error_bound(model, plan, Filter.none(), t)
-            assert abs(p_fwd - p_bwd) <= 2 * bound + 1e-12
+        grid = TimeGrid(dt=0.5, length=4)
+        [series] = run_time_series(model, plan, [orientation], grid)
+        for n in (1, 2, 3):
+            bound = truncation_error_bound(model, plan, Filter.none(),
+                                           grid.times[n])
+            assert abs(series.p_plus[n] - series.p_minus[n]) <= 2 * bound + 1e-12
 
     def test_exact_evolution_is_even_in_time(self):
         h1, h2 = naive_tfim(3, 0.4, 1.0)
@@ -167,26 +169,26 @@ class TestRunTimeSeries:
 
     def test_exact_mode_starts_at_one(self):
         model = SpinModel(3, 0.4, 1.0)
-        series = run_time_series(model, TrotterPlan(1, 4),
-                                 InputOrientation.uniform(3, 0.27 * math.pi),
-                                 self.grid())
+        [series] = run_time_series(model, TrotterPlan(1, 4),
+                                   [InputOrientation.uniform(3, 0.27 * math.pi)],
+                                   self.grid())
         assert series.p_plus[0] == 1.0
         assert series.p_minus[0] == 1.0
         assert series.shots is None
 
     def test_values_in_unit_interval(self):
         model = SpinModel(3, 0.4, 1.0)
-        series = run_time_series(model, TrotterPlan(4, 3),
-                                 InputOrientation.uniform(3, 0.4 * math.pi),
-                                 self.grid())
+        [series] = run_time_series(model, TrotterPlan(4, 3),
+                                   [InputOrientation.uniform(3, 0.4 * math.pi)],
+                                   self.grid())
         for arr in (series.p_plus, series.p_minus):
             assert arr.min() >= 0.0 and arr.max() <= 1.0
 
     def test_shot_mode_deterministic(self):
         model = SpinModel(3, 0.4, 1.0)
         orientation = InputOrientation.uniform(3, 0.27 * math.pi)
-        runs = [run_time_series(model, TrotterPlan(1, 4), orientation,
-                                self.grid(), shots=256, seed=11)
+        runs = [run_time_series(model, TrotterPlan(1, 4), [orientation],
+                                self.grid(), shots=256, seeds=[11])[0]
                 for _ in range(2)]
         assert np.array_equal(runs[0].p_plus, runs[1].p_plus)
         assert np.array_equal(runs[0].p_minus, runs[1].p_minus)
@@ -194,10 +196,10 @@ class TestRunTimeSeries:
     def test_shot_mode_seed_sensitivity(self):
         model = SpinModel(3, 0.4, 1.0)
         orientation = InputOrientation.uniform(3, 0.27 * math.pi)
-        a = run_time_series(model, TrotterPlan(1, 4), orientation, self.grid(),
-                            shots=256, seed=11)
-        b = run_time_series(model, TrotterPlan(1, 4), orientation, self.grid(),
-                            shots=256, seed=12)
+        [a] = run_time_series(model, TrotterPlan(1, 4), [orientation], self.grid(),
+                              shots=256, seeds=[11])
+        [b] = run_time_series(model, TrotterPlan(1, 4), [orientation], self.grid(),
+                              shots=256, seeds=[12])
         assert not np.array_equal(a.p_plus, b.p_plus)
 
     def test_shot_noise_standard_error(self):
@@ -205,10 +207,10 @@ class TestRunTimeSeries:
         model = SpinModel(3, 0.4, 1.0)
         orientation = InputOrientation.uniform(3, 0.27 * math.pi)
         plan = TrotterPlan(1, 4)
-        exact = run_time_series(model, plan, orientation, self.grid())
+        [exact] = run_time_series(model, plan, [orientation], self.grid())
         shots = 10**6
-        noisy = run_time_series(model, plan, orientation, self.grid(),
-                                shots=shots, seed=5)
+        [noisy] = run_time_series(model, plan, [orientation], self.grid(),
+                                  shots=shots, seeds=[5])
         for e_arr, s_arr in ((exact.p_plus, noisy.p_plus),
                              (exact.p_minus, noisy.p_minus)):
             sigma = np.sqrt(np.maximum(e_arr * (1 - e_arr), 1e-12) / shots)
@@ -216,10 +218,50 @@ class TestRunTimeSeries:
 
     def test_shot_mode_start_is_exact(self):
         model = SpinModel(3, 0.4, 1.0)
-        series = run_time_series(model, TrotterPlan(1, 4),
-                                 InputOrientation.uniform(3, 0.27 * math.pi),
-                                 self.grid(), shots=64, seed=3)
+        [series] = run_time_series(model, TrotterPlan(1, 4),
+                                   [InputOrientation.uniform(3, 0.27 * math.pi)],
+                                   self.grid(), shots=64, seeds=[3])
         assert series.p_plus[0] == 1.0
+
+    def test_batch_equals_separate_runs(self):
+        # the shared propagator must not couple orientations: each series of
+        # a batch is identical to its own single-orientation run
+        model = SpinModel(3, 0.4, 1.0)
+        plan = TrotterPlan(2, 4)
+        orientations = [InputOrientation.uniform(3, a) for a in (0.1, 0.9, 2.0)]
+        for shots, seeds in ((None, None), (256, [4, 5, 6])):
+            batch = run_time_series(model, plan, orientations, self.grid(),
+                                    shots=shots, seeds=seeds)
+            for k, orientation in enumerate(orientations):
+                [alone] = run_time_series(
+                    model, plan, [orientation], self.grid(), shots=shots,
+                    seeds=None if seeds is None else [seeds[k]])
+                assert np.allclose(batch[k].p_plus, alone.p_plus, rtol=0, atol=1e-14)
+                assert np.allclose(batch[k].p_minus, alone.p_minus, rtol=0, atol=1e-14)
+                assert batch[k].seed == (None if seeds is None else seeds[k])
+
+    def test_rejects_mismatched_inputs(self):
+        model = SpinModel(3, 0.4, 1.0)
+        orientation = InputOrientation.uniform(3, 0.3)
+        with pytest.raises(ParameterError):
+            run_time_series(model, TrotterPlan(1, 4), [], self.grid())
+        with pytest.raises(ParameterError):
+            run_time_series(model, TrotterPlan(1, 4),
+                            [InputOrientation.uniform(2, 0.3)], self.grid())
+        with pytest.raises(ParameterError):
+            run_time_series(model, TrotterPlan(1, 4), [orientation], self.grid(),
+                            shots=64, seeds=[1, 2])
+        with pytest.raises(ParameterError):
+            run_time_series(model, TrotterPlan(1, 4), [orientation], self.grid(),
+                            shots=0)
+
+    def test_dense_cap_enforced_before_allocation(self):
+        # 13 spins would need 2^13 x 2^13 propagators; the engine refuses
+        # before building any
+        model = SpinModel(13, 0.4, 1.0)
+        with pytest.raises(ResourceLimitError):
+            run_time_series(model, TrotterPlan(1, 4),
+                            [InputOrientation.uniform(13, 0.3)], self.grid())
 
     def test_series_validation(self):
         grid = self.grid()
@@ -232,9 +274,9 @@ class TestRunTimeSeries:
 
     def test_csv_round_trip(self, tmp_path):
         model = SpinModel(3, 0.4, 1.0)
-        series = run_time_series(model, TrotterPlan(2, 5),
-                                 InputOrientation.uniform(3, 0.27 * math.pi),
-                                 self.grid(), shots=128, seed=9)
+        [series] = run_time_series(model, TrotterPlan(2, 5),
+                                   [InputOrientation.uniform(3, 0.27 * math.pi)],
+                                   self.grid(), shots=128, seeds=[9])
         path = tmp_path / "series.csv"
         time_series_to_csv(series, path, metadata={"n": 3, "j_over_h": 0.4})
         back, meta = read_time_series(path)
