@@ -22,8 +22,9 @@ from . import gapfinder, scaling, spectral, toymodel, trotter
 from ._textio import read_table, write_json, write_table
 from .errors import DataError, GapSearchError, GaplabError, ParameterError
 from .gapfinder import GapSearchConfig, find_gap, gap_error, spectral_error
-from .model import (SpinModel, exact_diagonalize, perturbative_gap_guess)
-from .simulator import InputOrientation, run_time_series
+from .model import (SpinModel, _check_dense, exact_diagonalize,
+                    perturbative_gap_guess)
+from .simulator import MAX_SIMULATED_SPINS, InputOrientation, run_time_series
 from .spectral import exact_spectrum_oracle, spectral_function
 from .trotter import Filter, TrotterPlan, depth_cutoff
 
@@ -280,6 +281,7 @@ def cmd_scaling(args, parser) -> int:
         cfg["n_list"] = _ints(args.n_list)
     if not cfg["synthetic_perturbative"]:
         _require_broadened(cfg, parser)
+        _check_dense(max(cfg["n_list"], default=0), MAX_SIMULATED_SPINS)
     filt = Filter(cfg["filter"], cfg["eta_over_h"])
     grid = _grid(cfg, filt, parser)
 

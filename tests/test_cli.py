@@ -221,6 +221,24 @@ class TestUnfilteredRuns:
         assert read_config_header(out)["filter"] == "none"
 
 
+class TestSimulationCap:
+    @pytest.mark.parametrize("argv", [
+        ["gap", "--n", "9"],
+        ["sweep-theta", "--n", "9", "--theta-count", "2"],
+        ["scaling", "--n-list", "2,3,9", "--j-list", "0.4"]])
+    def test_chains_above_the_cap_fail_before_simulating(self, tmp_path, argv):
+        out = tmp_path / "x.out"
+        assert run(argv + ["--exact", "--out", str(out)]) == 2
+        assert not out.exists()
+
+    def test_scaling_checks_every_length_first(self, tmp_path, monkeypatch):
+        def no_simulation(*args, **kwargs):
+            raise AssertionError("scaling simulated before checking --n-list")
+        monkeypatch.setattr("gaplab.gapfinder.run_time_series", no_simulation)
+        assert run(["scaling", "--exact", "--n-list", "2,3,9", "--out",
+                    str(tmp_path / "d.csv")]) == 2
+
+
 class TestToy:
     def test_toy_table(self, tmp_path):
         out = tmp_path / "toy.csv"

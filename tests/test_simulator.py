@@ -20,7 +20,9 @@ from gaplab import (
     truncation_error_bound,
     Filter,
 )
-from gaplab.simulator import apply_gates, read_time_series, time_series_to_csv
+from gaplab import simulator
+from gaplab.simulator import (MAX_SIMULATED_SPINS, apply_gates, read_time_series,
+                              time_series_to_csv)
 from gaplab.trotter import KAPPA4
 
 from conftest import (gate_sequence_unitary, literal_gate_count, naive_tfim,
@@ -255,13 +257,52 @@ class TestRunTimeSeries:
             run_time_series(model, TrotterPlan(1, 4), [orientation], self.grid(),
                             shots=0)
 
-    def test_dense_cap_enforced_before_allocation(self):
-        # 13 spins would need 2^13 x 2^13 propagators; the engine refuses
-        # before building any
-        model = SpinModel(13, 0.4, 1.0)
+    @pytest.mark.parametrize("n_spins", [MAX_SIMULATED_SPINS + 1, 13])
+    def test_dense_cap_enforced_before_allocation(self, n_spins, monkeypatch):
+        # beyond the cap the engine refuses before building any propagator
+        def fail(*args):
+            raise AssertionError("propagator built above the cap")
+
+        monkeypatch.setattr(simulator, "trotter_propagator", fail)
         with pytest.raises(ResourceLimitError):
-            run_time_series(model, TrotterPlan(1, 4),
-                            [InputOrientation.uniform(13, 0.3)], self.grid())
+            run_time_series(SpinModel(n_spins, 0.4, 1.0), TrotterPlan(1, 4),
+                            [InputOrientation.uniform(n_spins, 0.3)], self.grid())
+
+    def test_largest_simulated_chain_runs(self):
+        n = MAX_SIMULATED_SPINS
+        [series] = run_time_series(SpinModel(n, 0.4, 1.0), TrotterPlan(2, 2),
+                                   [InputOrientation.uniform(n, 0.3)],
+                                   TimeGrid(dt=0.3, length=2))
+        assert 0.0 <= series.p_plus[1] <= 1.0
+
+    def test_one_propagator_per_signed_time(self, monkeypatch):
+        # a stand-in propagator g(t)^(1/2) * I returns P = g(t), which differs
+        # between t and -t, so a dropped sign, a swapped branch or a shifted
+        # index shows; each of the 2(L - 1) nonzero times is built exactly once
+        def g(t):
+            return 0.5 + 0.4 * math.tanh(t)
+
+        calls = []
+
+        def fake(model, plan, t):
+            calls.append(t)
+            return math.sqrt(g(t)) * np.eye(model.dim)
+
+        monkeypatch.setattr(simulator, "trotter_propagator", fake)
+        grid = TimeGrid(dt=0.3, length=6)
+        orientations = [InputOrientation.uniform(3, 0.3),
+                        InputOrientation((0.1, 0.9, 2.0))]
+        batch = run_time_series(SpinModel(3, 0.4, 1.0), TrotterPlan(1, 4),
+                                orientations, grid)
+        steps = range(1, grid.length)
+        assert sorted(calls) == sorted([n * grid.dt for n in steps]
+                                       + [-n * grid.dt for n in steps])
+        assert all(isinstance(t, float) for t in calls)
+        want_plus = [1.0] + [g(n * grid.dt) for n in steps]
+        want_minus = [1.0] + [g(-n * grid.dt) for n in steps]
+        for series in batch:
+            assert np.allclose(series.p_plus, want_plus, rtol=0, atol=1e-14)
+            assert np.allclose(series.p_minus, want_minus, rtol=0, atol=1e-14)
 
     def test_series_validation(self):
         grid = self.grid()
