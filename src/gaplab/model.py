@@ -10,6 +10,7 @@ the module is the ground-truth oracle for the rest of the package.
 
 from __future__ import annotations
 
+import functools
 import math
 import numbers
 from dataclasses import dataclass
@@ -98,11 +99,14 @@ def _check_dense(n_spins: int, max_spins: int):
             f"dense matrices limited to {max_spins} spins, got {n_spins}")
 
 
+@functools.lru_cache(maxsize=None)
 def ising_bond_parity(n_spins: int) -> np.ndarray:
-    """Diagonal of sum_b Z_b Z_{b+1} over computational basis states."""
+    """Diagonal of sum_b Z_b Z_{b+1} over computational basis states (read-only)."""
     idx = np.arange(2 ** n_spins)
     z = 1 - 2 * ((idx[None, :] >> (n_spins - 1 - np.arange(n_spins)[:, None])) & 1)
-    return np.sum(z[:-1] * z[1:], axis=0).astype(float)
+    out = np.sum(z[:-1] * z[1:], axis=0).astype(float)
+    out.flags.writeable = False
+    return out
 
 
 def h1_diagonal(model: SpinModel) -> np.ndarray:

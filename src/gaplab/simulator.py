@@ -11,10 +11,11 @@ statistics replace each P by a seeded binomial draw over the single
 all-zeros event.
 
 One engine, `run_time_series`, produces every series: it builds the dense
-U_M(t) once per signed time and applies it to all input orientations
-together.  The gate list (`gate_sequence`, `apply_gates`) describes the
-circuit a device would run; no production path executes it, and the tests
-use it as an independent oracle for the dense propagator.
+U_M(t) once per positive time and applies it to all input orientations
+together; the minus branch is its exact mirror, since real inputs and
+real-angle steps give U_M(-t) = conj U_M(t).  The gate list (`gate_sequence`,
+`apply_gates`) describes the circuit a device would run; only the tests execute
+it, as an independent oracle for the dense propagator.
 """
 
 from __future__ import annotations
@@ -30,8 +31,9 @@ from .errors import DataError, ParameterError
 from .model import SpinModel, _check_dense
 from .trotter import KAPPA4, TrotterPlan, trotter_propagator
 
-#: Largest chain the engine simulates: each signed time powers a dense 2^N x 2^N
-#: step, 0.02 s at N = 8 but 1.2 s at N = 10 (p = 2, M = 35, one BLAS thread).
+#: Largest chain the engine simulates: each positive time (the minus branch is its
+#: exact mirror) powers a dense 2^N x 2^N step, 0.014 s at N = 8 but 0.9 s at N = 10
+#: (p = 2, M = 35, one BLAS thread).
 MAX_SIMULATED_SPINS = 8
 
 
@@ -42,8 +44,10 @@ class InputOrientation:
     angles: tuple
 
     def __post_init__(self):
-        object.__setattr__(self, "angles",
-                           tuple(float(a) % (2.0 * math.pi) for a in self.angles))
+        angles = tuple(float(a) for a in self.angles)
+        if not all(map(math.isfinite, angles)):
+            raise ParameterError(f"orientation angles must be finite, got {angles}")
+        object.__setattr__(self, "angles", tuple(a % (2.0 * math.pi) for a in angles))
 
     @classmethod
     def uniform(cls, n_spins: int, theta: float) -> "InputOrientation":
@@ -191,11 +195,13 @@ def run_time_series(model: SpinModel, plan: TrotterPlan, orientations,
                     seeds=None) -> list:
     """Both time branches of P on the grid for each orientation, exact or sampled.
 
-    U_M(t) does not depend on the input state, so each of the 2L signed times
-    builds one propagator and applies it to all K input states at once; memory
-    stays O(dim^2 + dim K).  In shot mode each (seed, branch, n) point draws
-    from its own generator, so any execution order gives identical data;
-    `seeds` holds one seed per orientation (default 0 for each).
+    U_M(t) does not depend on the input state, so each of the L - 1 positive
+    times builds one propagator and applies it to all K input states at once;
+    memory stays O(dim^2 + dim K).  The minus branch is its exact mirror: real
+    inputs and real-angle steps give U_M(-t) = conj U_M(t) bit for bit, so
+    p_minus is a copy of p_plus.  In shot mode each (seed, branch, n) point
+    draws from its own generator, so any execution order gives identical
+    data; `seeds` holds one seed per orientation (default 0 for each).
     """
     _check_dense(model.n_spins, MAX_SIMULATED_SPINS)
     orientations = list(orientations)
@@ -210,13 +216,11 @@ def run_time_series(model: SpinModel, plan: TrotterPlan, orientations,
         raise ParameterError("need one seed per orientation")
     psi = np.stack([prepare_input(o) for o in orientations], axis=1)
     probs = np.ones((len(orientations), 2, grid.length))
-    for b, sign in enumerate((1.0, -1.0)):
-        for n, t in enumerate(grid.times):
-            if t == 0:
-                continue
-            evolved = trotter_propagator(model, plan, sign * t) @ psi
-            amp = np.einsum("ik,ik->k", psi.conj(), evolved)
-            probs[:, b, n] = np.clip(np.abs(amp) ** 2, 0.0, 1.0)
+    for n, t in enumerate(grid.times[1:], start=1):
+        evolved = trotter_propagator(model, plan, t) @ psi
+        amp = np.einsum("ik,ik->k", psi.conj(), evolved)
+        probs[:, 0, n] = np.clip(np.abs(amp) ** 2, 0.0, 1.0)
+    probs[:, 1] = probs[:, 0]
     if shots is not None:
         for k, seed in enumerate(seeds):
             for b in range(2):

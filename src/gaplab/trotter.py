@@ -107,15 +107,15 @@ def _x_rotation_power(model: SpinModel, dt: float) -> np.ndarray:
     u1 = np.array([[math.cos(a), 1j * math.sin(a)],
                    [1j * math.sin(a), math.cos(a)]])
     out = np.array([[1.0 + 0j]])
-    for _ in range(model.n_spins):
-        out = np.kron(out, u1)
+    for _ in range(model.n_spins):  # np.kron(out, u1): the same products, in order
+        out = (out[:, None, :, None] * u1[:, None, :]).reshape(2 * len(out), -1)
     return out
 
 
 def _step(model: SpinModel, order: int, dt: float) -> np.ndarray:
     """One product-formula step over time dt (negative dt reverses all angles)."""
-    d1 = np.exp(-1j * h1_diagonal(model) * dt)
     if order == 1:
+        d1 = np.exp(-1j * h1_diagonal(model) * dt)
         return d1[:, None] * _x_rotation_power(model, dt)
     if order == 2:
         dh = np.exp(-1j * h1_diagonal(model) * dt / 2.0)

@@ -239,6 +239,50 @@ class TestSimulationCap:
                     str(tmp_path / "d.csv")]) == 2
 
 
+class TestNonFiniteOrientation:
+    @pytest.mark.parametrize("argv", [
+        ["gap", "--theta-over-pi", "nan"],
+        ["gap", "--theta-over-pi", "inf"],
+        ["sweep-theta", "--theta-list", "0.2,nan"]])
+    def test_rejected_before_simulating(self, tmp_path, monkeypatch, argv):
+        def no_simulation(*args, **kwargs):
+            raise AssertionError("a non-finite orientation was simulated")
+        monkeypatch.setattr("gaplab.cli.run_time_series", no_simulation)
+        monkeypatch.setattr("gaplab.gapfinder.run_time_series", no_simulation)
+        out = tmp_path / "x.out"
+        assert run(argv + ["--exact", "--out", str(out)]) == 1
+        assert not out.exists()
+
+
+class TestBenchmarkReference:
+    def test_long_time_exact_within_reference(self, tmp_path):
+        # the quick long_time_exact benchmark command (criterion 6, L = 2800,
+        # M = 10000) must reproduce the benchmark's captured exact output to
+        # 1e-12 relative, the rule every exact-mode change is held to
+        reference = json.loads((Path(__file__).resolve().parents[1] / "perfbench"
+                                / "reference.json").read_text())
+        want = reference["quick"]["long_time_exact"]
+        out = tmp_path / "sweep.json"
+        assert run(["sweep-theta", "--n", "4", "--j-over-h", "0.4", "--p", "1",
+                    "--filter", "lorentzian", "--eta-over-h", "0.02",
+                    "--m", "10000", "--exact", "--theta-count", "1",
+                    "--out", str(out)]) == 0
+        got = json.loads(out.read_text())
+        got["config"].pop("seed", None)
+
+        def close(a, b):
+            if isinstance(a, dict) and isinstance(b, dict):
+                return a.keys() == b.keys() and all(close(a[k], b[k]) for k in a)
+            if isinstance(a, list) and isinstance(b, list):
+                return len(a) == len(b) and all(map(close, a, b))
+            if isinstance(a, float) or isinstance(b, float):
+                return (isinstance(a, (int, float)) and isinstance(b, (int, float))
+                        and abs(a - b) <= 1e-12 * max(1.0, abs(b)))
+            return a == b
+
+        assert close(got, want)
+
+
 class TestToy:
     def test_toy_table(self, tmp_path):
         out = tmp_path / "toy.csv"

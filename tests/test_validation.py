@@ -9,8 +9,8 @@ import math
 import numpy as np
 import pytest
 
-from gaplab import (DataError, Filter, ParameterError, SpinModel, TimeGrid,
-                    TimeSeries, TrotterPlan)
+from gaplab import (DataError, Filter, InputOrientation, ParameterError,
+                    SpinModel, TimeGrid, TimeSeries, TrotterPlan)
 
 
 def shot_series_with_nan():
@@ -31,6 +31,9 @@ def shot_series_with_nan():
     pytest.param(lambda: Filter.gaussian(math.nan), id="eta-nan"),
     pytest.param(lambda: Filter.lorentzian(math.inf), id="eta-inf"),
     pytest.param(shot_series_with_nan, id="shot-series-nan"),
+    pytest.param(lambda: InputOrientation((math.nan, 0.1)), id="angle-nan"),
+    pytest.param(lambda: InputOrientation((0.1, -math.inf)), id="angle-inf"),
+    pytest.param(lambda: InputOrientation.uniform(3, math.inf), id="theta-inf"),
 ])
 def test_rejected_at_construction(build):
     with pytest.raises((ParameterError, DataError)):
