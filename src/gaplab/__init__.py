@@ -5,10 +5,9 @@ from .errors import (DataError, GapSearchError, GaplabError, NumericError,
 from .gapfinder import (GapEstimate, GapSearchConfig, SweepRecord, SweepResult,
                         empirical_depth_cutoff, find_gap, gap_error,
                         spectral_error, spectral_error_bound, theta_sweep)
-from .model import (BoundSet, CommutatorSet, EigenDecomposition, SpinModel,
-                    build_hamiltonians, commutator_norm_bounds, dispersion,
-                    exact_diagonalize, exact_gap_thermodynamic,
-                    explicit_commutators, perturbative_gap_guess, spectral_norm)
+from .model import (BoundSet, EigenDecomposition, SpinModel, build_hamiltonians,
+                    commutator_norm_bounds, dispersion, exact_diagonalize,
+                    exact_gap_thermodynamic, perturbative_gap_guess)
 from .scaling import (Extrapolation, PhaseDiagram, ScalingSample, extrapolate,
                       phase_diagram)
 from .simulator import (Gate, InputOrientation, TimeGrid, TimeSeries,

@@ -22,9 +22,8 @@ from . import gapfinder, scaling, spectral, toymodel, trotter
 from ._textio import read_table, write_json, write_table
 from .errors import DataError, GapSearchError, GaplabError, ParameterError
 from .gapfinder import GapSearchConfig, find_gap, gap_error, spectral_error
-from .model import (SpinModel, _check_dense, exact_diagonalize,
-                    perturbative_gap_guess)
-from .simulator import MAX_SIMULATED_SPINS, InputOrientation, run_time_series
+from .model import SpinModel, exact_diagonalize, perturbative_gap_guess
+from .simulator import InputOrientation, _check_simulated, run_time_series
 from .spectral import exact_spectrum_oracle, spectral_function
 from .trotter import Filter, TrotterPlan, depth_cutoff
 
@@ -222,14 +221,15 @@ def cmd_spectrum(args, parser) -> int:
 def cmd_gap(args, parser) -> int:
     cfg = _resolve(args, parser)
     _require_broadened(cfg, parser)
+    delta0 = perturbative_gap_guess(_build(cfg)[0])
+    search = _search_config(cfg, delta0)    # refuses a bad window before simulating
     model, plan, filt, grid, orientation, spec = _spectrum_pipeline(cfg, parser)
     eig = exact_diagonalize(model)
     delta_exact = float(eig.energies[1] - eig.energies[0])
-    delta0 = perturbative_gap_guess(model)
     result = {"delta0": delta0, "delta_exact_ed": delta_exact}
     code = 0
     try:
-        est = find_gap(spec, _search_config(cfg, delta0))
+        est = find_gap(spec, search)
         oracle = exact_spectrum_oracle(eig, orientation, filt, grid)
         result.update({
             "gap": est.gap, "peak_height": est.peak_height,
@@ -281,7 +281,7 @@ def cmd_scaling(args, parser) -> int:
         cfg["n_list"] = _ints(args.n_list)
     if not cfg["synthetic_perturbative"]:
         _require_broadened(cfg, parser)
-        _check_dense(max(cfg["n_list"], default=0), MAX_SIMULATED_SPINS)
+        _check_simulated(max(cfg["n_list"], default=0))
     filt = Filter(cfg["filter"], cfg["eta_over_h"])
     grid = _grid(cfg, filt, parser)
 
@@ -298,8 +298,7 @@ def cmd_scaling(args, parser) -> int:
                                 "gap": points[-1][1], "theta_star": None})
                 continue
             plan = TrotterPlan(cfg["p"], cfg["m"])
-            cell_seed = int(np.random.SeedSequence(
-                (cfg["seed"], j_index, n)).generate_state(1)[0])
+            cell_seed = gapfinder._derived_seed(cfg["seed"], j_index, n)
             sweep = gapfinder.theta_sweep(
                 model, plan, filt, grid, _theta_values(cfg),
                 shots=cfg["shots"], seed=cell_seed,

@@ -2,14 +2,14 @@
 
 The search starts from a guess Delta_0 (perturbative by default), looks for a
 strict local maximum of A inside [Delta_0 - dD/2, Delta_0 + dD/2] with dD
-starting at 2 eta, and widens the window geometrically up to 10 eta before
-giving up.  The estimate is the grid argmax: no sub-bin interpolation, so the
+starting at 2 eta, and widens the window by a factor 1.5 at a time up to
+10 eta before giving up.  The estimate is the grid argmax: no sub-bin interpolation, so the
 resolution floor is set by the line width, not the fit.
 """
 
 from __future__ import annotations
 
-import json
+import math
 from dataclasses import asdict, dataclass
 
 import numpy as np
@@ -25,20 +25,23 @@ from .trotter import Filter, TrotterPlan, gate_count
 #: Gap-error level marking the unfavored orientation zone.
 UNFAVORED_EPS_GAP = 1e-2
 
+#: Factor by which each unsuccessful search widens its window, up to the cap.
+WIDEN_FACTOR = 1.5
+
 
 @dataclass(frozen=True)
 class GapSearchConfig:
     initial_guess: float
     initial_window: float | None = None    # default 2 eta
-    widen_factor: float = 1.5
     max_window: float | None = None         # default 10 eta
-    require_local_max: bool = True
 
     def __post_init__(self):
-        if self.initial_guess <= 0:
-            raise ParameterError("initial gap guess must be positive")
-        if self.widen_factor <= 1:
-            raise ParameterError("widen_factor must exceed 1")
+        given = [w for w in (self.initial_window, self.max_window) if w is not None]
+        if not all(math.isfinite(x) and x > 0 for x in (self.initial_guess, *given)):
+            raise ParameterError(
+                f"gap guess and search windows must be positive and finite: {self}")
+        if len(given) == 2 and self.max_window < self.initial_window:
+            raise ParameterError(f"max_window is below initial_window: {self}")
 
 
 @dataclass(frozen=True)
@@ -56,7 +59,7 @@ def _windows(config: GapSearchConfig, eta: float):
         raise ParameterError("search window must be positive and below its cap")
     out = [w]
     while out[-1] < cap * (1 - 1e-12):
-        out.append(min(out[-1] * config.widen_factor, cap))
+        out.append(min(out[-1] * WIDEN_FACTOR, cap))
     return out
 
 
@@ -76,11 +79,8 @@ def find_gap(spectrum: Spectrum, config: GapSearchConfig) -> GapEstimate:
         candidates = [
             m for m in range(1, len(om) - 1)
             if lo <= om[m] <= hi and om[m] > 0
-            and (not config.require_local_max
-                 or (av[m] > av[m - 1] and av[m] > av[m + 1]))
+            and av[m] > av[m - 1] and av[m] > av[m + 1]
         ]
-        if not config.require_local_max and not candidates:
-            continue
         if candidates:
             m = max(candidates, key=lambda m: av[m])
             return GapEstimate(gap=float(om[m]), peak_height=float(av[m]),
@@ -187,24 +187,26 @@ class SweepResult:
         return max(ok, key=lambda r: r.peak_height)
 
 
-def _derived_seed(seed: int, index: int) -> int:
-    return int(np.random.SeedSequence((seed, index)).generate_state(1)[0])
+def _derived_seed(*keys: int) -> int:
+    """A 32-bit seed drawn from the SeedSequence of the given integer keys."""
+    return int(np.random.SeedSequence(keys).generate_state(1)[0])
 
 
 def theta_sweep(model: SpinModel, plan: TrotterPlan, filt: Filter,
                 grid: TimeGrid, thetas, shots: int | None = None,
-                seed: int = 0, initial_guess: float | None = None,
+                seed: int = 0,
                 search: GapSearchConfig | None = None) -> SweepResult:
     """Gap pipeline over a set of uniform input orientations.
 
     Per theta: simulate the series, transform, search for the gap, and score
     it against the exact diagonalization; search failures are recorded and do
     not abort the sweep.  All orientations are simulated in one call, sharing
-    each propagator; shot-mode runs draw from per-theta derived seeds.
+    each propagator; shot-mode runs draw from per-theta derived seeds.  The
+    chain is simulated before it is diagonalized, so a chain above the
+    simulation cap is refused before the eigensolver runs.
     """
-    eig = exact_diagonalize(model)
-    exact_gap = float(eig.energies[1] - eig.energies[0])
-    guess = initial_guess if initial_guess is not None else perturbative_gap_guess(model)
+    if search is None:
+        search = GapSearchConfig(initial_guess=perturbative_gap_guess(model))
     eps_bound = spectral_error_bound(model, plan, filt, grid)
     circuit_depth = gate_count(plan.order, model.n_spins) * plan.depth
 
@@ -214,15 +216,16 @@ def theta_sweep(model: SpinModel, plan: TrotterPlan, filt: Filter,
         if shots is not None else None
     all_series = run_time_series(model, plan, orientations, grid, shots=shots,
                                  seeds=seeds)
+    eig = exact_diagonalize(model)
+    exact_gap = float(eig.energies[1] - eig.energies[0])
     records = []
     for theta, orientation, series in zip(thetas, orientations, all_series):
         spec = spectral_function(series, filt)
         oracle = exact_spectrum_oracle(eig, orientation, filt, grid)
         base = dict(theta=float(theta), eta=filt.eta, filter=filt.family,
                     p=plan.order, M=plan.depth, D=circuit_depth, seed=series.seed)
-        cfg = search if search is not None else GapSearchConfig(initial_guess=guess)
         try:
-            est = find_gap(spec, cfg)
+            est = find_gap(spec, search)
         except GapSearchError as exc:
             records.append(SweepRecord(**base, gap=None, peak_height=None,
                                        eps_gap=None, eps_spect=None,
@@ -247,10 +250,3 @@ def sweep_to_json(result: SweepResult, path, metadata: dict | None = None):
         "theta_star": result.best_record().theta if ok else None,
     }
     write_json(path, payload)
-
-
-def read_sweep(path):
-    with open(path, "r", encoding="utf-8") as fh:
-        payload = json.load(fh)
-    records = [SweepRecord(**r) for r in payload["records"]]
-    return SweepResult(records=records), payload.get("config", {})

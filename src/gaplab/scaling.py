@@ -15,6 +15,7 @@ import numpy as np
 
 from ._textio import read_table, write_table
 from .errors import DataError, NumericError
+from .model import exact_gap_thermodynamic
 
 
 @dataclass(frozen=True)
@@ -30,10 +31,6 @@ class ScalingSample:
         object.__setattr__(self, "points", pts)
         if any(g <= 0 for _, g in pts):
             raise DataError("gap estimates must be positive")
-
-    def error_bars(self):
-        """[Delta - eta, Delta + eta] fences around each sample."""
-        return [(n, g - self.eta, g + self.eta) for n, g in self.points]
 
 
 @dataclass
@@ -114,15 +111,15 @@ class PhaseDiagram:
                 np.interp(couplings, j[order], hi[order]))
 
 
-def phase_diagram(extrapolations: dict, field: float = 1.0) -> PhaseDiagram:
-    """Assemble (J/h, gap, band) rows plus the exact reference line 2|h - J|."""
+def phase_diagram(extrapolations: dict) -> PhaseDiagram:
+    """Assemble (J/h, gap, band) rows plus the exact reference line 2|1 - J/h|."""
     rows = []
     for coupling in sorted(extrapolations):
         ex = extrapolations[coupling]
         rows.append(PhaseDiagramRow(
             coupling=float(coupling), gap_infinity=ex.intercept,
             band_lo=ex.confidence_band[0], band_hi=ex.confidence_band[1],
-            exact_reference=2.0 * abs(field - coupling * field)))
+            exact_reference=exact_gap_thermodynamic(coupling, 1.0)))
     return PhaseDiagram(rows=rows)
 
 

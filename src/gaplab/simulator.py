@@ -27,14 +27,21 @@ from dataclasses import dataclass
 import numpy as np
 
 from ._textio import read_table, write_table
-from .errors import DataError, ParameterError
-from .model import SpinModel, _check_dense
+from .errors import DataError, ParameterError, ResourceLimitError
+from .model import SpinModel
 from .trotter import KAPPA4, TrotterPlan, trotter_propagator
 
 #: Largest chain the engine simulates: each positive time (the minus branch is its
 #: exact mirror) powers a dense 2^N x 2^N step, 0.014 s at N = 8 but 0.9 s at N = 10
 #: (p = 2, M = 35, one BLAS thread).
 MAX_SIMULATED_SPINS = 8
+
+
+def _check_simulated(n_spins: int):
+    if n_spins > MAX_SIMULATED_SPINS:
+        raise ResourceLimitError(
+            f"simulation limited to MAX_SIMULATED_SPINS = {MAX_SIMULATED_SPINS} "
+            f"spins, got {n_spins}")
 
 
 @dataclass(frozen=True)
@@ -203,7 +210,7 @@ def run_time_series(model: SpinModel, plan: TrotterPlan, orientations,
     draws from its own generator, so any execution order gives identical
     data; `seeds` holds one seed per orientation (default 0 for each).
     """
-    _check_dense(model.n_spins, MAX_SIMULATED_SPINS)
+    _check_simulated(model.n_spins)
     orientations = list(orientations)
     if not orientations:
         raise ParameterError("need at least one input orientation")

@@ -117,14 +117,14 @@ def filter_fourier(filt: Filter, omega):
 
 
 def exact_spectrum_oracle(eig: EigenDecomposition, orientation: InputOrientation,
-                          filt: Filter, grid: TimeGrid, images: int = 1) -> Spectrum:
+                          filt: Filter, grid: TimeGrid) -> Spectrum:
     """Line-shape spectrum from the eigensystem, on the DFT frequency grid.
 
     Sums |c_u|^2 |c_v|^2 Ftilde(omega - Delta_uv) over all ordered pairs,
     which carries both the positive- and negative-frequency image of every
     gap.  Grid points are taken at their signed (folded) frequency, and the
-    line shapes are periodized over `images` grid periods on each side: the
-    discrete transform of a sampled series sees exactly that aliased sum.
+    line shapes are periodized over one grid period on each side: the
+    discrete transform of a sampled series sees that aliased sum.
     """
     weights = np.abs(eig.overlaps(prepare_input(orientation))) ** 2
     gaps = np.subtract.outer(eig.energies, eig.energies).ravel()
@@ -136,13 +136,13 @@ def exact_spectrum_oracle(eig: EigenDecomposition, orientation: InputOrientation
     omegas = np.arange(grid.length) * grid.d_omega
     signed = np.where(omegas <= period / 2, omegas, omegas - period)
     values = np.zeros(grid.length)
-    for k in range(-images, images + 1):
+    for k in (-1, 0, 1):
         shifted = signed[:, None] + k * period - gaps[None, :]
         values += filter_fourier(filt, shifted) @ pair_w
     return Spectrum(
         omegas=omegas, values=values, d_omega=grid.d_omega, filter=filt,
         omega_max_physical=grid.length // 2 * grid.d_omega,
-        provenance={"oracle": True, "images": images})
+        provenance={"oracle": True, "images": 1})
 
 
 # --------------------------------------------------------------------------

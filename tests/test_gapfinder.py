@@ -60,14 +60,6 @@ class TestFindGap:
         with pytest.raises(GapSearchError):
             find_gap(spec, GapSearchConfig(initial_guess=4.0))
 
-    def test_plain_argmax_mode(self):
-        filt = Filter.lorentzian(0.1)
-        spec = lineshape_spectrum(1.0, filt)
-        est = find_gap(spec, GapSearchConfig(initial_guess=4.0,
-                                             require_local_max=False))
-        # monotone tail: argmax sits at the window edge nearest the peak
-        assert est.gap < 4.0
-
     def test_never_returns_zero_frequency(self):
         filt = Filter.lorentzian(0.3)
         omegas = np.arange(0, 400) * 0.01

@@ -9,8 +9,8 @@ import math
 import numpy as np
 import pytest
 
-from gaplab import (DataError, Filter, InputOrientation, ParameterError,
-                    SpinModel, TimeGrid, TimeSeries, TrotterPlan)
+from gaplab import (DataError, Filter, GapSearchConfig, InputOrientation,
+                    ParameterError, SpinModel, TimeGrid, TimeSeries, TrotterPlan)
 
 
 def shot_series_with_nan():
@@ -34,6 +34,16 @@ def shot_series_with_nan():
     pytest.param(lambda: InputOrientation((math.nan, 0.1)), id="angle-nan"),
     pytest.param(lambda: InputOrientation((0.1, -math.inf)), id="angle-inf"),
     pytest.param(lambda: InputOrientation.uniform(3, math.inf), id="theta-inf"),
+    pytest.param(lambda: GapSearchConfig(math.nan), id="guess-nan"),
+    pytest.param(lambda: GapSearchConfig(math.inf), id="guess-inf"),
+    pytest.param(lambda: GapSearchConfig(1.0, initial_window=math.nan),
+                 id="window-nan"),
+    pytest.param(lambda: GapSearchConfig(1.0, initial_window=0.0), id="window-zero"),
+    pytest.param(lambda: GapSearchConfig(1.0, max_window=math.nan), id="cap-nan"),
+    pytest.param(lambda: GapSearchConfig(1.0, max_window=math.inf), id="cap-inf"),
+    pytest.param(lambda: GapSearchConfig(1.0, max_window=-1.0), id="cap-negative"),
+    pytest.param(lambda: GapSearchConfig(1.0, initial_window=2.0, max_window=1.0),
+                 id="cap-below-window"),
 ])
 def test_rejected_at_construction(build):
     with pytest.raises((ParameterError, DataError)):
