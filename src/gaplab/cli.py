@@ -50,9 +50,12 @@ DEFAULTS = {
 
 
 def _search_config(cfg, initial_guess):
-    return GapSearchConfig(initial_guess=initial_guess,
-                           initial_window=cfg["initial_window_over_h"],
-                           max_window=cfg["max_window_over_h"])
+    """The peak-search config, its windows checked against eta before simulating."""
+    config = GapSearchConfig(initial_guess=initial_guess,
+                             initial_window=cfg["initial_window_over_h"],
+                             max_window=cfg["max_window_over_h"])
+    gapfinder._windows(config, cfg["eta_over_h"])
+    return config
 
 
 class _Parser(argparse.ArgumentParser):
@@ -114,20 +117,23 @@ def _resolve(args, parser, extra_defaults=None, base=None):
     return cfg
 
 
+def _filter(cfg):
+    return Filter(cfg["filter"], cfg["eta_over_h"]) \
+        if cfg["filter"] != "none" else Filter.none()
+
+
 def _build(cfg):
     model = SpinModel(n_spins=cfg["n"], coupling=cfg["j_over_h"], field=1.0)
     plan = TrotterPlan(order=cfg["p"], depth=cfg["m"])
-    filt = Filter(cfg["filter"], cfg["eta_over_h"]) \
-        if cfg["filter"] != "none" else Filter.none()
-    return model, plan, filt
+    return model, plan, _filter(cfg)
 
 
-def _require_broadened(cfg, parser):
-    """Exit before simulating when the filter is none: an unfiltered line
-    shape has zero width, so neither the peak search nor the oracle can use it."""
-    if cfg["filter"] == "none":
-        parser.error("the peak search and the oracle need a broadened filter, "
-                     "not --filter none")
+def _require_broadened(filt, parser):
+    """Exit before simulating when the filter has no width (--filter none or
+    eta = 0): neither the peak search nor the oracle can use a delta line."""
+    if not filt.broadened:
+        parser.error("the peak search and the oracle need a broadened filter "
+                     "(eta > 0), not --filter none or --eta-over-h 0")
 
 
 def _grid(cfg, filt, parser):
@@ -207,7 +213,7 @@ def _spectrum_pipeline(cfg, parser):
 def cmd_spectrum(args, parser) -> int:
     cfg = _resolve(args, parser, {"oracle": False})
     if cfg["oracle"]:
-        _require_broadened(cfg, parser)
+        _require_broadened(_filter(cfg), parser)
     model, plan, filt, grid, orientation, spec = _spectrum_pipeline(cfg, parser)
     extra = {}
     if cfg["oracle"]:
@@ -220,8 +226,9 @@ def cmd_spectrum(args, parser) -> int:
 
 def cmd_gap(args, parser) -> int:
     cfg = _resolve(args, parser)
-    _require_broadened(cfg, parser)
-    delta0 = perturbative_gap_guess(_build(cfg)[0])
+    model, _, filt = _build(cfg)
+    _require_broadened(filt, parser)
+    delta0 = perturbative_gap_guess(model)
     search = _search_config(cfg, delta0)    # refuses a bad window before simulating
     model, plan, filt, grid, orientation, spec = _spectrum_pipeline(cfg, parser)
     eig = exact_diagonalize(model)
@@ -255,8 +262,8 @@ def cmd_sweep_theta(args, parser) -> int:
     cfg = _resolve(args, parser, {"theta_count": 25, "theta_list": None})
     if args.theta_list is not None:
         cfg["theta_list"] = _floats(args.theta_list)
-    _require_broadened(cfg, parser)
     model, plan, filt = _build(cfg)
+    _require_broadened(filt, parser)
     grid = _grid(cfg, filt, parser)
     guess = perturbative_gap_guess(model)
     result = gapfinder.theta_sweep(model, plan, filt, grid,
@@ -270,39 +277,37 @@ def cmd_sweep_theta(args, parser) -> int:
     return _PARTIAL_EXIT if n_failed else 0
 
 
+def _scaling_cell(cfg, n, coupling):
+    model = SpinModel(n, coupling, 1.0)
+    return n, model, _search_config(cfg, perturbative_gap_guess(model))
+
+
 def cmd_scaling(args, parser) -> int:
+    """Every cell's chain and search window is checked before the first sweep."""
     cfg = _resolve(args, parser, {
         "j_list": [0.2, 0.4, 0.6, 0.8], "n_list": [2, 3, 4, 5],
-        "theta_count": 25, "synthetic_perturbative": False,
-        "samples_out": None})
+        "theta_count": 25, "samples_out": None})
     if args.j_list is not None:
         cfg["j_list"] = _floats(args.j_list)
     if args.n_list is not None:
         cfg["n_list"] = _ints(args.n_list)
-    if not cfg["synthetic_perturbative"]:
-        _require_broadened(cfg, parser)
-        _check_simulated(max(cfg["n_list"], default=0))
-    filt = Filter(cfg["filter"], cfg["eta_over_h"])
+    filt = _filter(cfg)
+    _require_broadened(filt, parser)
+    _check_simulated(max(cfg["n_list"], default=0))
+    plan = TrotterPlan(cfg["p"], cfg["m"])
+    cells = [[_scaling_cell(cfg, n, coupling) for n in cfg["n_list"]]
+             for coupling in cfg["j_list"]]
     grid = _grid(cfg, filt, parser)
 
     extrapolations = {}
     samples = []
     failed_cells = 0
-    for j_index, coupling in enumerate(cfg["j_list"]):
+    for j_index, (coupling, row) in enumerate(zip(cfg["j_list"], cells)):
         points = []
-        for n in cfg["n_list"]:
-            model = SpinModel(n, coupling, 1.0)
-            if cfg["synthetic_perturbative"]:
-                points.append((n, perturbative_gap_guess(model)))
-                samples.append({"j_over_h": coupling, "n": n,
-                                "gap": points[-1][1], "theta_star": None})
-                continue
-            plan = TrotterPlan(cfg["p"], cfg["m"])
-            cell_seed = gapfinder._derived_seed(cfg["seed"], j_index, n)
+        for n, model, search in row:
             sweep = gapfinder.theta_sweep(
-                model, plan, filt, grid, _theta_values(cfg),
-                shots=cfg["shots"], seed=cell_seed,
-                search=_search_config(cfg, perturbative_gap_guess(model)))
+                model, plan, filt, grid, _theta_values(cfg), shots=cfg["shots"],
+                seed=gapfinder._derived_seed(cfg["seed"], j_index, n), search=search)
             try:
                 best = sweep.best_record()
             except GapSearchError:
@@ -312,16 +317,12 @@ def cmd_scaling(args, parser) -> int:
             samples.append({"j_over_h": coupling, "n": n, "gap": best.gap,
                             "theta_star": best.theta})
         if len(points) >= 3:
-            sample = scaling.ScalingSample(points=tuple(points),
-                                           coupling=coupling,
-                                           eta=cfg["eta_over_h"])
-            extrapolations[coupling] = scaling.extrapolate(sample)
+            extrapolations[coupling] = scaling.extrapolate(points)
         else:
             failed_cells += 1
     if not extrapolations:
         return _FAILURE_EXIT
-    diagram = scaling.phase_diagram(extrapolations)
-    scaling.phase_diagram_to_csv(diagram, args.out,
+    scaling.phase_diagram_to_csv(scaling.phase_diagram(extrapolations), args.out,
                                  metadata=_meta("scaling", cfg))
     if cfg["samples_out"]:
         write_json(cfg["samples_out"], {"config": _public(cfg), "samples": samples})
@@ -387,8 +388,6 @@ def build_parser() -> _Parser:
     sp.add_argument("--j-list", dest="j_list", help="comma-separated J/h values")
     sp.add_argument("--n-list", dest="n_list", help="comma-separated chain lengths")
     sp.add_argument("--theta-count", type=int, dest="theta_count")
-    sp.add_argument("--synthetic-perturbative", action="store_true", default=None,
-                    help="feed the closed-form gap guesses instead of simulating")
     sp.add_argument("--samples-out", dest="samples_out",
                     help="also write the per-size gap samples as JSON")
     sp.set_defaults(func=cmd_scaling)

@@ -49,7 +49,6 @@ class GapEstimate:
     gap: float
     peak_height: float
     window_used: float
-    theta: float | None = None
 
 
 def _windows(config: GapSearchConfig, eta: float):

@@ -1,10 +1,11 @@
 """Finite-size extrapolation of gap estimates and the paramagnetic phase diagram.
 
-Gaps are regressed against 1/N by ordinary least squares; the infinite-chain
-estimate is the intercept at 1/N = 0 with a t-distribution confidence band.
-The perturbative guess 2(h - J) + 2J/N is exactly linear in 1/N, so it pins
-the extrapolator: perfect inputs must return intercept 2(h - J) with a
-zero-width band.
+Gap estimates (N, Delta) at one coupling are regressed against 1/N by ordinary
+least squares; the infinite-chain estimate is the intercept at 1/N = 0 with a
+95% t-distribution confidence band.  The perturbative guess 2(h - J) + 2J/N is
+exactly linear in 1/N, so it pins the extrapolator: perfect inputs must return
+intercept 2(h - J) with a zero-width band.  The phase diagram is one row per
+coupling, sorted by J/h, beside the exact reference 2|1 - J/h|.
 """
 
 from __future__ import annotations
@@ -17,57 +18,36 @@ from ._textio import read_table, write_table
 from .errors import DataError, NumericError
 from .model import exact_gap_thermodynamic
 
+#: Two-sided confidence level of the band on the intercept.
+CONFIDENCE = 0.95
 
-@dataclass(frozen=True)
-class ScalingSample:
-    """Gap estimates {(N, Delta)} at one coupling, with the broadening used."""
-
-    points: tuple
-    coupling: float
-    eta: float
-
-    def __post_init__(self):
-        pts = tuple((int(n), float(g)) for n, g in self.points)
-        object.__setattr__(self, "points", pts)
-        if any(g <= 0 for _, g in pts):
-            raise DataError("gap estimates must be positive")
+_COLUMNS = ["J_over_h", "delta_inf", "band_lo", "band_hi", "exact_ref"]
 
 
 @dataclass
 class Extrapolation:
     intercept: float            # gap estimate at 1/N = 0
     slope: float
-    stderr_intercept: float
-    dof: int
-    confidence: float
     confidence_band: tuple      # (lower, upper) at the intercept
-    _x_mean: float
-    _sxx: float
-    _resid_scale: float
-
-    def band_at(self, x):
-        """Confidence band for the fitted line at regressor values x = 1/N."""
-        x = np.asarray(x, dtype=float)
-        mid = self.intercept + self.slope * x
-        tq = _t_quantile(self.dof, self.confidence)
-        half = tq * self._resid_scale * np.sqrt(
-            1.0 / (self.dof + 2) + (x - self._x_mean) ** 2 / self._sxx)
-        return mid - half, mid + half
 
 
-def _t_quantile(dof: int, confidence: float) -> float:
-    """Two-sided Student-t quantile; scipy is imported on first use, since it
-    costs about 0.4 s of start-up that only extrapolation needs."""
+def _t_quantile(dof: int) -> float:
+    """Two-sided Student-t quantile at CONFIDENCE; scipy is imported on first
+    use, since it costs about 0.4 s of start-up that only extrapolation needs."""
     from scipy.special import stdtrit
-    return stdtrit(dof, 0.5 + confidence / 2.0)
+    return stdtrit(dof, 0.5 + CONFIDENCE / 2.0)
 
 
-def extrapolate(sample: ScalingSample, confidence: float = 0.95) -> Extrapolation:
-    """OLS of Delta against 1/N with a t-quantile interval on the intercept."""
-    if len(sample.points) < 3:
+def extrapolate(points) -> Extrapolation:
+    """OLS of Delta against 1/N over (N, Delta) pairs, with a t-quantile
+    interval on the intercept."""
+    points = [(int(n), float(g)) for n, g in points]
+    if any(g <= 0 for _, g in points):
+        raise DataError("gap estimates must be positive")
+    if len(points) < 3:
         raise DataError("need at least 3 sizes to regress")
-    x = np.array([1.0 / n for n, _ in sample.points])
-    y = np.array([g for _, g in sample.points])
+    x = np.array([1.0 / n for n, _ in points])
+    y = np.array([g for _, g in points])
     n_pts = len(x)
     x_mean, y_mean = x.mean(), y.mean()
     sxx = float(np.sum((x - x_mean) ** 2))
@@ -79,12 +59,9 @@ def extrapolate(sample: ScalingSample, confidence: float = 0.95) -> Extrapolatio
     dof = n_pts - 2
     s = float(np.sqrt(np.sum(resid**2) / dof))
     se_icpt = s * np.sqrt(1.0 / n_pts + x_mean**2 / sxx)
-    tq = _t_quantile(dof, confidence)
-    band = (intercept - tq * se_icpt, intercept + tq * se_icpt)
+    half = _t_quantile(dof) * se_icpt
     return Extrapolation(intercept=intercept, slope=slope,
-                         stderr_intercept=float(se_icpt), dof=dof,
-                         confidence=confidence, confidence_band=band,
-                         _x_mean=float(x_mean), _sxx=sxx, _resid_scale=s)
+                         confidence_band=(intercept - half, intercept + half))
 
 
 @dataclass(frozen=True)
@@ -96,23 +73,8 @@ class PhaseDiagramRow:
     exact_reference: float
 
 
-@dataclass
-class PhaseDiagram:
-    rows: list
-
-    def band_edges(self, couplings):
-        """Band edges interpolated across J/h for shading between samples."""
-        couplings = np.asarray(couplings, dtype=float)
-        j = np.array([r.coupling for r in self.rows])
-        lo = np.array([r.band_lo for r in self.rows])
-        hi = np.array([r.band_hi for r in self.rows])
-        order = np.argsort(j)
-        return (np.interp(couplings, j[order], lo[order]),
-                np.interp(couplings, j[order], hi[order]))
-
-
-def phase_diagram(extrapolations: dict) -> PhaseDiagram:
-    """Assemble (J/h, gap, band) rows plus the exact reference line 2|1 - J/h|."""
+def phase_diagram(extrapolations: dict) -> list:
+    """(J/h, gap, band) rows sorted by J/h, plus the exact reference line 2|1 - J/h|."""
     rows = []
     for coupling in sorted(extrapolations):
         ex = extrapolations[coupling]
@@ -120,19 +82,18 @@ def phase_diagram(extrapolations: dict) -> PhaseDiagram:
             coupling=float(coupling), gap_infinity=ex.intercept,
             band_lo=ex.confidence_band[0], band_hi=ex.confidence_band[1],
             exact_reference=exact_gap_thermodynamic(coupling, 1.0)))
-    return PhaseDiagram(rows=rows)
+    return rows
 
 
-def phase_diagram_to_csv(diagram: PhaseDiagram, path, metadata: dict | None = None):
-    rows = ((r.coupling, r.gap_infinity, r.band_lo, r.band_hi, r.exact_reference)
-            for r in diagram.rows)
-    write_table(path, dict(metadata or {}),
-                ["J_over_h", "delta_inf", "band_lo", "band_hi", "exact_ref"], rows)
+def phase_diagram_to_csv(rows, path, metadata: dict):
+    write_table(path, metadata, _COLUMNS,
+                ((r.coupling, r.gap_infinity, r.band_lo, r.band_hi, r.exact_reference)
+                 for r in rows))
 
 
 def read_phase_diagram(path):
+    """Inverse of phase_diagram_to_csv; returns (rows, metadata)."""
     meta, columns, rows = read_table(path)
-    if columns != ["J_over_h", "delta_inf", "band_lo", "band_hi", "exact_ref"]:
+    if columns != _COLUMNS:
         raise DataError(f"unexpected columns {columns}")
-    out = [PhaseDiagramRow(*(float(v) for v in r)) for r in rows]
-    return PhaseDiagram(rows=out), meta
+    return [PhaseDiagramRow(*(float(v) for v in r)) for r in rows], meta

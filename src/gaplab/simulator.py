@@ -29,7 +29,7 @@ import numpy as np
 from ._textio import read_table, write_table
 from .errors import DataError, ParameterError, ResourceLimitError
 from .model import SpinModel
-from .trotter import KAPPA4, TrotterPlan, trotter_propagator
+from .trotter import ITERATION_LAYERS, TrotterPlan, trotter_propagator
 
 #: Largest chain the engine simulates: each positive time (the minus branch is its
 #: exact mirror) powers a dense 2^N x 2^N step, 0.014 s at N = 8 but 0.9 s at N = 10
@@ -130,35 +130,19 @@ class Gate:
     angle: float
 
 
-def _iteration_layers(order: int):
-    """Per-iteration schedule as (kind, zz-angle-frac, x-angle-frac) layers.
-
-    Fractions multiply chi/M = -2Jt/M (zz) and phi/M = -2ht/M (x); layers are
-    listed in application order (earliest first).
-    """
-    if order == 1:
-        return [("x", 1.0), ("zz", 1.0)]
-    if order == 2:
-        return [("zz", 0.5), ("x", 1.0), ("zz", 0.5)]
-    k = KAPPA4
-    return [("zz", k / 2), ("x", k), ("zz", k), ("x", k),
-            ("zz", (1 - 3 * k) / 2), ("x", 1 - 4 * k), ("zz", (1 - 3 * k) / 2),
-            ("x", k), ("zz", k), ("x", k), ("zz", k / 2)]
-
-
 def gate_sequence(model: SpinModel, plan: TrotterPlan, t: float) -> list:
     """Full gate list realizing trotter_propagator(model, plan, t).
 
     Angles are chi_n/M = -2 J t / M per bond and phi_n/M = -2 h t / M per
-    site, scaled by the order-specific layer fractions; gates apply in list
-    order.
+    site, scaled by the fractions of `trotter.ITERATION_LAYERS`; gates apply
+    in list order.
     """
     n = model.n_spins
     chi = -2.0 * model.coupling * t / plan.depth
     phi = -2.0 * model.field * t / plan.depth
     gates = []
     for _ in range(plan.depth):
-        for kind, frac in _iteration_layers(plan.order):
+        for kind, frac in ITERATION_LAYERS[plan.order]:
             if kind == "zz":
                 gates.extend(Gate("rzz", (b, b + 1), frac * chi) for b in range(n - 1))
             else:

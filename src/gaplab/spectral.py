@@ -50,10 +50,6 @@ class Spectrum:
         if self.omegas.shape != self.values.shape:
             raise DataError("frequency grid and values differ in length")
 
-    def total_weight(self) -> float:
-        """d_omega * sum_m A_m; close to 1 when the grid spans all gaps."""
-        return float(self.d_omega * self.values.sum())
-
 
 def grid_size(filt: Filter, d_omega: float | None = None,
               length: int | None = None) -> tuple[float, int]:
@@ -63,7 +59,7 @@ def grid_size(filt: Filter, d_omega: float | None = None,
     must carry a broadening eta > 0.
     """
     if d_omega is None:
-        if filt.family == "none" or filt.eta <= 0:
+        if not filt.broadened:
             raise ParameterError("the default grid needs a filter with eta > 0")
         d_omega = filt.eta / 4.0
     if length is None:
@@ -105,7 +101,7 @@ def spectral_function(series: TimeSeries, filt: Filter) -> Spectrum:
 
 def filter_fourier(filt: Filter, omega):
     """Frequency-space line shape of the filter, unit area, FWHM = 2 eta."""
-    if filt.family == "none" or filt.eta <= 0:
+    if not filt.broadened:
         raise ParameterError("the unfiltered line shape is a delta; need eta > 0")
     w = np.asarray(omega, dtype=float)
     if filt.family == "lorentzian":

@@ -25,12 +25,17 @@ KAPPA4 = 1.0 / (4.0 - 4.0 ** (1.0 / 3.0))
 
 FILTER_FAMILIES = ("lorentzian", "gaussian", "none")
 
-#: Gates per iteration for uncompressed circuits: bond rotations execute
-#: sequentially, each layer of parallel single-spin rotations counts once.
-_GATES_PER_ITERATION = {
-    1: lambda n: n,            # (n-1) zz + 1 x layer
-    2: lambda n: 2 * n - 1,    # 2(n-1) zz + 1 x layer
-    4: lambda n: 6 * n - 1,    # 6(n-1) zz + 5 x layers
+#: One iteration of each product formula as (kind, angle fraction) layers in
+#: application order (earliest first).  A "zz" layer rotates every bond, an "x"
+#: layer every site; fractions multiply the per-iteration angles -2Jt/M (zz)
+#: and -2ht/M (x).
+ITERATION_LAYERS = {
+    1: (("x", 1.0), ("zz", 1.0)),
+    2: (("zz", 0.5), ("x", 1.0), ("zz", 0.5)),
+    4: (("zz", KAPPA4 / 2), ("x", KAPPA4), ("zz", KAPPA4), ("x", KAPPA4),
+        ("zz", (1 - 3 * KAPPA4) / 2), ("x", 1 - 4 * KAPPA4),
+        ("zz", (1 - 3 * KAPPA4) / 2), ("x", KAPPA4), ("zz", KAPPA4),
+        ("x", KAPPA4), ("zz", KAPPA4 / 2)),
 }
 
 
@@ -66,6 +71,13 @@ class Filter:
             raise ParameterError(f"broadening must be finite and >= 0, got {self.eta}")
 
     @property
+    def broadened(self) -> bool:
+        """Whether the line shape has a width (eta > 0): an unfiltered or
+        zero-eta line is a delta, which neither a grid rule nor a peak search
+        can use."""
+        return self.family != "none" and self.eta > 0
+
+    @property
     def sigma(self) -> float:
         return self.eta / math.sqrt(2.0 * math.log(2.0))
 
@@ -95,10 +107,11 @@ def filter_value(filt: Filter, t):
 
 
 def gate_count(order: int, n_spins: int) -> int:
-    """Circuit-depth weight of one iteration (uncompressed counting)."""
-    if order not in _GATES_PER_ITERATION:
+    """Circuit-depth weight of one iteration (uncompressed counting): bond
+    rotations execute sequentially, a layer of parallel site rotations counts once."""
+    if order not in ITERATION_LAYERS:
         raise ParameterError(f"order must be 1, 2 or 4, got {order}")
-    return _GATES_PER_ITERATION[order](n_spins)
+    return sum(n_spins - 1 if kind == "zz" else 1 for kind, _ in ITERATION_LAYERS[order])
 
 
 def _x_rotation_power(model: SpinModel, dt: float) -> np.ndarray:

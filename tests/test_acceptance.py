@@ -16,7 +16,6 @@ from gaplab import (
     Filter,
     GapSearchConfig,
     InputOrientation,
-    ScalingSample,
     SpinModel,
     TrotterPlan,
     commutator_norm_bounds,
@@ -191,7 +190,7 @@ def test_criterion_07_scaling_benchmark():
         points = tuple(
             (n, perturbative_gap_guess(SpinModel(n, coupling, 1.0)))
             for n in (2, 3, 4, 5))
-        ex = extrapolate(ScalingSample(points=points, coupling=coupling, eta=0.3))
+        ex = extrapolate(points)
         assert ex.intercept == pytest.approx(2 * (1 - coupling), abs=1e-12)
         assert ex.confidence_band[1] - ex.confidence_band[0] <= 1e-12
 
@@ -210,8 +209,7 @@ def test_criterion_07_scaling_benchmark():
                 model, plan, filt, grid, thetas, shots=1024, seed=seed,
                 search=GapSearchConfig(initial_guess=perturbative_gap_guess(model)))
             points.append((n, sweep.best_record().gap))
-        ex = extrapolate(ScalingSample(points=tuple(points), coupling=coupling,
-                                       eta=eta))
+        ex = extrapolate(points)
         intercepts[coupling] = ex.intercept
         assert abs(ex.intercept - 2 * (1 - coupling)) <= 2 * eta
     elapsed = time.time() - start

@@ -20,6 +20,15 @@ def run(args):
     return main(list(args))
 
 
+@pytest.fixture
+def no_simulation(monkeypatch):
+    """Fail the test if the run simulates: a refused run must exit first."""
+    def refuse(*args, **kwargs):
+        raise AssertionError("simulated a run that should have been refused")
+    monkeypatch.setattr("gaplab.cli.run_time_series", refuse)
+    monkeypatch.setattr("gaplab.gapfinder.run_time_series", refuse)
+
+
 class TestDepthBound:
     def test_table_contents(self, tmp_path):
         out = tmp_path / "depth.csv"
@@ -176,16 +185,6 @@ class TestSweepTheta:
 
 
 class TestScaling:
-    def test_synthetic_perturbative(self, tmp_path):
-        out = tmp_path / "diag.csv"
-        assert run(["scaling", "--synthetic-perturbative",
-                    "--j-list", "0.2,0.6", "--out", str(out)]) == 0
-        _, _, rows = read_table(out)
-        for row in rows:
-            coupling = float(row[0])
-            assert float(row[1]) == pytest.approx(2 * (1 - coupling), abs=1e-12)
-            assert float(row[3]) - float(row[2]) <= 1e-12
-
     def test_simulated_small(self, tmp_path):
         out = tmp_path / "diag.csv"
         samples = tmp_path / "samples.json"
@@ -200,19 +199,36 @@ class TestScaling:
         assert len(detail["samples"]) == 3
         assert all(s["theta_star"] is not None for s in detail["samples"])
 
+    @pytest.mark.parametrize("argv", [
+        ["--n-list", "2,3,4,1"],
+        ["--j-list", "0.4,nan"]])
+    def test_every_cell_checked_before_simulating(self, tmp_path, no_simulation, argv):
+        out = tmp_path / "d.csv"
+        assert run(["scaling", "--exact", *argv, "--out", str(out)]) == 1
+        assert not out.exists()
+
 
 class TestUnfilteredRuns:
     @pytest.mark.parametrize("command", ["gap", "sweep-theta", "scaling"])
     def test_gap_commands_reject_filter_none_before_simulating(
-            self, tmp_path, monkeypatch, command):
-        def no_simulation(*args, **kwargs):
-            raise AssertionError("an unfiltered gap run was simulated")
-        monkeypatch.setattr("gaplab.cli.run_time_series", no_simulation)
-        monkeypatch.setattr("gaplab.gapfinder.run_time_series", no_simulation)
+            self, tmp_path, no_simulation, command):
         with pytest.raises(SystemExit) as exc:
             run([command, "--exact", "--filter", "none", "--d-omega-over-h",
                  "0.075", "--out", str(tmp_path / "x.out")])
         assert exc.value.code == 1
+
+    @pytest.mark.parametrize("argv", [
+        ["gap", "--d-omega-over-h", "0.1"],
+        ["sweep-theta", "--d-omega-over-h", "0.1"],
+        ["scaling", "--d-omega-over-h", "0.1"],
+        ["spectrum", "--oracle", "--d-omega-over-h", "0.1"],
+        ["gap"]])
+    def test_zero_broadening_refused_before_simulating(self, tmp_path, no_simulation,
+                                                       capsys, argv):
+        with pytest.raises(SystemExit) as exc:
+            run(argv + ["--exact", "--eta-over-h", "0", "--out", str(tmp_path / "x.out")])
+        assert exc.value.code == 1
+        assert "need a broadened filter" in capsys.readouterr().err
 
     def test_spectrum_accepts_filter_none(self, tmp_path):
         out = tmp_path / "raw.csv"
@@ -236,10 +252,7 @@ class TestSimulationCap:
         assert not out.exists()
         assert "simulation limited to MAX_SIMULATED_SPINS = 8" in capsys.readouterr().err
 
-    def test_scaling_checks_every_length_first(self, tmp_path, monkeypatch):
-        def no_simulation(*args, **kwargs):
-            raise AssertionError("scaling simulated before checking --n-list")
-        monkeypatch.setattr("gaplab.gapfinder.run_time_series", no_simulation)
+    def test_scaling_checks_every_length_first(self, tmp_path, no_simulation):
         assert run(["scaling", "--exact", "--n-list", "2,3,9", "--out",
                     str(tmp_path / "d.csv")]) == 2
 
@@ -249,11 +262,7 @@ class TestNonFiniteOrientation:
         ["gap", "--theta-over-pi", "nan"],
         ["gap", "--theta-over-pi", "inf"],
         ["sweep-theta", "--theta-list", "0.2,nan"]])
-    def test_rejected_before_simulating(self, tmp_path, monkeypatch, argv):
-        def no_simulation(*args, **kwargs):
-            raise AssertionError("a non-finite orientation was simulated")
-        monkeypatch.setattr("gaplab.cli.run_time_series", no_simulation)
-        monkeypatch.setattr("gaplab.gapfinder.run_time_series", no_simulation)
+    def test_rejected_before_simulating(self, tmp_path, no_simulation, argv):
         out = tmp_path / "x.out"
         assert run(argv + ["--exact", "--out", str(out)]) == 1
         assert not out.exists()
@@ -265,12 +274,12 @@ class TestSearchWindow:
         ["gap", "--max-window-over-h", "nan"],
         ["gap", "--max-window-over-h", "inf"],
         ["gap", "--initial-window-over-h", "0.5", "--max-window-over-h", "0.2"],
-        ["sweep-theta", "--max-window-over-h", "nan"]])
-    def test_rejected_before_simulating(self, tmp_path, monkeypatch, argv):
-        def no_simulation(*args, **kwargs):
-            raise AssertionError("simulated with an unusable search window")
-        monkeypatch.setattr("gaplab.cli.run_time_series", no_simulation)
-        monkeypatch.setattr("gaplab.gapfinder.run_time_series", no_simulation)
+        ["sweep-theta", "--max-window-over-h", "nan"],
+        # a start above the default cap of 10 eta = 3
+        ["gap", "--initial-window-over-h", "5"],
+        ["sweep-theta", "--initial-window-over-h", "5"],
+        ["scaling", "--initial-window-over-h", "5"]])
+    def test_rejected_before_simulating(self, tmp_path, no_simulation, argv):
         out = tmp_path / "x.out"
         assert run(argv + ["--exact", "--out", str(out)]) == 1
         assert not out.exists()

@@ -17,8 +17,7 @@ from hypothesis.extra.numpy import arrays
 
 from gaplab import (Filter, InputOrientation, SpinModel, TimeGrid, TimeSeries,
                     TrotterPlan, filter_value, run_time_series, trotter_propagator)
-from gaplab.scaling import (PhaseDiagram, PhaseDiagramRow, phase_diagram_to_csv,
-                            read_phase_diagram)
+from gaplab.scaling import PhaseDiagramRow, phase_diagram_to_csv, read_phase_diagram
 from gaplab.simulator import read_time_series, time_series_to_csv
 from gaplab.spectral import Spectrum, read_spectrum, spectrum_to_csv, transform
 
@@ -180,7 +179,7 @@ def test_spectrum_csv_round_trip(spec):
 def test_phase_diagram_csv_round_trip(rows):
     with tempfile.TemporaryDirectory() as tmp:
         path = Path(tmp) / "diagram.csv"
-        phase_diagram_to_csv(PhaseDiagram(rows=rows), path, metadata={"m": 35})
+        phase_diagram_to_csv(rows, path, metadata={"m": 35})
         back, meta = read_phase_diagram(path)
-    assert back.rows == rows
+    assert back == rows
     assert meta["m"] == 35

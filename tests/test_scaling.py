@@ -5,7 +5,6 @@ from scipy import stats
 from gaplab import (
     DataError,
     NumericError,
-    ScalingSample,
     SpinModel,
     extrapolate,
     perturbative_gap_guess,
@@ -23,10 +22,9 @@ def ols_normal_equations(sizes, gaps):
     return coef  # (intercept, slope)
 
 
-def perturbative_sample(coupling, sizes=(2, 3, 4, 5), eta=0.3):
-    points = tuple((n, perturbative_gap_guess(SpinModel(n, coupling, 1.0)))
-                   for n in sizes)
-    return ScalingSample(points=points, coupling=coupling, eta=eta)
+def perturbative_sample(coupling, sizes=(2, 3, 4, 5)):
+    return tuple((n, perturbative_gap_guess(SpinModel(n, coupling, 1.0)))
+                 for n in sizes)
 
 
 class TestExtrapolate:
@@ -34,9 +32,7 @@ class TestExtrapolate:
         for _ in range(5):
             sizes = (2, 3, 4, 5, 7)
             gaps = rng.uniform(0.5, 2.0, len(sizes))
-            sample = ScalingSample(points=tuple(zip(sizes, gaps)),
-                                   coupling=0.4, eta=0.3)
-            ex = extrapolate(sample)
+            ex = extrapolate(tuple(zip(sizes, gaps)))
             icpt, slope = ols_normal_equations(sizes, gaps)
             assert ex.intercept == pytest.approx(icpt, rel=1e-12)
             assert ex.slope == pytest.approx(slope, rel=1e-12)
@@ -50,9 +46,7 @@ class TestExtrapolate:
             assert hi - lo <= 1e-12
 
     def test_constant_inputs(self):
-        sample = ScalingSample(points=((2, 1.3), (3, 1.3), (4, 1.3)),
-                               coupling=0.4, eta=0.3)
-        ex = extrapolate(sample)
+        ex = extrapolate(((2, 1.3), (3, 1.3), (4, 1.3)))
         assert ex.slope == pytest.approx(0.0, abs=1e-12)
         assert ex.intercept == pytest.approx(1.3, abs=1e-12)
         assert ex.confidence_band[1] - ex.confidence_band[0] <= 1e-12
@@ -60,8 +54,7 @@ class TestExtrapolate:
     def test_interval_uses_t_quantile(self):
         sizes = (2, 3, 4, 5)
         gaps = (1.8, 1.52, 1.48, 1.30)
-        sample = ScalingSample(points=tuple(zip(sizes, gaps)), coupling=0.4, eta=0.3)
-        ex = extrapolate(sample)
+        ex = extrapolate(tuple(zip(sizes, gaps)))
         x = np.array([1.0 / n for n in sizes])
         resid = np.array(gaps) - (ex.intercept + ex.slope * x)
         s2 = resid @ resid / 2
@@ -70,35 +63,23 @@ class TestExtrapolate:
         assert ex.confidence_band[0] == pytest.approx(ex.intercept - half, rel=1e-10)
         assert ex.confidence_band[1] == pytest.approx(ex.intercept + half, rel=1e-10)
 
-    def test_band_at_intercept_matches(self):
-        ex = extrapolate(ScalingSample(points=((2, 1.7), (3, 1.55), (4, 1.52),
-                                               (5, 1.44)), coupling=0.4, eta=0.3))
-        lo, hi = ex.band_at(0.0)
-        assert lo == pytest.approx(ex.confidence_band[0])
-        assert hi == pytest.approx(ex.confidence_band[1])
-
     def test_band_shrinks_with_noise(self, rng):
         widths = []
         for scale in (0.2, 0.05, 0.01):
             sizes = (2, 3, 4, 5)
             clean = [2 * (1 - 0.4) + 2 * 0.4 / n for n in sizes]
             noisy = np.array(clean) + scale * rng.normal(size=4)
-            sample = ScalingSample(points=tuple(zip(sizes, np.abs(noisy))),
-                                   coupling=0.4, eta=0.3)
-            ex = extrapolate(sample)
+            ex = extrapolate(tuple(zip(sizes, np.abs(noisy))))
             widths.append(ex.confidence_band[1] - ex.confidence_band[0])
         assert widths[0] > widths[1] > widths[2]
 
     def test_validation(self):
         with pytest.raises(DataError):
-            extrapolate(ScalingSample(points=((2, 1.0), (3, 1.1)),
-                                      coupling=0.4, eta=0.3))
+            extrapolate(((2, 1.0), (3, 1.1)))
         with pytest.raises(NumericError):
-            extrapolate(ScalingSample(points=((4, 1.0), (4, 1.1), (4, 1.2)),
-                                      coupling=0.4, eta=0.3))
+            extrapolate(((4, 1.0), (4, 1.1), (4, 1.2)))
         with pytest.raises(DataError):
-            ScalingSample(points=((2, 1.0), (3, -0.1), (4, 1.2)),
-                          coupling=0.4, eta=0.3)
+            extrapolate(((2, 1.0), (3, -0.1), (4, 1.2)))
 
 
 class TestBandConvergence:
@@ -124,8 +105,7 @@ class TestBandConvergence:
                     search=GapSearchConfig(
                         initial_guess=perturbative_gap_guess(model)))
                 points.append((n, sweep.best_record().gap))
-            ex = extrapolate(ScalingSample(points=tuple(points), coupling=0.4,
-                                           eta=eta))
+            ex = extrapolate(points)
             widths[depth] = ex.confidence_band[1] - ex.confidence_band[0]
         assert widths[5] > 2 * widths[35]
         assert widths[35] <= 2 * eta
@@ -135,17 +115,9 @@ class TestPhaseDiagram:
     def test_exact_inputs_land_on_reference_line(self):
         diagram = phase_diagram({
             c: extrapolate(perturbative_sample(c)) for c in (0.2, 0.4, 0.6, 0.8)})
-        for row in diagram.rows:
+        for row in diagram:
             assert row.exact_reference == pytest.approx(2 * (1 - row.coupling))
             assert row.gap_infinity == pytest.approx(row.exact_reference, abs=1e-12)
-
-    def test_band_interpolation(self):
-        diagram = phase_diagram({
-            c: extrapolate(perturbative_sample(c)) for c in (0.2, 0.8)})
-        lo, hi = diagram.band_edges([0.5])
-        mid_lo = 0.5 * (diagram.rows[0].band_lo + diagram.rows[1].band_lo)
-        assert lo[0] == pytest.approx(mid_lo)
-        assert hi[0] >= lo[0]
 
     def test_csv_round_trip(self, tmp_path):
         diagram = phase_diagram({
@@ -154,6 +126,5 @@ class TestPhaseDiagram:
         phase_diagram_to_csv(diagram, path, metadata={"m": 35})
         back, meta = read_phase_diagram(path)
         assert meta["m"] == 35
-        assert len(back.rows) == 2
-        assert back.rows[1].gap_infinity == pytest.approx(
-            diagram.rows[1].gap_infinity)
+        assert len(back) == 2
+        assert back[1].gap_infinity == pytest.approx(diagram[1].gap_infinity)
