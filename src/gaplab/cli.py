@@ -1,9 +1,9 @@
 """Command-line front end: deterministic, seeded runs that emit plot-ready files.
 
 All physical inputs are dimensionless ratios of the transverse field h.
-Every output embeds the fully resolved configuration in its header, and a
-saved configuration replayed through --config reproduces the file byte for
-byte.
+Every output embeds in its header the fully resolved settings its subcommand
+reads (declared once, in _COMMANDS), and a saved configuration replayed
+through --config reproduces the file byte for byte.
 
 Exit codes: 0 success, 1 usage/configuration, 2 numeric or search failure,
 3 partial sweep failure.
@@ -19,7 +19,7 @@ import sys
 import numpy as np
 
 from . import gapfinder, scaling, spectral, toymodel, trotter
-from ._textio import read_table, write_json, write_table
+from ._textio import write_json, write_table
 from .errors import DataError, GapSearchError, GaplabError, ParameterError
 from .gapfinder import GapSearchConfig, find_gap, gap_error, spectral_error
 from .model import SpinModel, exact_diagonalize, perturbative_gap_guess
@@ -31,22 +31,21 @@ _USAGE_EXIT = 1
 _FAILURE_EXIT = 2
 _PARTIAL_EXIT = 3
 
-DEFAULTS = {
-    "n": 4,
-    "j_over_h": 0.4,
-    "p": 1,
-    "m": 35,
-    "filter": "gaussian",
-    "eta_over_h": 0.3,
-    "theta_over_pi": 0.27,
-    "shots": 1024,
-    "seed": 12345,
-    "eps_c": 1e-2,
-    "d_omega_over_h": None,          # defaults to eta/4
-    "l_points": None,                # defaults to 2*ceil(7/d_omega)
-    "initial_window_over_h": None,   # defaults to 2*eta
-    "max_window_over_h": None,       # defaults to 10*eta
-}
+# Settings shared by the simulating subcommands, each with its default.
+_CHAIN = {"n": 4, "j_over_h": 0.4}
+_RUN = {"p": 1, "m": 35, "filter": "gaussian", "eta_over_h": 0.3, "shots": 1024,
+        "seed": 12345,
+        "d_omega_over_h": None,          # defaults to eta/4
+        "l_points": None}                # defaults to 2*ceil(7/d_omega)
+_SEARCH = {"initial_window_over_h": None,   # defaults to 2*eta
+           "max_window_over_h": None}       # defaults to 10*eta
+
+# Keys that gap.json and sweep.json record although neither command reads
+# them: perfbench/reference.json pins the key sets of those two files.  They
+# take no flag; --config accepts them, so a replayed header still reproduces
+# its file.  Re-capturing that reference retires this table.
+_RECORDED_UNREAD = {"gap": {"eps_c": 1e-2},
+                    "sweep-theta": {"eps_c": 1e-2, "theta_over_pi": 0.27}}
 
 
 def _search_config(cfg, initial_guess):
@@ -64,28 +63,6 @@ class _Parser(argparse.ArgumentParser):
         self.exit(_USAGE_EXIT, f"{self.prog}: error: {message}\n")
 
 
-def _add_common(sub):
-    sub.add_argument("--config", help="JSON file of saved configuration values")
-    sub.add_argument("--n", type=int)
-    sub.add_argument("--j-over-h", type=float, dest="j_over_h")
-    sub.add_argument("--p", type=int, choices=(1, 2, 4))
-    sub.add_argument("--m", type=int)
-    sub.add_argument("--filter", choices=trotter.FILTER_FAMILIES)
-    sub.add_argument("--eta-over-h", type=float, dest="eta_over_h")
-    sub.add_argument("--theta-over-pi", type=float, dest="theta_over_pi")
-    sub.add_argument("--shots", type=int)
-    sub.add_argument("--exact", action="store_true", default=None,
-                     help="exact return probabilities instead of shot sampling")
-    sub.add_argument("--seed", type=int)
-    sub.add_argument("--d-omega-over-h", type=float, dest="d_omega_over_h")
-    sub.add_argument("--l-points", type=int, dest="l_points")
-    sub.add_argument("--initial-window-over-h", type=float, dest="initial_window_over_h",
-                     help="peak-search window width, default 2 eta")
-    sub.add_argument("--max-window-over-h", type=float, dest="max_window_over_h",
-                     help="widening cap on the search window, default 10 eta")
-    sub.add_argument("--out", required=True)
-
-
 def _floats(text):
     return [float(v) for v in str(text).split(",") if v != ""]
 
@@ -94,11 +71,34 @@ def _ints(text):
     return [int(v) for v in str(text).split(",") if v != ""]
 
 
-def _resolve(args, parser, extra_defaults=None, base=None):
-    """Meld defaults, --config file and explicit flags into one dict."""
-    cfg = dict(DEFAULTS if base is None else base)
-    cfg.update(extra_defaults or {})
-    if getattr(args, "config", None):
+# The type of each setting's flag, float if not listed; `oracle` is a switch,
+# and `shots` shares its setting with the flag --exact.
+_TYPES = {
+    "n": int, "p": int, "m": int, "shots": int, "seed": int, "l_points": int,
+    "t_points": int, "n_max": int, "n_points": int, "theta_count": int,
+    "filter": str, "samples_out": str, "oracle": bool, "n_list": _ints,
+    "j_list": _floats, "theta_list": _floats, "lambda_list": _floats,
+    "eta_list": _floats,
+}
+_CHOICES = {"p": (1, 2, 4), "filter": trotter.FILTER_FAMILIES}
+_HELP = {
+    "exact": "exact return probabilities instead of shot sampling",
+    "initial_window_over_h": "peak-search window width, default 2 eta",
+    "max_window_over_h": "widening cap on the search window, default 10 eta",
+    "oracle": "add the eigensystem line-shape column",
+    "theta_list": "comma-separated orientations in units of pi",
+    "j_list": "comma-separated J/h values",
+    "n_list": "comma-separated chain lengths",
+    "samples_out": "also write the per-size gap samples as JSON",
+}
+
+
+def _resolve(args, parser):
+    """Meld the subcommand's defaults, a --config file and explicit flags
+    into one dict holding exactly the settings the subcommand records."""
+    cfg = {**_COMMANDS[args.subcommand][2],
+           **_RECORDED_UNREAD.get(args.subcommand, {})}
+    if hasattr(args, "config"):
         try:
             with open(args.config, "r", encoding="utf-8") as fh:
                 loaded = json.load(fh)
@@ -108,12 +108,7 @@ def _resolve(args, parser, extra_defaults=None, base=None):
         if unknown:
             parser.error(f"unknown config keys: {sorted(unknown)}")
         cfg.update(loaded)
-    for key in cfg:
-        value = getattr(args, key, None)
-        if value is not None:
-            cfg[key] = value
-    if getattr(args, "exact", None):
-        cfg["shots"] = None
+    cfg.update((key, value) for key, value in vars(args).items() if key in cfg)
     return cfg
 
 
@@ -148,20 +143,11 @@ def _grid(cfg, filt, parser):
 
 
 def _public(cfg):
-    return {k: v for k, v in sorted(cfg.items()) if k not in ("out",)}
+    return dict(sorted(cfg.items()))
 
 
 def _meta(subcommand, cfg):
     return {"tool": "gaplab", "subcommand": subcommand, "config": _public(cfg)}
-
-
-def read_config_header(path) -> dict:
-    """Extract the resolved configuration from a CSV or JSON output file."""
-    if str(path).endswith(".json"):
-        with open(path, "r", encoding="utf-8") as fh:
-            return json.load(fh)["config"]
-    meta, _, _ = read_table(path)
-    return meta["config"]
 
 
 # --------------------------------------------------------------------------
@@ -169,10 +155,7 @@ def read_config_header(path) -> dict:
 # --------------------------------------------------------------------------
 
 
-def cmd_depth_bound(args, parser) -> int:
-    cfg = _resolve(args, parser, {
-        "n": 1000, "t_max": 10.0, "t_points": 101,
-        "n_max": 1000, "n_points": 25, "fixed_ht": 6.0})
+def cmd_depth_bound(cfg, out, parser) -> int:
     filters = [Filter.none(), Filter.lorentzian(cfg["eta_over_h"]),
                Filter.gaussian(cfg["eta_over_h"])]
     rows = []
@@ -194,7 +177,7 @@ def cmd_depth_bound(args, parser) -> int:
                                         eps_c=cfg["eps_c"])
                 rows.append(("n", p, filt.family, filt.eta, int(n),
                              cfg["fixed_ht"], m_c, math.ceil(m_c), d_c))
-    write_table(args.out, _meta("depth-bound", cfg),
+    write_table(out, _meta("depth-bound", cfg),
                 ["scan", "p", "filter", "eta_over_h", "n", "ht",
                  "m_c", "m_c_ceil", "d_c"], rows)
     return 0
@@ -210,8 +193,7 @@ def _spectrum_pipeline(cfg, parser):
     return model, plan, filt, grid, orientation, spectral_function(series, filt)
 
 
-def cmd_spectrum(args, parser) -> int:
-    cfg = _resolve(args, parser, {"oracle": False})
+def cmd_spectrum(cfg, out, parser) -> int:
     if cfg["oracle"]:
         _require_broadened(_filter(cfg), parser)
     model, plan, filt, grid, orientation, spec = _spectrum_pipeline(cfg, parser)
@@ -219,13 +201,12 @@ def cmd_spectrum(args, parser) -> int:
     if cfg["oracle"]:
         eig = exact_diagonalize(model)
         extra["A_oracle"] = exact_spectrum_oracle(eig, orientation, filt, grid).values
-    spectral.spectrum_to_csv(spec, args.out, metadata=_meta("spectrum", cfg),
+    spectral.spectrum_to_csv(spec, out, metadata=_meta("spectrum", cfg),
                              extra_columns=extra)
     return 0
 
 
-def cmd_gap(args, parser) -> int:
-    cfg = _resolve(args, parser)
+def cmd_gap(cfg, out, parser) -> int:
     model, _, filt = _build(cfg)
     _require_broadened(filt, parser)
     delta0 = perturbative_gap_guess(model)
@@ -248,7 +229,7 @@ def cmd_gap(args, parser) -> int:
     except GapSearchError as exc:
         result.update({"gap": None, "failure": str(exc)})
         code = _FAILURE_EXIT
-    write_json(args.out, {**_meta("gap", cfg), "result": result})
+    write_json(out, {**_meta("gap", cfg), "result": result})
     return code
 
 
@@ -258,10 +239,7 @@ def _theta_values(cfg):
     return [math.pi * l / 50 for l in range(cfg["theta_count"])]
 
 
-def cmd_sweep_theta(args, parser) -> int:
-    cfg = _resolve(args, parser, {"theta_count": 25, "theta_list": None})
-    if args.theta_list is not None:
-        cfg["theta_list"] = _floats(args.theta_list)
+def cmd_sweep_theta(cfg, out, parser) -> int:
     model, plan, filt = _build(cfg)
     _require_broadened(filt, parser)
     grid = _grid(cfg, filt, parser)
@@ -270,7 +248,7 @@ def cmd_sweep_theta(args, parser) -> int:
                                    _theta_values(cfg), shots=cfg["shots"],
                                    seed=cfg["seed"],
                                    search=_search_config(cfg, guess))
-    gapfinder.sweep_to_json(result, args.out, metadata=_public(cfg))
+    gapfinder.sweep_to_json(result, out, metadata=_public(cfg))
     n_failed = len(result.failed())
     if n_failed == len(result.records):
         return _FAILURE_EXIT
@@ -282,27 +260,25 @@ def _scaling_cell(cfg, n, coupling):
     return n, model, _search_config(cfg, perturbative_gap_guess(model))
 
 
-def cmd_scaling(args, parser) -> int:
+def cmd_scaling(cfg, out, parser) -> int:
     """Every cell's chain and search window is checked before the first sweep."""
-    cfg = _resolve(args, parser, {
-        "j_list": [0.2, 0.4, 0.6, 0.8], "n_list": [2, 3, 4, 5],
-        "theta_count": 25, "samples_out": None})
-    if args.j_list is not None:
-        cfg["j_list"] = _floats(args.j_list)
-    if args.n_list is not None:
-        cfg["n_list"] = _ints(args.n_list)
+    sizes, couplings = cfg["n_list"], cfg["j_list"]
+    if len(set(sizes)) < len(sizes) or len(sizes) < 3:
+        raise ParameterError(f"--n-list needs 3 or more distinct sizes, not {sizes}")
+    if len(set(couplings)) < len(couplings) or not couplings:
+        raise ParameterError(f"--j-list needs distinct couplings, not {couplings}")
     filt = _filter(cfg)
     _require_broadened(filt, parser)
-    _check_simulated(max(cfg["n_list"], default=0))
+    _check_simulated(max(sizes))
     plan = TrotterPlan(cfg["p"], cfg["m"])
-    cells = [[_scaling_cell(cfg, n, coupling) for n in cfg["n_list"]]
-             for coupling in cfg["j_list"]]
+    cells = [[_scaling_cell(cfg, n, coupling) for n in sizes]
+             for coupling in couplings]
     grid = _grid(cfg, filt, parser)
 
     extrapolations = {}
     samples = []
     failed_cells = 0
-    for j_index, (coupling, row) in enumerate(zip(cfg["j_list"], cells)):
+    for j_index, (coupling, row) in enumerate(zip(couplings, cells)):
         points = []
         for n, model, search in row:
             sweep = gapfinder.theta_sweep(
@@ -322,26 +298,18 @@ def cmd_scaling(args, parser) -> int:
             failed_cells += 1
     if not extrapolations:
         return _FAILURE_EXIT
-    scaling.phase_diagram_to_csv(scaling.phase_diagram(extrapolations), args.out,
+    scaling.phase_diagram_to_csv(scaling.phase_diagram(extrapolations), out,
                                  metadata=_meta("scaling", cfg))
     if cfg["samples_out"]:
         write_json(cfg["samples_out"], {"config": _public(cfg), "samples": samples})
     return _PARTIAL_EXIT if failed_cells else 0
 
 
-def cmd_toy(args, parser) -> int:
-    cfg = _resolve(args, parser, base={
-        "center": 1.0, "separation_ratio": 0.6,
-        "lambda_list": [0.25, 0.5, 1.0],
-        "eta_list": [round(0.02 + 0.02 * i, 10) for i in range(18)]})
-    if args.lambda_list is not None:
-        cfg["lambda_list"] = _floats(args.lambda_list)
-    if args.eta_list is not None:
-        cfg["eta_list"] = _floats(args.eta_list)
+def cmd_toy(cfg, out, parser) -> int:
     separation = cfg["separation_ratio"] * cfg["center"]
     rows = toymodel.shift_table(cfg["center"], separation,
                                 cfg["lambda_list"], cfg["eta_list"])
-    toymodel.shift_table_to_csv(rows, args.out, metadata=_meta("toy", cfg))
+    toymodel.shift_table_to_csv(rows, out, metadata=_meta("toy", cfg))
     return 0
 
 
@@ -350,64 +318,61 @@ def cmd_toy(args, parser) -> int:
 # --------------------------------------------------------------------------
 
 
+# Each subcommand's handler, help line and settings: every setting is read by
+# the handler, takes the flag "--" + its name with "_" as "-", and is recorded
+# in the output header.
+_COMMANDS = {
+    "depth-bound": (cmd_depth_bound, "circuit-depth budget tables", {
+        "n": 1000, "j_over_h": 0.4, "eta_over_h": 0.3, "eps_c": 1e-2,
+        "t_max": 10.0, "t_points": 101, "n_max": 1000, "n_points": 25,
+        "fixed_ht": 6.0}),
+    "spectrum": (cmd_spectrum, "spectral function of one run", {
+        **_CHAIN, **_RUN, "theta_over_pi": 0.27, "oracle": False}),
+    "gap": (cmd_gap, "single gap estimate with error measures", {
+        **_CHAIN, **_RUN, "theta_over_pi": 0.27, **_SEARCH}),
+    "sweep-theta": (cmd_sweep_theta, "gap pipeline across input orientations", {
+        **_CHAIN, **_RUN, **_SEARCH, "theta_count": 25, "theta_list": None}),
+    "scaling": (cmd_scaling, "finite-size extrapolation and phase diagram", {
+        **_RUN, **_SEARCH, "j_list": [0.2, 0.4, 0.6, 0.8], "n_list": [2, 3, 4, 5],
+        "theta_count": 25, "samples_out": None}),
+    "toy": (cmd_toy, "two-peak line-shape shift table", {
+        "center": 1.0, "separation_ratio": 0.6, "lambda_list": [0.25, 0.5, 1.0],
+        "eta_list": [round(0.02 + 0.02 * i, 10) for i in range(18)]}),
+}
+
+
 def build_parser() -> _Parser:
+    """One subparser per _COMMANDS entry.  Flags left out of a command line
+    stay off the namespace, and abbreviated flags are refused."""
     parser = _Parser(prog="gaplab",
                      description="Gap estimation from filtered time series "
                                  "of Trotterized spin-chain evolution")
     subs = parser.add_subparsers(dest="subcommand", required=True)
-
-    sp = subs.add_parser("depth-bound", parents=[], help="circuit-depth budget tables")
-    _add_common(sp)
-    sp.add_argument("--eps-c", type=float, dest="eps_c")
-    sp.add_argument("--t-max", type=float, dest="t_max")
-    sp.add_argument("--t-points", type=int, dest="t_points")
-    sp.add_argument("--n-max", type=int, dest="n_max")
-    sp.add_argument("--n-points", type=int, dest="n_points")
-    sp.add_argument("--fixed-ht", type=float, dest="fixed_ht")
-    sp.set_defaults(func=cmd_depth_bound)
-
-    sp = subs.add_parser("spectrum", help="spectral function of one run")
-    _add_common(sp)
-    sp.add_argument("--oracle", action="store_true", default=None,
-                    help="add the eigensystem line-shape column")
-    sp.set_defaults(func=cmd_spectrum)
-
-    sp = subs.add_parser("gap", help="single gap estimate with error measures")
-    _add_common(sp)
-    sp.set_defaults(func=cmd_gap)
-
-    sp = subs.add_parser("sweep-theta", help="gap pipeline across input orientations")
-    _add_common(sp)
-    sp.add_argument("--theta-count", type=int, dest="theta_count")
-    sp.add_argument("--theta-list", dest="theta_list",
-                    help="comma-separated orientations in units of pi")
-    sp.set_defaults(func=cmd_sweep_theta)
-
-    sp = subs.add_parser("scaling", help="finite-size extrapolation and phase diagram")
-    _add_common(sp)
-    sp.add_argument("--j-list", dest="j_list", help="comma-separated J/h values")
-    sp.add_argument("--n-list", dest="n_list", help="comma-separated chain lengths")
-    sp.add_argument("--theta-count", type=int, dest="theta_count")
-    sp.add_argument("--samples-out", dest="samples_out",
-                    help="also write the per-size gap samples as JSON")
-    sp.set_defaults(func=cmd_scaling)
-
-    sp = subs.add_parser("toy", help="two-peak line-shape shift table")
-    sp.add_argument("--config", help="JSON file of saved configuration values")
-    sp.add_argument("--center", type=float)
-    sp.add_argument("--separation-ratio", type=float, dest="separation_ratio")
-    sp.add_argument("--lambda-list", dest="lambda_list")
-    sp.add_argument("--eta-list", dest="eta_list")
-    sp.add_argument("--out", required=True)
-    sp.set_defaults(func=cmd_toy)
+    for name, (_, help_text, settings) in _COMMANDS.items():
+        sp = subs.add_parser(name, help=help_text, allow_abbrev=False,
+                             argument_default=argparse.SUPPRESS)
+        sp.add_argument("--config", help="JSON file of saved configuration values")
+        for key in settings:
+            flag, kind = "--" + key.replace("_", "-"), _TYPES.get(key, float)
+            if kind is bool:
+                sp.add_argument(flag, action="store_true", help=_HELP.get(key))
+                continue
+            group = sp.add_mutually_exclusive_group() if key == "shots" else sp
+            group.add_argument(flag, type=kind, choices=_CHOICES.get(key),
+                               help=_HELP.get(key))
+            if key == "shots":
+                group.add_argument("--exact", dest="shots", action="store_const",
+                                   const=None, help=_HELP["exact"])
+        sp.add_argument("--out", required=True)
     return parser
 
 
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
+    cfg = _resolve(args, parser)
     try:
-        return args.func(args, parser)
+        return _COMMANDS[args.subcommand][0](cfg, args.out, parser)
     except (ParameterError, DataError) as exc:
         print(f"gaplab: {exc}", file=sys.stderr)
         return _USAGE_EXIT

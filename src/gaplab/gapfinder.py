@@ -175,9 +175,9 @@ class SweepResult:
     def failed(self):
         return [r for r in self.records if r.failure is not None]
 
-    def unfavored_thetas(self, threshold: float = UNFAVORED_EPS_GAP):
+    def unfavored_thetas(self):
         return [r.theta for r in self.records
-                if r.failure is None and r.eps_gap >= threshold]
+                if r.failure is None and r.eps_gap >= UNFAVORED_EPS_GAP]
 
     def best_record(self) -> SweepRecord:
         ok = [r for r in self.records if r.failure is None]
@@ -238,8 +238,8 @@ def theta_sweep(model: SpinModel, plan: TrotterPlan, filt: Filter,
     return SweepResult(records=records)
 
 
-def sweep_to_json(result: SweepResult, path, metadata: dict | None = None):
-    payload = {"config": dict(metadata or {}),
+def sweep_to_json(result: SweepResult, path, metadata: dict):
+    payload = {"config": metadata,
                "records": [asdict(r) for r in result.records]}
     ok = [r for r in result.records if r.failure is None]
     payload["summary"] = {

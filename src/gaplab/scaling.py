@@ -42,8 +42,8 @@ def extrapolate(points) -> Extrapolation:
     """OLS of Delta against 1/N over (N, Delta) pairs, with a t-quantile
     interval on the intercept."""
     points = [(int(n), float(g)) for n, g in points]
-    if any(g <= 0 for _, g in points):
-        raise DataError("gap estimates must be positive")
+    if not all(0 < g < np.inf for _, g in points):
+        raise DataError("gap estimates must be positive and finite")
     if len(points) < 3:
         raise DataError("need at least 3 sizes to regress")
     x = np.array([1.0 / n for n, _ in points])

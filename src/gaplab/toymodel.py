@@ -92,10 +92,11 @@ def peak_shift(m: TwoPeakModel, eta: float | None = None) -> PeakShiftResult:
         absorbed=bool(m.relative_height > 0 and len(interior) < 2))
 
 
-def shift_table(center: float, separation: float, lambdas, etas, families=("lorentzian", "gaussian")):
-    """Rows (eta, lambda, family, shift) across a broadening/height grid."""
+def shift_table(center: float, separation: float, lambdas, etas):
+    """Rows (eta, lambda, family, shift) across a broadening/height grid, for
+    both line-shape families."""
     rows = []
-    for family in families:
+    for family in ("lorentzian", "gaussian"):
         for lam in lambdas:
             base = TwoPeakModel(center=center, separation=separation,
                                 relative_height=lam, filter=Filter(family, 1e-3))
@@ -105,6 +106,5 @@ def shift_table(center: float, separation: float, lambdas, etas, families=("lore
     return rows
 
 
-def shift_table_to_csv(rows, path, metadata: dict | None = None):
-    write_table(path, dict(metadata or {}),
-                ["eta", "lambda", "family", "shift"], rows)
+def shift_table_to_csv(rows, path, metadata: dict):
+    write_table(path, metadata, ["eta", "lambda", "family", "shift"], rows)

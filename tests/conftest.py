@@ -4,10 +4,14 @@ These rebuild operators from scratch with naive kron sums so that package
 results are checked against a second code path, not against themselves.
 """
 
+import json
+from pathlib import Path
+
 import numpy as np
 import pytest
 from hypothesis import settings
 
+from gaplab._textio import read_table
 from gaplab.simulator import apply_gates, gate_sequence, prepare_input
 from gaplab.trotter import TrotterPlan, trotter_propagator
 
@@ -200,3 +204,11 @@ def literal_gate_count(model, plan):
 @pytest.fixture
 def rng():
     return np.random.default_rng(20260811)
+
+
+def read_config_header(path) -> dict:
+    """The resolved configuration recorded in a CSV or JSON output file."""
+    if str(path).endswith(".json"):
+        return json.loads(Path(path).read_text(encoding="utf-8"))["config"]
+    meta, _, _ = read_table(path)
+    return meta["config"]

@@ -1,6 +1,8 @@
+import argparse
 import json
 import math
 import os
+import shlex
 import subprocess
 import sys
 from pathlib import Path
@@ -10,8 +12,11 @@ import pytest
 
 import gaplab
 from gaplab import Filter, SpinModel, depth_cutoff
-from gaplab.cli import main, read_config_header
+from gaplab import cli
+from gaplab.cli import build_parser, main
 from gaplab._textio import read_table
+
+from conftest import read_config_header
 
 FAST_SPECTRUM = ["--exact", "--eta-over-h", "0.3", "--filter", "gaussian"]
 
@@ -201,7 +206,13 @@ class TestScaling:
 
     @pytest.mark.parametrize("argv", [
         ["--n-list", "2,3,4,1"],
-        ["--j-list", "0.4,nan"]])
+        ["--j-list", "0.4,nan"],
+        # too few distinct sizes to extrapolate, or a repeated cell
+        ["--n-list", "2,3"],
+        ["--n-list", "2,2,2"],
+        ["--n-list", "2,3,4,4"],
+        ["--j-list", "0.4,0.4"],
+        ["--j-list", ""]])
     def test_every_cell_checked_before_simulating(self, tmp_path, no_simulation, argv):
         out = tmp_path / "d.csv"
         assert run(["scaling", "--exact", *argv, "--out", str(out)]) == 1
@@ -330,6 +341,111 @@ class TestToy:
         with pytest.raises(SystemExit) as exc:
             run(["toy"])
         assert exc.value.code == 1
+
+
+def _subparsers():
+    parser = build_parser()
+    [subs] = [a for a in parser._actions if isinstance(a, argparse._SubParsersAction)]
+    return subs.choices
+
+
+def _setting_dests(subparser):
+    return {a.dest for a in subparser._actions} - {"help", "config", "out"}
+
+
+# One small run per subcommand: (arguments, output file name).
+SMALL_RUNS = {
+    "depth-bound": (["--n", "50", "--t-points", "3", "--t-max", "4",
+                     "--n-points", "2", "--n-max", "10"], "depth.csv"),
+    "spectrum": ([*FAST_SPECTRUM, "--n", "3", "--oracle"], "spectrum.csv"),
+    "gap": ([*FAST_SPECTRUM, "--n", "3"], "gap.json"),
+    "sweep-theta": ([*FAST_SPECTRUM, "--n", "3", "--theta-list", "0.2,0.27"],
+                    "sweep.json"),
+    "scaling": (["--exact", "--j-list", "0.4", "--n-list", "2,3,4",
+                 "--theta-count", "5", "--m", "20"], "diagram.csv"),
+    "toy": (["--lambda-list", "0.5", "--eta-list", "0.1,0.2"], "toy.csv"),
+}
+
+
+@pytest.fixture(scope="module")
+def small_runs(tmp_path_factory):
+    """Output path of each SMALL_RUNS command; scaling also writes samples.json."""
+    outs = {}
+    for command, (argv, name) in SMALL_RUNS.items():
+        workdir = tmp_path_factory.mktemp(command)
+        extra = ["--samples-out", str(workdir / "samples.json")] \
+            if command == "scaling" else []
+        outs[command] = workdir / name
+        assert main([command, *argv, *extra, "--out", str(outs[command])]) == 0
+    return outs
+
+
+class TestSettings:
+    """Each subcommand takes a flag for exactly the settings it reads, and
+    records exactly those settings in its header."""
+
+    @pytest.mark.parametrize("command", SMALL_RUNS)
+    def test_header_keys_are_the_flags(self, small_runs, command):
+        header = set(read_config_header(small_runs[command]))
+        flags = _setting_dests(_subparsers()[command])
+        assert flags <= header
+        assert header - flags == set(cli._RECORDED_UNREAD.get(command, {}))
+
+    @pytest.mark.parametrize("command", SMALL_RUNS)
+    def test_config_replay_is_byte_identical(self, small_runs, tmp_path, command):
+        first = small_runs[command]
+        samples = first.parent / "samples.json"
+        first_samples = samples.read_bytes() if samples.exists() else None
+        cfg_file = tmp_path / "cfg.json"
+        cfg_file.write_text(json.dumps(read_config_header(first)))
+        replay = tmp_path / first.name
+        assert main([command, "--config", str(cfg_file), "--out", str(replay)]) == 0
+        assert replay.read_bytes() == first.read_bytes()
+        if first_samples is not None:
+            assert samples.read_bytes() == first_samples
+
+    @pytest.mark.parametrize("command, argv", [
+        ("depth-bound", ["--p", "1"]),
+        ("depth-bound", ["--m", "35"]),
+        ("depth-bound", ["--filter", "gaussian"]),
+        ("depth-bound", ["--theta-over-pi", "0.27"]),
+        ("depth-bound", ["--shots", "1024"]),
+        ("depth-bound", ["--exact"]),
+        ("depth-bound", ["--seed", "1"]),
+        ("depth-bound", ["--d-omega-over-h", "0.075"]),
+        ("depth-bound", ["--l-points", "188"]),
+        ("depth-bound", ["--initial-window-over-h", "0.6"]),
+        ("depth-bound", ["--max-window-over-h", "3"]),
+        ("spectrum", ["--initial-window-over-h", "0.6"]),
+        ("spectrum", ["--max-window-over-h", "3"]),
+        ("sweep-theta", ["--theta-over-pi", "0.27"]),
+        ("scaling", ["--n", "4"]),
+        ("scaling", ["--j-over-h", "0.4"]),
+        ("scaling", ["--theta-over-pi", "0.27"]),
+        # no abbreviations: neither the prefix of --n-list nor of --eta-over-h
+        ("scaling", ["--n", "7"]),
+        ("gap", ["--eta", "0.2"]),
+        # --exact and --shots set the same setting
+        ("gap", ["--shots", "64", "--exact"])])
+    def test_unread_flags_refused(self, tmp_path, no_simulation, command, argv):
+        out = tmp_path / "x.out"
+        with pytest.raises(SystemExit) as exc:
+            run([command, *argv, "--out", str(out)])
+        assert exc.value.code == 1
+        assert not out.exists()
+
+    def test_no_subcommand_takes_abbreviations(self):
+        assert not any(sp.allow_abbrev for sp in _subparsers().values())
+
+    def test_readme_examples_parse(self):
+        readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+        block = readme.split("## Command line", 1)[1].split("```sh", 1)[1]
+        block = block.split("```", 1)[0].replace("\\\n", " ")
+        examples = [shlex.split(line)[1:] for line in block.splitlines()
+                    if line.startswith("gaplab ")]
+        assert {argv[0] for argv in examples} == set(SMALL_RUNS)
+        for argv in examples:
+            build_parser().parse_args(argv)
 
 
 def test_import_leaves_scipy_stats_unloaded():

@@ -81,6 +81,11 @@ class TestExtrapolate:
         with pytest.raises(DataError):
             extrapolate(((2, 1.0), (3, -0.1), (4, 1.2)))
 
+    @pytest.mark.parametrize("gap", [np.nan, np.inf])
+    def test_non_finite_gap_refused(self, gap):
+        with pytest.raises(DataError, match="positive and finite"):
+            extrapolate(((2, gap), (3, 1.0), (4, 1.1)))
+
 
 class TestBandConvergence:
     def test_band_tightens_inside_error_fence_with_depth(self):
