@@ -3,17 +3,17 @@
 from .errors import (DataError, GapSearchError, GaplabError, NumericError,
                      ParameterError, ResourceLimitError)
 from .gapfinder import (GapEstimate, GapSearchConfig, SweepRecord, SweepResult,
-                        empirical_depth_cutoff, find_gap, gap_error,
-                        spectral_error, spectral_error_bound, theta_sweep)
+                        find_gap, gap_error, spectral_error, spectral_error_bound,
+                        theta_sweep)
 from .model import (BoundSet, EigenDecomposition, SpinModel, build_hamiltonians,
-                    commutator_norm_bounds, dispersion, exact_diagonalize,
+                    commutator_norm_bounds, exact_diagonalize,
                     exact_gap_thermodynamic, perturbative_gap_guess)
 from .scaling import Extrapolation, extrapolate, phase_diagram
 from .simulator import (Gate, InputOrientation, TimeGrid, TimeSeries,
                         gate_sequence, prepare_input, run_time_series)
 from .spectral import (Spectrum, default_grid, exact_spectrum_oracle,
                        filter_fourier, spectral_function)
-from .toymodel import PeakShiftResult, TwoPeakModel, peak_shift, two_peak_spectrum
+from .toymodel import PeakShiftResult, TwoPeakModel, peak_shift
 from .trotter import (KAPPA4, Filter, TrotterPlan, depth_cutoff, filter_value,
                       gate_count, trotter_propagator, truncation_error_bound)
 

@@ -137,7 +137,8 @@ def _grid(cfg, filt, parser):
         d_omega, length = spectral.grid_size(filt, cfg["d_omega_over_h"],
                                              cfg["l_points"])
     except ParameterError as exc:
-        parser.error(f"{exc}; give --d-omega-over-h")
+        unbroadened = cfg["d_omega_over_h"] is None and not filt.broadened
+        parser.error(f"{exc}; give --d-omega-over-h" if unbroadened else str(exc))
     cfg["d_omega_over_h"], cfg["l_points"] = d_omega, length
     return spectral.default_grid(filt, d_omega, length)
 
@@ -156,6 +157,9 @@ def _meta(subcommand, cfg):
 
 
 def cmd_depth_bound(cfg, out, parser) -> int:
+    if min(cfg["t_points"], cfg["n_points"]) < 1 or cfg["n_max"] < 2:
+        raise ParameterError("depth-bound needs --t-points and --n-points >= 1 "
+                             "and --n-max >= 2")
     filters = [Filter.none(), Filter.lorentzian(cfg["eta_over_h"]),
                Filter.gaussian(cfg["eta_over_h"])]
     rows = []
@@ -234,9 +238,13 @@ def cmd_gap(cfg, out, parser) -> int:
 
 
 def _theta_values(cfg):
-    if cfg.get("theta_list"):
-        return [float(v) * math.pi for v in cfg["theta_list"]]
-    return [math.pi * l / 50 for l in range(cfg["theta_count"])]
+    if cfg.get("theta_list") is not None:
+        thetas = [float(v) * math.pi for v in cfg["theta_list"]]
+    else:
+        thetas = [math.pi * l / 50 for l in range(cfg["theta_count"])]
+    if not thetas:
+        raise ParameterError("the sweep needs at least one orientation")
+    return thetas
 
 
 def cmd_sweep_theta(cfg, out, parser) -> int:

@@ -1,10 +1,11 @@
 """Gap extraction from spectra, error measures, and the input-orientation sweep.
 
-The search starts from a guess Delta_0 (perturbative by default), looks for a
-strict local maximum of A inside [Delta_0 - dD/2, Delta_0 + dD/2] with dD
-starting at 2 eta, and widens the window by a factor 1.5 at a time up to
-10 eta before giving up.  The estimate is the grid argmax: no sub-bin interpolation, so the
-resolution floor is set by the line width, not the fit.
+The search starts from the caller's guess Delta_0 (the command line passes the
+perturbative one), looks for a strict local maximum of A inside
+[Delta_0 - dD/2, Delta_0 + dD/2] with dD starting at 2 eta, and widens the
+window by a factor 1.5 at a time up to 10 eta before giving up.  The estimate
+is the grid argmax: no sub-bin interpolation, so the resolution floor is set by
+the line width, not the fit.
 """
 
 from __future__ import annotations
@@ -16,8 +17,7 @@ import numpy as np
 
 from ._textio import write_json
 from .errors import DataError, GapSearchError, NumericError, ParameterError
-from .model import (SpinModel, commutator_norm_bounds, exact_diagonalize,
-                    perturbative_gap_guess)
+from .model import SpinModel, commutator_norm_bounds, exact_diagonalize
 from .simulator import InputOrientation, TimeGrid, run_time_series
 from .spectral import Spectrum, exact_spectrum_oracle, spectral_function, transform
 from .trotter import Filter, TrotterPlan, gate_count
@@ -128,24 +128,6 @@ def spectral_error_bound(model: SpinModel, plan: TrotterPlan, filt: Filter,
     return float(np.sqrt(np.sum(d_a**2) / denom))
 
 
-def empirical_depth_cutoff(depths, gap_errors, rel_tol: float = 0.1) -> float:
-    """Smallest circuit depth whose gap error is within rel_tol of the plateau.
-
-    The plateau value is the error at the deepest circuit in the sweep.
-    """
-    depths = np.asarray(depths, dtype=float)
-    errs = np.asarray(gap_errors, dtype=float)
-    if depths.shape != errs.shape or len(depths) < 2:
-        raise DataError("need matching depth and error arrays of length >= 2")
-    order = np.argsort(depths)
-    depths, errs = depths[order], errs[order]
-    plateau = errs[-1]
-    for d, e in zip(depths, errs):
-        if e <= plateau * (1 + rel_tol) + 1e-15:
-            return float(d)
-    return float(depths[-1])
-
-
 # --------------------------------------------------------------------------
 # Orientation sweep.
 # --------------------------------------------------------------------------
@@ -187,14 +169,15 @@ class SweepResult:
 
 
 def _derived_seed(*keys: int) -> int:
-    """A 32-bit seed drawn from the SeedSequence of the given integer keys."""
+    """A 32-bit seed drawn from the SeedSequence of the given non-negative keys."""
+    if any(k < 0 for k in keys):
+        raise ParameterError(f"seeds must be >= 0, got {keys}")
     return int(np.random.SeedSequence(keys).generate_state(1)[0])
 
 
 def theta_sweep(model: SpinModel, plan: TrotterPlan, filt: Filter,
-                grid: TimeGrid, thetas, shots: int | None = None,
-                seed: int = 0,
-                search: GapSearchConfig | None = None) -> SweepResult:
+                grid: TimeGrid, thetas, search: GapSearchConfig,
+                shots: int | None = None, seed: int = 0) -> SweepResult:
     """Gap pipeline over a set of uniform input orientations.
 
     Per theta: simulate the series, transform, search for the gap, and score
@@ -204,8 +187,6 @@ def theta_sweep(model: SpinModel, plan: TrotterPlan, filt: Filter,
     chain is simulated before it is diagonalized, so a chain above the
     simulation cap is refused before the eigensolver runs.
     """
-    if search is None:
-        search = GapSearchConfig(initial_guess=perturbative_gap_guess(model))
     eps_bound = spectral_error_bound(model, plan, filt, grid)
     circuit_depth = gate_count(plan.order, model.n_spins) * plan.depth
 

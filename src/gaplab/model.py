@@ -180,12 +180,6 @@ def perturbative_gap_guess(model: SpinModel) -> float:
     return 2.0 * h * (1.0 - (1.0 - 1.0 / model.n_spins) * J / h)
 
 
-def dispersion(k, coupling: float, field: float):
-    """Upper and lower quasiparticle bands E_k^+- for the periodic chain (a = 1)."""
-    e = np.sqrt(coupling**2 + field**2 - 2.0 * coupling * field * np.cos(k))
-    return e, -e
-
-
 def exact_gap_thermodynamic(coupling: float, field: float) -> float:
     """Band gap at k = 0 in the thermodynamic limit: 2|h - J|."""
     return 2.0 * abs(field - coupling)

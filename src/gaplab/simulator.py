@@ -26,7 +26,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._textio import read_table, write_table
 from .errors import DataError, ParameterError, ResourceLimitError
 from .model import SpinModel
 from .trotter import ITERATION_LAYERS, TrotterPlan, trotter_propagator
@@ -192,7 +191,7 @@ def run_time_series(model: SpinModel, plan: TrotterPlan, orientations,
     inputs and real-angle steps give U_M(-t) = conj U_M(t) bit for bit, so
     p_minus is a copy of p_plus.  In shot mode each (seed, branch, n) point
     draws from its own generator, so any execution order gives identical
-    data; `seeds` holds one seed per orientation (default 0 for each).
+    data; `seeds` holds one seed >= 0 per orientation (default 0 for each).
     """
     _check_simulated(model.n_spins)
     orientations = list(orientations)
@@ -203,8 +202,8 @@ def run_time_series(model: SpinModel, plan: TrotterPlan, orientations,
     if shots is not None and shots < 1:
         raise ParameterError(f"shots must be >= 1, got {shots}")
     seeds = [0] * len(orientations) if seeds is None else list(seeds)
-    if len(seeds) != len(orientations):
-        raise ParameterError("need one seed per orientation")
+    if len(seeds) != len(orientations) or any(seed < 0 for seed in seeds):
+        raise ParameterError(f"need one seed >= 0 per orientation, got {seeds}")
     psi = np.stack([prepare_input(o) for o in orientations], axis=1)
     probs = np.ones((len(orientations), 2, grid.length))
     for n, t in enumerate(grid.times[1:], start=1):
@@ -221,31 +220,3 @@ def run_time_series(model: SpinModel, plan: TrotterPlan, orientations,
     return [TimeSeries(grid=grid, p_plus=p[0], p_minus=p[1], shots=shots,
                        seed=seed if shots is not None else None)
             for p, seed in zip(probs, seeds)]
-
-
-# --------------------------------------------------------------------------
-# Serialization.
-# --------------------------------------------------------------------------
-
-
-def time_series_to_csv(series: TimeSeries, path, metadata: dict | None = None):
-    meta = dict(metadata or {})
-    meta.update({"dt": series.grid.dt, "length": series.grid.length,
-                 "shots": series.shots, "seed": series.seed})
-    times = series.grid.times
-    rows = ((n, times[n], series.p_plus[n], series.p_minus[n])
-            for n in range(series.grid.length))
-    write_table(path, meta, ["n", "t_n", "P_plus", "P_minus"], rows)
-
-
-def read_time_series(path):
-    """Inverse of time_series_to_csv; returns (TimeSeries, metadata)."""
-    meta, columns, rows = read_table(path)
-    if columns != ["n", "t_n", "P_plus", "P_minus"]:
-        raise DataError(f"unexpected columns {columns}")
-    grid = TimeGrid(dt=float(meta["dt"]), length=int(meta["length"]))
-    p_plus = np.array([float(r[2]) for r in rows])
-    p_minus = np.array([float(r[3]) for r in rows])
-    series = TimeSeries(grid=grid, p_plus=p_plus, p_minus=p_minus,
-                        shots=meta.get("shots"), seed=meta.get("seed"))
-    return series, meta

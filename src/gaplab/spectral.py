@@ -16,6 +16,7 @@ which exact_spectrum_oracle evaluates directly from the eigensystem.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -55,15 +56,19 @@ def grid_size(filt: Filter, d_omega: float | None = None,
               length: int | None = None) -> tuple[float, int]:
     """The default grid rule: d_omega = eta/4 and L = 2 ceil(7h/d_omega).
 
-    An explicit d_omega or L replaces its rule; without d_omega the filter
-    must carry a broadening eta > 0.
+    An explicit d_omega (positive, finite) or L (positive, even) replaces its
+    rule; without d_omega the filter must carry a broadening eta > 0.
     """
     if d_omega is None:
         if not filt.broadened:
             raise ParameterError("the default grid needs a filter with eta > 0")
         d_omega = filt.eta / 4.0
+    if not 0 < d_omega < math.inf:
+        raise ParameterError(f"d_omega must be positive and finite, got {d_omega}")
     if length is None:
         length = 2 * math.ceil(7.0 / d_omega)
+    if not (isinstance(length, numbers.Integral) and length > 0 and length % 2 == 0):
+        raise ParameterError(f"L must be a positive even integer, got {length}")
     return float(d_omega), int(length)
 
 

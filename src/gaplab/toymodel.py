@@ -8,13 +8,14 @@ maximum is located by bounded scalar minimization rather than any transform.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+import math
+from dataclasses import dataclass
 
 import numpy as np
 
 from ._textio import write_table
 from .errors import ParameterError
-from .spectral import Spectrum, filter_fourier
+from .spectral import filter_fourier
 from .trotter import Filter
 
 
@@ -26,18 +27,17 @@ class TwoPeakModel:
     filter: Filter
 
     def __post_init__(self):
-        if self.center <= 0 or self.separation <= 0:
-            raise ParameterError("peak center and separation must be positive")
-        if self.relative_height < 0:
-            raise ParameterError("relative height must be >= 0")
+        if not (0 < self.center < math.inf and 0 < self.separation < math.inf):
+            raise ParameterError("peak center and separation must be positive and finite")
+        if not 0 <= self.relative_height < math.inf:
+            raise ParameterError("relative height must be finite and >= 0")
         if self.filter.family not in ("lorentzian", "gaussian"):
             raise ParameterError("two-peak model needs a lorentzian or gaussian shape")
 
 
 @dataclass(frozen=True)
 class PeakShiftResult:
-    shift: float         # |c' - c| / c
-    location: float      # tracked maximum position
+    shift: float         # |c' - c| / c, c' the tracked maximum
     absorbed: bool       # first peak no longer a distinct local maximum
 
 
@@ -47,20 +47,7 @@ def _amplitude(m: TwoPeakModel, omega):
             * filter_fourier(m.filter, np.asarray(omega) - m.center - m.separation))
 
 
-def two_peak_spectrum(m: TwoPeakModel, omega_grid) -> Spectrum:
-    """The two-peak spectrum on a grid, normalized to unit global maximum."""
-    omega_grid = np.asarray(omega_grid, dtype=float)
-    values = _amplitude(m, omega_grid)
-    peak = values.max()
-    if peak > 0:
-        values = values / peak
-    steps = np.diff(omega_grid)
-    d_omega = float(steps[0]) if len(steps) else 0.0
-    return Spectrum(omegas=omega_grid, values=values, d_omega=d_omega,
-                    filter=m.filter, provenance={"two_peak": True})
-
-
-def peak_shift(m: TwoPeakModel, eta: float | None = None) -> PeakShiftResult:
+def peak_shift(m: TwoPeakModel) -> PeakShiftResult:
     """Relative displacement of the local maximum nearest the first peak center.
 
     When the broadening swallows the first peak entirely (fewer than two
@@ -69,8 +56,6 @@ def peak_shift(m: TwoPeakModel, eta: float | None = None) -> PeakShiftResult:
     """
     from scipy.optimize import minimize_scalar  # deferred: costs ~0.25 s to import
 
-    if eta is not None:
-        m = replace(m, filter=replace(m.filter, eta=float(eta)))
     width = m.filter.eta
     lo = m.center - m.separation
     hi = m.center + 1.5 * m.separation + 2.0 * width
@@ -85,24 +70,23 @@ def peak_shift(m: TwoPeakModel, eta: float | None = None) -> PeakShiftResult:
                           bounds=(grid[tracked - 1], grid[tracked + 1]),
                           method="bounded",
                           options={"xatol": 1e-10 * m.center})
-    location = float(res.x)
     return PeakShiftResult(
-        shift=abs(location - m.center) / m.center,
-        location=location,
+        shift=abs(float(res.x) - m.center) / m.center,
         absorbed=bool(m.relative_height > 0 and len(interior) < 2))
 
 
 def shift_table(center: float, separation: float, lambdas, etas):
     """Rows (eta, lambda, family, shift) across a broadening/height grid, for
-    both line-shape families."""
+    both line-shape families; an empty grid is refused."""
+    if not (len(lambdas) and len(etas)):
+        raise ParameterError("the shift table needs at least one lambda and one eta")
     rows = []
     for family in ("lorentzian", "gaussian"):
         for lam in lambdas:
-            base = TwoPeakModel(center=center, separation=separation,
-                                relative_height=lam, filter=Filter(family, 1e-3))
             for eta in etas:
-                rows.append((float(eta), float(lam), family,
-                             peak_shift(base, eta=eta).shift))
+                m = TwoPeakModel(center=center, separation=separation,
+                                 relative_height=lam, filter=Filter(family, float(eta)))
+                rows.append((float(eta), float(lam), family, peak_shift(m).shift))
     return rows
 
 

@@ -163,10 +163,12 @@ def depth_cutoff(model: SpinModel, order: int, filt: Filter, t,
     M_c = (C/eps_c)^{1/p} t^{1+1/p} F(t)^{1/p}; D_c multiplies by the gate
     count per iteration.  Returned as reals; round up when budgeting circuits.
     """
-    if not eps_c > 0:
-        raise ParameterError(f"eps_c must be positive, got {eps_c}")
-    c = commutator_norm_bounds(model, order).prefactor
+    if not 0 < eps_c < math.inf:
+        raise ParameterError(f"eps_c must be positive and finite, got {eps_c}")
     ta = np.abs(np.asarray(t, dtype=float))
+    if not np.all(np.isfinite(ta)):
+        raise ParameterError("times must be finite")
+    c = commutator_norm_bounds(model, order).prefactor
     m_c = (c / eps_c) ** (1.0 / order) * ta ** (1.0 + 1.0 / order) \
         * filter_value(filt, ta) ** (1.0 / order)
     d_c = gate_count(order, model.n_spins) * m_c

@@ -4,6 +4,7 @@ These rebuild operators from scratch with naive kron sums so that package
 results are checked against a second code path, not against themselves.
 """
 
+import dataclasses
 import json
 from pathlib import Path
 
@@ -13,7 +14,7 @@ from hypothesis import settings
 
 from gaplab._textio import read_table
 from gaplab.simulator import apply_gates, gate_sequence, prepare_input
-from gaplab.trotter import TrotterPlan, trotter_propagator
+from gaplab.trotter import Filter, TrotterPlan, trotter_propagator
 
 # Property tests draw a fixed example sequence, so every run checks the
 # same cases and a failure reproduces.
@@ -199,6 +200,11 @@ def literal_gate_count(model, plan):
     gates = gate_sequence(model, TrotterPlan(plan.order, 1), 1.0)
     n_zz = sum(g.kind == "rzz" for g in gates)
     return {"rzz": n_zz, "rx": len(gates) - n_zz, "total": len(gates)}
+
+
+def with_eta(model, eta):
+    """The two-peak model with its line shape broadened to eta instead."""
+    return dataclasses.replace(model, filter=Filter(model.filter.family, float(eta)))
 
 
 @pytest.fixture

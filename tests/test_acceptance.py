@@ -40,7 +40,7 @@ from gaplab import (
 )
 
 from conftest import (commutator_mismatch, operator_norm, overlap_by_path,
-                      pauli_form_commutators)
+                      pauli_form_commutators, with_eta)
 
 
 def _report(number, text):
@@ -173,7 +173,8 @@ def test_criterion_06_theta_invariance_unfiltered_regime():
     filt = Filter.lorentzian(0.02)
     grid = default_grid(filt)
     thetas = [math.pi * l / 50 for l in range(25)]
-    result = theta_sweep(model, TrotterPlan(1, 10000), filt, grid, thetas)
+    result = theta_sweep(model, TrotterPlan(1, 10000), filt, grid, thetas,
+                         search=GapSearchConfig(perturbative_gap_guess(model)))
     assert not result.failed()
     gaps = np.array([r.gap for r in result.records])
     spread = gaps.max() - gaps.min()
@@ -269,18 +270,18 @@ def test_criterion_10_two_peak_shift():
                                    filter=Filter(family, 0.1))
               for family in ("lorentzian", "gaussian")}
     for family, model in models.items():
-        shifts = [peak_shift(model, eta=eta).shift
+        shifts = [peak_shift(with_eta(model, eta)).shift
                   for eta in np.linspace(0.04, 0.26, 12)]
         assert all(b >= a - 1e-8 for a, b in zip(shifts, shifts[1:]))
     for eta in (0.12, 0.2):
         row = [peak_shift(TwoPeakModel(center=1.0, separation=sep,
                                        relative_height=lam,
-                                       filter=Filter.lorentzian(0.1)),
-                          eta=eta).shift for lam in (0.25, 0.5, 1.0)]
+                                       filter=Filter.lorentzian(eta))).shift
+               for lam in (0.25, 0.5, 1.0)]
         assert row[0] <= row[1] <= row[2]
     ratios = np.linspace(0.5, 1.2, 36)
-    diffs = [peak_shift(models["lorentzian"], eta=r * sep / 2).shift
-             - peak_shift(models["gaussian"], eta=r * sep / 2).shift
+    diffs = [peak_shift(with_eta(models["lorentzian"], r * sep / 2)).shift
+             - peak_shift(with_eta(models["gaussian"], r * sep / 2)).shift
              for r in ratios]
     signs = np.sign(diffs)
     flips = [ratios[i] for i in range(len(ratios) - 1)

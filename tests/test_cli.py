@@ -131,11 +131,23 @@ class TestSpectrum:
             run(["spectrum", "--p", "3", "--out", str(tmp_path / "x.csv")])
         assert exc.value.code == 1
 
-    def test_filter_none_needs_explicit_grid(self, tmp_path):
+    def test_filter_none_needs_explicit_grid(self, tmp_path, capsys):
         with pytest.raises(SystemExit) as exc:
             run(["spectrum", "--filter", "none", "--exact",
                  "--out", str(tmp_path / "x.csv")])
         assert exc.value.code == 1
+        assert "give --d-omega-over-h" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command", ["gap", "spectrum", "sweep-theta", "scaling"])
+    @pytest.mark.parametrize("argv", [["--d-omega-over-h", "0"], ["--l-points", "0"]])
+    def test_impossible_grid_refused_before_simulating(self, tmp_path, no_simulation,
+                                                       capsys, command, argv):
+        out = tmp_path / "x.out"
+        with pytest.raises(SystemExit) as exc:
+            run([command, *argv, "--out", str(out)])
+        assert exc.value.code == 1
+        assert not out.exists()
+        assert "give --d-omega-over-h" not in capsys.readouterr().err
 
 
 class TestGap:
@@ -296,6 +308,36 @@ class TestSearchWindow:
         assert not out.exists()
 
 
+class TestEmptyScans:
+    @pytest.mark.parametrize("argv", [
+        ["toy", "--eta-list", ""],
+        ["toy", "--lambda-list", ""],
+        ["depth-bound", "--t-points", "0", "--n-points", "0"],
+        ["depth-bound", "--n-points", "0"],
+        ["depth-bound", "--n-points", "-1"],
+        ["depth-bound", "--n-max", "-1"],
+        ["sweep-theta", "--theta-list", ""]])
+    def test_refused(self, tmp_path, no_simulation, capsys, argv):
+        out = tmp_path / "x.out"
+        assert run(argv + ["--out", str(out)]) == 1
+        assert not out.exists()
+        assert capsys.readouterr().err.startswith("gaplab:")
+
+
+class TestNegativeSeed:
+    @pytest.mark.parametrize("argv", [
+        ["gap"], ["spectrum"], ["sweep-theta", "--theta-count", "2"],
+        ["scaling", "--exact"]])
+    def test_refused_before_any_propagator(self, tmp_path, monkeypatch, capsys, argv):
+        def refuse(*args, **kwargs):
+            raise AssertionError("built a propagator for a refused seed")
+        monkeypatch.setattr("gaplab.simulator.trotter_propagator", refuse)
+        out = tmp_path / "x.out"
+        assert run(argv + ["--seed", "-1", "--out", str(out)]) == 1
+        assert not out.exists()
+        assert capsys.readouterr().err.startswith("gaplab:")
+
+
 class TestBenchmarkReference:
     def test_long_time_exact_within_reference(self, tmp_path):
         # the quick long_time_exact benchmark command (criterion 6, L = 2800,
@@ -446,6 +488,29 @@ class TestSettings:
         assert {argv[0] for argv in examples} == set(SMALL_RUNS)
         for argv in examples:
             build_parser().parse_args(argv)
+
+
+def _float_settings():
+    for command, (_, _, settings) in cli._COMMANDS.items():
+        for key in settings:
+            if cli._TYPES.get(key, float) in (float, cli._floats):
+                yield command, key
+
+
+@pytest.mark.parametrize("value", ["nan", "inf"])
+@pytest.mark.parametrize("command, key", list(_float_settings()))
+def test_non_finite_settings_refused(tmp_path, no_simulation, capsys, command, key,
+                                     value):
+    # every float setting of every subcommand, including ones added later
+    out = tmp_path / "x.out"
+    try:
+        code = run([command, "--" + key.replace("_", "-"), value, "--out", str(out)])
+    except SystemExit as exc:
+        code = exc.code
+    assert code == 1
+    assert not out.exists()
+    err = capsys.readouterr().err
+    assert err.startswith("gaplab:") or err.startswith("usage:")
 
 
 def test_import_leaves_scipy_stats_unloaded():

@@ -16,7 +16,6 @@ from gaplab import (
     TimeGrid,
     TrotterPlan,
     default_grid,
-    empirical_depth_cutoff,
     exact_diagonalize,
     exact_spectrum_oracle,
     filter_fourier,
@@ -31,6 +30,24 @@ from gaplab import (
 )
 from gaplab import TimeSeries
 from gaplab.spectral import Spectrum, transform
+
+
+def empirical_depth_cutoff(depths, gap_errors, rel_tol: float = 0.1) -> float:
+    """Smallest circuit depth whose gap error is within rel_tol of the plateau.
+
+    The plateau value is the error at the deepest circuit in the sweep.
+    """
+    depths = np.asarray(depths, dtype=float)
+    errs = np.asarray(gap_errors, dtype=float)
+    if depths.shape != errs.shape or len(depths) < 2:
+        raise DataError("need matching depth and error arrays of length >= 2")
+    order = np.argsort(depths)
+    depths, errs = depths[order], errs[order]
+    plateau = errs[-1]
+    for d, e in zip(depths, errs):
+        if e <= plateau * (1 + rel_tol) + 1e-15:
+            return float(d)
+    return float(depths[-1])
 
 
 def lineshape_spectrum(center, filt, d_omega=0.01, width=6.0):
@@ -204,7 +221,8 @@ class TestThetaSweep:
         filt = Filter.gaussian(0.2)
         grid = default_grid(filt)
         thetas = [math.pi * l / 50 for l in range(0, 25, 4)]
-        result = theta_sweep(model, TrotterPlan(1, 100), filt, grid, thetas)
+        result = theta_sweep(model, TrotterPlan(1, 100), filt, grid, thetas,
+                             search=GapSearchConfig(perturbative_gap_guess(model)))
         assert len(result.records) == len(thetas)
         assert not result.failed()
         unfavored = result.unfavored_thetas()
@@ -237,7 +255,8 @@ class TestThetaSweep:
         filt = Filter.gaussian(0.3)
         grid = default_grid(filt)
         result = theta_sweep(model, TrotterPlan(1, 20), filt, grid,
-                             [0.2 * math.pi, 0.3 * math.pi], shots=512, seed=4)
+                             [0.2 * math.pi, 0.3 * math.pi], shots=512, seed=4,
+                             search=GapSearchConfig(perturbative_gap_guess(model)))
         seeds = [r.seed for r in result.records]
         assert len(set(seeds)) == 2 and all(s is not None for s in seeds)
 
@@ -248,7 +267,8 @@ class TestThetaSweep:
         filt = Filter.gaussian(0.3)
         grid = default_grid(filt)
         thetas = [math.pi * l / 50 for l in range(0, 25, 4)]
-        result = theta_sweep(model, TrotterPlan(1, 100), filt, grid, thetas)
+        result = theta_sweep(model, TrotterPlan(1, 100), filt, grid, thetas,
+                             search=GapSearchConfig(perturbative_gap_guess(model)))
         eps = [r.eps_gap for r in result.records]
         assert all(b <= a + 1e-12 for a, b in zip(eps, eps[1:]))
         assert eps[0] >= 10 * min(eps)

@@ -7,7 +7,6 @@ from gaplab import (
     SpinModel,
     build_hamiltonians,
     commutator_norm_bounds,
-    dispersion,
     exact_diagonalize,
     exact_gap_thermodynamic,
     perturbative_gap_guess,
@@ -192,12 +191,3 @@ class TestReferenceGaps:
     def test_dispersion_gap(self):
         assert exact_gap_thermodynamic(0.4, 1.0) == pytest.approx(1.2)
         assert exact_gap_thermodynamic(1.0, 1.0) == 0.0
-        up, dn = dispersion(np.pi, 1.0, 1.0)
-        assert up == pytest.approx(2.0)
-        assert dn == pytest.approx(-2.0)
-
-    def test_dispersion_vectorized(self):
-        k = np.linspace(0, np.pi, 7)
-        up, dn = dispersion(k, 0.4, 1.0)
-        assert np.allclose(up, np.sqrt(0.16 + 1 - 0.8 * np.cos(k)))
-        assert np.allclose(up + dn, 0)

@@ -15,10 +15,9 @@ from hypothesis import example, given
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
-from gaplab import (Filter, InputOrientation, SpinModel, TimeGrid, TimeSeries,
-                    TrotterPlan, filter_value, run_time_series, trotter_propagator)
+from gaplab import (Filter, InputOrientation, SpinModel, TimeGrid, TrotterPlan,
+                    filter_value, run_time_series, trotter_propagator)
 from gaplab.scaling import PhaseDiagramRow, phase_diagram_to_csv, read_phase_diagram
-from gaplab.simulator import read_time_series, time_series_to_csv
 from gaplab.spectral import Spectrum, read_spectrum, spectrum_to_csv, transform
 
 from conftest import overlap_by_path
@@ -122,33 +121,6 @@ def test_fft_matches_cosine_sum(series, filt):
     # ulps, so terms carry errors up to ~ 6 pi L eps |w_n|
     scale = grid.dt / (2 * math.pi) * np.sum(p_plus + p_minus)
     assert np.max(np.abs(got - ref)) <= 32 * grid.length * EPS * scale
-
-
-@st.composite
-def time_series(draw):
-    length = 2 * draw(st.integers(1, 40))
-    grid = TimeGrid(dt=draw(st.floats(1e-6, 1e3)), length=length)
-    shots = draw(st.one_of(st.none(), st.integers(1, 10**6)))
-    p_plus = draw(arrays(float, length, elements=unit))
-    p_minus = draw(arrays(float, length, elements=unit))
-    if shots is None:
-        p_plus[0] = p_minus[0] = 1.0
-    seed = None if shots is None else draw(st.integers(0, 2**32 - 1))
-    return TimeSeries(grid=grid, p_plus=p_plus, p_minus=p_minus,
-                      shots=shots, seed=seed)
-
-
-@given(time_series())
-def test_time_series_csv_round_trip(series):
-    with tempfile.TemporaryDirectory() as tmp:
-        path = Path(tmp) / "series.csv"
-        time_series_to_csv(series, path, metadata={"label": "x"})
-        back, meta = read_time_series(path)
-    assert back.grid == series.grid
-    assert np.array_equal(back.p_plus, series.p_plus)
-    assert np.array_equal(back.p_minus, series.p_minus)
-    assert (back.shots, back.seed) == (series.shots, series.seed)
-    assert meta["label"] == "x"
 
 
 @st.composite

@@ -19,8 +19,7 @@ from gaplab import (
     trotter_propagator,
 )
 from gaplab import simulator
-from gaplab.simulator import (MAX_SIMULATED_SPINS, apply_gates, read_time_series,
-                              time_series_to_csv)
+from gaplab.simulator import MAX_SIMULATED_SPINS, apply_gates
 from gaplab.trotter import KAPPA4
 
 from conftest import (gate_sequence_unitary, literal_gate_count, naive_tfim,
@@ -243,6 +242,9 @@ class TestRunTimeSeries:
         with pytest.raises(ParameterError):
             run_time_series(model, TrotterPlan(1, 4), [orientation], self.grid(),
                             shots=0)
+        with pytest.raises(ParameterError):
+            run_time_series(model, TrotterPlan(1, 4), [orientation], self.grid(),
+                            shots=64, seeds=[-1])
 
     @pytest.mark.parametrize("n_spins", [MAX_SIMULATED_SPINS + 1, 13])
     def test_dense_cap_enforced_before_allocation(self, n_spins, monkeypatch):
@@ -299,17 +301,3 @@ class TestRunTimeSeries:
         bad[3] = 1.5
         with pytest.raises(DataError):
             TimeSeries(grid=grid, p_plus=bad, p_minus=np.ones(16))
-
-    def test_csv_round_trip(self, tmp_path):
-        model = SpinModel(3, 0.4, 1.0)
-        [series] = run_time_series(model, TrotterPlan(2, 5),
-                                   [InputOrientation.uniform(3, 0.27 * math.pi)],
-                                   self.grid(), shots=128, seeds=[9])
-        path = tmp_path / "series.csv"
-        time_series_to_csv(series, path, metadata={"n": 3, "j_over_h": 0.4})
-        back, meta = read_time_series(path)
-        assert np.array_equal(back.p_plus, series.p_plus)
-        assert np.array_equal(back.p_minus, series.p_minus)
-        assert back.grid.dt == series.grid.dt
-        assert back.shots == 128 and back.seed == 9
-        assert meta["n"] == 3 and meta["j_over_h"] == 0.4

@@ -1,8 +1,10 @@
 import numpy as np
 import pytest
 
-from gaplab import Filter, ParameterError, TwoPeakModel, peak_shift, two_peak_spectrum
-from gaplab.toymodel import shift_table
+from gaplab import Filter, ParameterError, TwoPeakModel, peak_shift
+from gaplab.toymodel import _amplitude, shift_table
+
+from conftest import with_eta
 
 
 def make_model(family="lorentzian", lam=0.5, eta=0.1, center=1.0, sep_ratio=0.6):
@@ -11,20 +13,15 @@ def make_model(family="lorentzian", lam=0.5, eta=0.1, center=1.0, sep_ratio=0.6)
 
 
 class TestTwoPeakSpectrum:
-    def test_normalized_to_unit_maximum(self):
-        grid = np.linspace(0.2, 2.4, 2001)
-        spec = two_peak_spectrum(make_model(), grid)
-        assert spec.values.max() == pytest.approx(1.0)
-
     def test_single_peak_when_second_vanishes(self):
         grid = np.linspace(0.2, 2.4, 4001)
-        spec = two_peak_spectrum(make_model(lam=0.0, eta=0.05), grid)
-        assert grid[np.argmax(spec.values)] == pytest.approx(1.0, abs=1e-3)
+        vals = _amplitude(make_model(lam=0.0, eta=0.05), grid)
+        assert grid[np.argmax(vals)] == pytest.approx(1.0, abs=1e-3)
 
     def test_two_resolved_maxima_at_small_broadening(self):
         m = make_model(lam=0.5, eta=0.02)
         grid = np.linspace(0.2, 2.4, 8001)
-        vals = two_peak_spectrum(m, grid).values
+        vals = _amplitude(m, grid)
         interior = np.flatnonzero((vals[1:-1] > vals[:-2])
                                   & (vals[1:-1] > vals[2:])) + 1
         peaks = sorted(grid[interior])
@@ -52,7 +49,7 @@ class TestPeakShift:
     def test_monotone_in_broadening(self, family, lam):
         model = make_model(family=family, lam=lam)
         etas = np.linspace(0.03, 0.24, 8)
-        shifts = [peak_shift(model, eta=eta).shift for eta in etas]
+        shifts = [peak_shift(with_eta(model, eta)).shift for eta in etas]
         # non-decreasing up to the optimizer tolerance (gaussian tails keep
         # the true shift at zero until the peaks genuinely overlap)
         assert all(b >= a - 1e-8 for a, b in zip(shifts, shifts[1:]))
@@ -60,16 +57,16 @@ class TestPeakShift:
     @pytest.mark.parametrize("family", ["lorentzian", "gaussian"])
     def test_monotone_in_relative_height(self, family):
         eta = 0.15
-        shifts = [peak_shift(make_model(family=family, lam=lam), eta=eta).shift
+        shifts = [peak_shift(make_model(family=family, lam=lam, eta=eta)).shift
                   for lam in (0.25, 0.5, 1.0)]
         assert shifts[0] <= shifts[1] <= shifts[2]
 
     def test_small_broadening_shift_vanishes(self):
-        res = peak_shift(make_model(lam=0.5), eta=0.01)
+        res = peak_shift(make_model(lam=0.5, eta=0.01))
         assert res.shift < 1e-3
 
     def test_absorbed_at_large_broadening(self):
-        res = peak_shift(make_model(lam=1.0), eta=0.6)
+        res = peak_shift(make_model(lam=1.0, eta=0.6))
         assert res.absorbed
         assert res.shift > 0
 
@@ -79,8 +76,8 @@ class TestPeakShift:
         m_g = make_model(family="gaussian", lam=0.5)
         sep = m_l.separation
         ratios = np.linspace(0.5, 1.2, 36)
-        diffs = [peak_shift(m_l, eta=r * sep / 2).shift
-                 - peak_shift(m_g, eta=r * sep / 2).shift for r in ratios]
+        diffs = [peak_shift(with_eta(m_l, r * sep / 2)).shift
+                 - peak_shift(with_eta(m_g, r * sep / 2)).shift for r in ratios]
         signs = np.sign(diffs)
         flips = [ratios[i] for i in range(len(ratios) - 1)
                  if signs[i] != 0 and signs[i + 1] != 0 and signs[i] != signs[i + 1]]
