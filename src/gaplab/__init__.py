@@ -13,7 +13,7 @@ from .simulator import (Gate, InputOrientation, TimeGrid, TimeSeries,
                         gate_sequence, prepare_input, run_time_series)
 from .spectral import (Spectrum, default_grid, exact_spectrum_oracle,
                        filter_fourier, spectral_function)
-from .toymodel import PeakShiftResult, TwoPeakModel, peak_shift
+from .toymodel import TwoPeakModel, peak_shift
 from .trotter import (KAPPA4, Filter, TrotterPlan, depth_cutoff, filter_value,
                       gate_count, trotter_propagator, truncation_error_bound)
 

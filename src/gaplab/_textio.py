@@ -33,10 +33,6 @@ def write_json(path, payload: dict):
 def _cell(v):
     if isinstance(v, str):
         return v
-    if v is None:
-        return ""
-    if isinstance(v, (bool, np.bool_)):
-        return str(bool(v)).lower()
     if isinstance(v, (int, np.integer)):
         return str(int(v))
     return repr(float(v))

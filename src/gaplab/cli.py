@@ -123,32 +123,28 @@ def _build(cfg):
     return model, plan, _filter(cfg)
 
 
-def _require_broadened(filt, parser):
-    """Exit before simulating when the filter has no width (--filter none or
+def _require_broadened(filt):
+    """Refuse before simulating a filter with no width (--filter none or
     eta = 0): neither the peak search nor the oracle can use a delta line."""
     if not filt.broadened:
-        parser.error("the peak search and the oracle need a broadened filter "
-                     "(eta > 0), not --filter none or --eta-over-h 0")
+        raise ParameterError("the peak search and the oracle need a broadened "
+                             "filter (eta > 0), not --filter none or --eta-over-h 0")
 
 
-def _grid(cfg, filt, parser):
+def _grid(cfg, filt):
     """The run's time grid; records the resolved d_omega and L in cfg."""
     try:
-        d_omega, length = spectral.grid_size(filt, cfg["d_omega_over_h"],
-                                             cfg["l_points"])
+        d_omega, length = spectral.grid_size(filt, cfg["d_omega_over_h"], cfg["l_points"])
     except ParameterError as exc:
-        unbroadened = cfg["d_omega_over_h"] is None and not filt.broadened
-        parser.error(f"{exc}; give --d-omega-over-h" if unbroadened else str(exc))
+        if cfg["d_omega_over_h"] is None and not filt.broadened:
+            raise ParameterError(f"{exc}; give --d-omega-over-h") from exc
+        raise
     cfg["d_omega_over_h"], cfg["l_points"] = d_omega, length
     return spectral.default_grid(filt, d_omega, length)
 
 
-def _public(cfg):
-    return dict(sorted(cfg.items()))
-
-
 def _meta(subcommand, cfg):
-    return {"tool": "gaplab", "subcommand": subcommand, "config": _public(cfg)}
+    return {"tool": "gaplab", "subcommand": subcommand, "config": cfg}
 
 
 # --------------------------------------------------------------------------
@@ -156,51 +152,47 @@ def _meta(subcommand, cfg):
 # --------------------------------------------------------------------------
 
 
-def cmd_depth_bound(cfg, out, parser) -> int:
+def cmd_depth_bound(cfg, out) -> int:
     if min(cfg["t_points"], cfg["n_points"]) < 1 or cfg["n_max"] < 2:
         raise ParameterError("depth-bound needs --t-points and --n-points >= 1 "
                              "and --n-max >= 2")
     filters = [Filter.none(), Filter.lorentzian(cfg["eta_over_h"]),
                Filter.gaussian(cfg["eta_over_h"])]
-    rows = []
-    ts = np.linspace(0.0, cfg["t_max"], cfg["t_points"])
-    model_t = SpinModel(cfg["n"], cfg["j_over_h"], 1.0)
-    for p in (1, 2, 4):
-        for filt in filters:
-            m_c, d_c = depth_cutoff(model_t, p, filt, ts, eps_c=cfg["eps_c"])
-            rows.extend(("t", p, filt.family, filt.eta, cfg["n"], t,
-                         mc, math.ceil(mc), dc)
-                        for t, mc, dc in zip(ts, m_c, d_c))
     n_grid = np.unique(np.round(np.logspace(
         math.log10(2), math.log10(cfg["n_max"]), cfg["n_points"])).astype(int))
-    for p in (1, 2, 4):
-        for filt in filters:
-            for n in n_grid:
-                model_n = SpinModel(int(n), cfg["j_over_h"], 1.0)
-                m_c, d_c = depth_cutoff(model_n, p, filt, cfg["fixed_ht"],
-                                        eps_c=cfg["eps_c"])
-                rows.append(("n", p, filt.family, filt.eta, int(n),
-                             cfg["fixed_ht"], m_c, math.ceil(m_c), d_c))
+    # (scan, chain lengths, times): the time scan, then the size scan at one time
+    scans = (("t", [cfg["n"]], np.linspace(0.0, cfg["t_max"], cfg["t_points"])),
+             ("n", n_grid, np.array([cfg["fixed_ht"]])))
+    rows = []
+    for scan, sizes, ts in scans:
+        for p in (1, 2, 4):
+            for filt in filters:
+                for n in sizes:
+                    m_c, d_c = depth_cutoff(SpinModel(int(n), cfg["j_over_h"], 1.0),
+                                            p, filt, ts, eps_c=cfg["eps_c"])
+                    rows.extend((scan, p, filt.family, filt.eta, int(n), t,
+                                 mc, math.ceil(mc), dc)
+                                for t, mc, dc in zip(ts, m_c, d_c))
     write_table(out, _meta("depth-bound", cfg),
                 ["scan", "p", "filter", "eta_over_h", "n", "ht",
                  "m_c", "m_c_ceil", "d_c"], rows)
     return 0
 
 
-def _spectrum_pipeline(cfg, parser):
-    model, plan, filt = _build(cfg)
-    grid = _grid(cfg, filt, parser)
+def _spectrum_pipeline(cfg, model, plan, filt):
+    grid = _grid(cfg, filt)
     orientation = InputOrientation.uniform(model.n_spins,
                                            cfg["theta_over_pi"] * math.pi)
     [series] = run_time_series(model, plan, [orientation], grid,
                                shots=cfg["shots"], seeds=[cfg["seed"]])
-    return model, plan, filt, grid, orientation, spectral_function(series, filt)
+    return grid, orientation, spectral_function(series, filt)
 
 
-def cmd_spectrum(cfg, out, parser) -> int:
+def cmd_spectrum(cfg, out) -> int:
+    model, plan, filt = _build(cfg)
     if cfg["oracle"]:
-        _require_broadened(_filter(cfg), parser)
-    model, plan, filt, grid, orientation, spec = _spectrum_pipeline(cfg, parser)
+        _require_broadened(filt)
+    grid, orientation, spec = _spectrum_pipeline(cfg, model, plan, filt)
     extra = {}
     if cfg["oracle"]:
         eig = exact_diagonalize(model)
@@ -210,12 +202,12 @@ def cmd_spectrum(cfg, out, parser) -> int:
     return 0
 
 
-def cmd_gap(cfg, out, parser) -> int:
-    model, _, filt = _build(cfg)
-    _require_broadened(filt, parser)
+def cmd_gap(cfg, out) -> int:
+    model, plan, filt = _build(cfg)
+    _require_broadened(filt)
     delta0 = perturbative_gap_guess(model)
     search = _search_config(cfg, delta0)    # refuses a bad window before simulating
-    model, plan, filt, grid, orientation, spec = _spectrum_pipeline(cfg, parser)
+    grid, orientation, spec = _spectrum_pipeline(cfg, model, plan, filt)
     eig = exact_diagonalize(model)
     delta_exact = float(eig.energies[1] - eig.energies[0])
     result = {"delta0": delta0, "delta_exact_ed": delta_exact}
@@ -247,16 +239,16 @@ def _theta_values(cfg):
     return thetas
 
 
-def cmd_sweep_theta(cfg, out, parser) -> int:
+def cmd_sweep_theta(cfg, out) -> int:
     model, plan, filt = _build(cfg)
-    _require_broadened(filt, parser)
-    grid = _grid(cfg, filt, parser)
+    _require_broadened(filt)
+    grid = _grid(cfg, filt)
     guess = perturbative_gap_guess(model)
     result = gapfinder.theta_sweep(model, plan, filt, grid,
                                    _theta_values(cfg), shots=cfg["shots"],
                                    seed=cfg["seed"],
                                    search=_search_config(cfg, guess))
-    gapfinder.sweep_to_json(result, out, metadata=_public(cfg))
+    gapfinder.sweep_to_json(result, out, metadata=cfg)
     n_failed = len(result.failed())
     if n_failed == len(result.records):
         return _FAILURE_EXIT
@@ -268,7 +260,7 @@ def _scaling_cell(cfg, n, coupling):
     return n, model, _search_config(cfg, perturbative_gap_guess(model))
 
 
-def cmd_scaling(cfg, out, parser) -> int:
+def cmd_scaling(cfg, out) -> int:
     """Every cell's chain and search window is checked before the first sweep."""
     sizes, couplings = cfg["n_list"], cfg["j_list"]
     if len(set(sizes)) < len(sizes) or len(sizes) < 3:
@@ -276,12 +268,12 @@ def cmd_scaling(cfg, out, parser) -> int:
     if len(set(couplings)) < len(couplings) or not couplings:
         raise ParameterError(f"--j-list needs distinct couplings, not {couplings}")
     filt = _filter(cfg)
-    _require_broadened(filt, parser)
+    _require_broadened(filt)
     _check_simulated(max(sizes))
     plan = TrotterPlan(cfg["p"], cfg["m"])
     cells = [[_scaling_cell(cfg, n, coupling) for n in sizes]
              for coupling in couplings]
-    grid = _grid(cfg, filt, parser)
+    grid = _grid(cfg, filt)
 
     extrapolations = {}
     samples = []
@@ -309,11 +301,11 @@ def cmd_scaling(cfg, out, parser) -> int:
     scaling.phase_diagram_to_csv(scaling.phase_diagram(extrapolations), out,
                                  metadata=_meta("scaling", cfg))
     if cfg["samples_out"]:
-        write_json(cfg["samples_out"], {"config": _public(cfg), "samples": samples})
+        write_json(cfg["samples_out"], {"config": cfg, "samples": samples})
     return _PARTIAL_EXIT if failed_cells else 0
 
 
-def cmd_toy(cfg, out, parser) -> int:
+def cmd_toy(cfg, out) -> int:
     separation = cfg["separation_ratio"] * cfg["center"]
     rows = toymodel.shift_table(cfg["center"], separation,
                                 cfg["lambda_list"], cfg["eta_list"])
@@ -380,7 +372,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     cfg = _resolve(args, parser)
     try:
-        return _COMMANDS[args.subcommand][0](cfg, args.out, parser)
+        return _COMMANDS[args.subcommand][0](cfg, args.out)
     except (ParameterError, DataError) as exc:
         print(f"gaplab: {exc}", file=sys.stderr)
         return _USAGE_EXIT

@@ -19,7 +19,8 @@ from ._textio import write_json
 from .errors import DataError, GapSearchError, NumericError, ParameterError
 from .model import SpinModel, commutator_norm_bounds, exact_diagonalize
 from .simulator import InputOrientation, TimeGrid, run_time_series
-from .spectral import Spectrum, exact_spectrum_oracle, spectral_function, transform
+from .spectral import (Spectrum, exact_spectrum_oracle, local_maxima,
+                       spectral_function, transform)
 from .trotter import Filter, TrotterPlan, gate_count
 
 #: Gap-error level marking the unfavored orientation zone.
@@ -69,24 +70,21 @@ def find_gap(spectrum: Spectrum, config: GapSearchConfig) -> GapEstimate:
     capped window; the caller restarts with a different guess.
     """
     om, av = spectrum.omegas, spectrum.values
+    peaks = local_maxima(av)
+    peaks = peaks[om[peaks] > 0]
     ceiling = spectrum.omega_max_physical
     for width in _windows(config, spectrum.filter.eta):
         lo = max(config.initial_guess - width / 2.0, 0.0)
         hi = config.initial_guess + width / 2.0
         if ceiling is not None:
             hi = min(hi, ceiling)
-        candidates = [
-            m for m in range(1, len(om) - 1)
-            if lo <= om[m] <= hi and om[m] > 0
-            and av[m] > av[m - 1] and av[m] > av[m + 1]
-        ]
-        if candidates:
-            m = max(candidates, key=lambda m: av[m])
+        inside = peaks[(om[peaks] >= lo) & (om[peaks] <= hi)]
+        if len(inside):
+            m = inside[np.argmax(av[inside])]   # the first of tied maxima
             return GapEstimate(gap=float(om[m]), peak_height=float(av[m]),
                                window_used=width)
     raise GapSearchError(
-        f"no local maximum within +-{max(_windows(config, spectrum.filter.eta)) / 2:.4g} "
-        f"of {config.initial_guess:.4g}")
+        f"no local maximum within +-{width / 2:.4g} of {config.initial_guess:.4g}")
 
 
 def gap_error(estimate, exact_gap: float) -> float:
@@ -97,15 +95,19 @@ def gap_error(estimate, exact_gap: float) -> float:
     return abs(gap - exact_gap) / abs(exact_gap)
 
 
+def _error_ratio(residual: np.ndarray, values: np.ndarray) -> float:
+    """sqrt(sum residual^2 / sum (values - mean)^2), refusing a flat spectrum."""
+    denom = np.sum((values - values.mean()) ** 2)
+    if denom == 0:
+        raise NumericError("spectrum has zero variance")
+    return float(np.sqrt(np.sum(residual**2) / denom))
+
+
 def spectral_error(sim: Spectrum, exact: Spectrum) -> float:
     """Root of the residual-to-variance ratio between two spectra on one grid."""
     if sim.values.shape != exact.values.shape or sim.d_omega != exact.d_omega:
         raise DataError("spectra live on different grids")
-    mean = sim.values.mean()
-    denom = np.sum((sim.values - mean) ** 2)
-    if denom == 0:
-        raise NumericError("simulated spectrum has zero variance")
-    return float(np.sqrt(np.sum((sim.values - exact.values) ** 2) / denom))
+    return _error_ratio(sim.values - exact.values, sim.values)
 
 
 def spectral_error_bound(model: SpinModel, plan: TrotterPlan, filt: Filter,
@@ -121,11 +123,7 @@ def spectral_error_bound(model: SpinModel, plan: TrotterPlan, filt: Filter,
     ones = np.ones(grid.length)
     a_exact = transform(grid, ones, ones, filt)
     d_a = transform(grid, dev, dev, filt)
-    a_hat = a_exact + d_a
-    denom = np.sum((a_hat - a_hat.mean()) ** 2)
-    if denom == 0:
-        raise NumericError("bound spectrum has zero variance")
-    return float(np.sqrt(np.sum(d_a**2) / denom))
+    return _error_ratio(d_a, a_exact + d_a)
 
 
 # --------------------------------------------------------------------------

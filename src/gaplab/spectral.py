@@ -17,7 +17,7 @@ from __future__ import annotations
 
 import math
 import numbers
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -30,7 +30,7 @@ from .trotter import Filter, filter_value
 
 @dataclass
 class Spectrum:
-    """Real spectral values on a frequency grid, with filter and provenance.
+    """Real spectral values on a frequency grid, with their filter.
 
     For DFT-produced spectra the grid covers a full period and the upper half
     mirrors negative frequencies; `omega_max_physical` marks the fold point
@@ -43,7 +43,6 @@ class Spectrum:
     d_omega: float
     filter: Filter
     omega_max_physical: float | None = None
-    provenance: dict = field(default_factory=dict)
 
     def __post_init__(self):
         self.omegas = np.asarray(self.omegas, dtype=float)
@@ -52,12 +51,16 @@ class Spectrum:
             raise DataError("frequency grid and values differ in length")
 
 
+#: Longest time grid; the longest any workload uses is L = 2800 (eta/h = 0.02).
+MAX_GRID_LENGTH = 2**17
+
+
 def grid_size(filt: Filter, d_omega: float | None = None,
               length: int | None = None) -> tuple[float, int]:
     """The default grid rule: d_omega = eta/4 and L = 2 ceil(7h/d_omega).
 
-    An explicit d_omega (positive, finite) or L (positive, even) replaces its
-    rule; without d_omega the filter must carry a broadening eta > 0.
+    An explicit d_omega (positive, finite) or L replaces its rule; L is even and
+    at most MAX_GRID_LENGTH.  Without d_omega the filter must carry eta > 0.
     """
     if d_omega is None:
         if not filt.broadened:
@@ -66,9 +69,13 @@ def grid_size(filt: Filter, d_omega: float | None = None,
     if not 0 < d_omega < math.inf:
         raise ParameterError(f"d_omega must be positive and finite, got {d_omega}")
     if length is None:
+        if 7.0 / d_omega > MAX_GRID_LENGTH // 2:
+            raise ParameterError(f"d_omega = {d_omega} needs L > {MAX_GRID_LENGTH}")
         length = 2 * math.ceil(7.0 / d_omega)
-    if not (isinstance(length, numbers.Integral) and length > 0 and length % 2 == 0):
-        raise ParameterError(f"L must be a positive even integer, got {length}")
+    if not (isinstance(length, numbers.Integral) and 0 < length <= MAX_GRID_LENGTH
+            and length % 2 == 0):
+        raise ParameterError("L must be a positive even integer up to "
+                             f"MAX_GRID_LENGTH = {MAX_GRID_LENGTH}, got {length}")
     return float(d_omega), int(length)
 
 
@@ -92,16 +99,23 @@ def transform(grid: TimeGrid, p_plus: np.ndarray, p_minus: np.ndarray,
     return np.fft.fft(weights).real * (grid.dt / (2.0 * math.pi))
 
 
+def _on_grid(grid: TimeGrid, values: np.ndarray, filt: Filter) -> Spectrum:
+    """Values on the DFT frequency grid omega_m = m d_omega, folded at L/2."""
+    return Spectrum(omegas=np.arange(grid.length) * grid.d_omega, values=values,
+                    d_omega=grid.d_omega, filter=filt,
+                    omega_max_physical=grid.length // 2 * grid.d_omega)
+
+
+def local_maxima(values) -> np.ndarray:
+    """Indices of the strict interior local maxima, in increasing order."""
+    v = np.asarray(values)
+    return np.flatnonzero((v[1:-1] > v[:-2]) & (v[1:-1] > v[2:])) + 1
+
+
 def spectral_function(series: TimeSeries, filt: Filter) -> Spectrum:
     """Filtered spectrum of a measured (or exact) time series."""
-    grid = series.grid
-    values = transform(grid, series.p_plus, series.p_minus, filt)
-    omegas = np.arange(grid.length) * grid.d_omega
-    return Spectrum(
-        omegas=omegas, values=values, d_omega=grid.d_omega, filter=filt,
-        omega_max_physical=grid.length // 2 * grid.d_omega,
-        provenance={"dt": grid.dt, "length": grid.length,
-                    "shots": series.shots, "seed": series.seed})
+    return _on_grid(series.grid,
+                    transform(series.grid, series.p_plus, series.p_minus, filt), filt)
 
 
 def filter_fourier(filt: Filter, omega):
@@ -133,17 +147,13 @@ def exact_spectrum_oracle(eig: EigenDecomposition, orientation: InputOrientation
     keep = pair_w > 1e-14 * pair_w.max()
     gaps, pair_w = gaps[keep], pair_w[keep]
 
-    period = grid.length * grid.d_omega
-    omegas = np.arange(grid.length) * grid.d_omega
-    signed = np.where(omegas <= period / 2, omegas, omegas - period)
-    values = np.zeros(grid.length)
+    spectrum = _on_grid(grid, np.zeros(grid.length), filt)
+    omegas, period = spectrum.omegas, grid.length * grid.d_omega
+    signed = np.where(omegas <= spectrum.omega_max_physical, omegas, omegas - period)
     for k in (-1, 0, 1):
         shifted = signed[:, None] + k * period - gaps[None, :]
-        values += filter_fourier(filt, shifted) @ pair_w
-    return Spectrum(
-        omegas=omegas, values=values, d_omega=grid.d_omega, filter=filt,
-        omega_max_physical=grid.length // 2 * grid.d_omega,
-        provenance={"oracle": True, "images": 1})
+        spectrum.values += filter_fourier(filt, shifted) @ pair_w
+    return spectrum
 
 
 # --------------------------------------------------------------------------
@@ -157,7 +167,6 @@ def spectrum_to_csv(spectrum: Spectrum, path, metadata: dict | None = None,
     meta.update({"d_omega": spectrum.d_omega,
                  "filter": spectrum.filter.family, "eta": spectrum.filter.eta,
                  "omega_max_physical": spectrum.omega_max_physical})
-    meta.update(spectrum.provenance)
     columns = ["m", "omega_m", "A_m"] + list(extra_columns or {})
     extras = [np.asarray(v, dtype=float) for v in (extra_columns or {}).values()]
     rows = ((m, spectrum.omegas[m], spectrum.values[m], *(e[m] for e in extras))

@@ -15,7 +15,7 @@ import numpy as np
 
 from ._textio import write_table
 from .errors import ParameterError
-from .spectral import filter_fourier
+from .spectral import filter_fourier, local_maxima
 from .trotter import Filter
 
 
@@ -35,25 +35,16 @@ class TwoPeakModel:
             raise ParameterError("two-peak model needs a lorentzian or gaussian shape")
 
 
-@dataclass(frozen=True)
-class PeakShiftResult:
-    shift: float         # |c' - c| / c, c' the tracked maximum
-    absorbed: bool       # first peak no longer a distinct local maximum
-
-
 def _amplitude(m: TwoPeakModel, omega):
     return (filter_fourier(m.filter, np.asarray(omega) - m.center)
             + m.relative_height
             * filter_fourier(m.filter, np.asarray(omega) - m.center - m.separation))
 
 
-def peak_shift(m: TwoPeakModel) -> PeakShiftResult:
-    """Relative displacement of the local maximum nearest the first peak center.
-
-    When the broadening swallows the first peak entirely (fewer than two
-    local maxima and a second peak present), the merged maximum is reported
-    with `absorbed` set.
-    """
+def peak_shift(m: TwoPeakModel) -> float:
+    """Relative displacement |c' - c| / c of the local maximum c' nearest the
+    first peak center c; once the broadening merges the two peaks, c' is the
+    merged maximum."""
     from scipy.optimize import minimize_scalar  # deferred: costs ~0.25 s to import
 
     width = m.filter.eta
@@ -62,7 +53,7 @@ def peak_shift(m: TwoPeakModel) -> PeakShiftResult:
     n_pts = min(max(2001, int(40 * (hi - lo) / max(width, 1e-3))), 40001)
     grid = np.linspace(lo, hi, n_pts)
     vals = _amplitude(m, grid)
-    interior = np.flatnonzero((vals[1:-1] > vals[:-2]) & (vals[1:-1] > vals[2:])) + 1
+    interior = local_maxima(vals)
     if len(interior) == 0:
         raise ParameterError("no maximum found: broadening too small for the grid")
     tracked = min(interior, key=lambda i: abs(grid[i] - m.center))
@@ -70,9 +61,7 @@ def peak_shift(m: TwoPeakModel) -> PeakShiftResult:
                           bounds=(grid[tracked - 1], grid[tracked + 1]),
                           method="bounded",
                           options={"xatol": 1e-10 * m.center})
-    return PeakShiftResult(
-        shift=abs(float(res.x) - m.center) / m.center,
-        absorbed=bool(m.relative_height > 0 and len(interior) < 2))
+    return abs(float(res.x) - m.center) / m.center
 
 
 def shift_table(center: float, separation: float, lambdas, etas):
@@ -86,7 +75,7 @@ def shift_table(center: float, separation: float, lambdas, etas):
             for eta in etas:
                 m = TwoPeakModel(center=center, separation=separation,
                                  relative_height=lam, filter=Filter(family, float(eta)))
-                rows.append((float(eta), float(lam), family, peak_shift(m).shift))
+                rows.append((float(eta), float(lam), family, peak_shift(m)))
     return rows
 
 

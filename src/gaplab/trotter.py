@@ -141,8 +141,6 @@ def _step(model: SpinModel, order: int, dt: float) -> np.ndarray:
 
 def trotter_propagator(model: SpinModel, plan: TrotterPlan, t: float) -> np.ndarray:
     """U_M(t) = [U(t/M)]^M."""
-    if t == 0:
-        return np.eye(model.dim, dtype=complex)
     step = _step(model, plan.order, t / plan.depth)
     return np.linalg.matrix_power(step, plan.depth)
 
@@ -162,6 +160,7 @@ def depth_cutoff(model: SpinModel, order: int, filt: Filter, t,
 
     M_c = (C/eps_c)^{1/p} t^{1+1/p} F(t)^{1/p}; D_c multiplies by the gate
     count per iteration.  Returned as reals; round up when budgeting circuits.
+    A budget that overflows to inf or NaN is refused.
     """
     if not 0 < eps_c < math.inf:
         raise ParameterError(f"eps_c must be positive and finite, got {eps_c}")
@@ -169,9 +168,12 @@ def depth_cutoff(model: SpinModel, order: int, filt: Filter, t,
     if not np.all(np.isfinite(ta)):
         raise ParameterError("times must be finite")
     c = commutator_norm_bounds(model, order).prefactor
-    m_c = (c / eps_c) ** (1.0 / order) * ta ** (1.0 + 1.0 / order) \
-        * filter_value(filt, ta) ** (1.0 / order)
-    d_c = gate_count(order, model.n_spins) * m_c
+    with np.errstate(over="ignore", invalid="ignore"):   # refused just below
+        m_c = (c / eps_c) ** (1.0 / order) * ta ** (1.0 + 1.0 / order) \
+            * filter_value(filt, ta) ** (1.0 / order)
+        d_c = gate_count(order, model.n_spins) * m_c
+    if not np.all(np.isfinite(d_c)):
+        raise ParameterError(f"depth budget overflows: eps_c {eps_c}, |t| <= {ta.max()}")
     if m_c.ndim:
         return m_c, d_c
     return float(m_c), float(d_c)

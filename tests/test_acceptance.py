@@ -270,18 +270,18 @@ def test_criterion_10_two_peak_shift():
                                    filter=Filter(family, 0.1))
               for family in ("lorentzian", "gaussian")}
     for family, model in models.items():
-        shifts = [peak_shift(with_eta(model, eta)).shift
+        shifts = [peak_shift(with_eta(model, eta))
                   for eta in np.linspace(0.04, 0.26, 12)]
         assert all(b >= a - 1e-8 for a, b in zip(shifts, shifts[1:]))
     for eta in (0.12, 0.2):
         row = [peak_shift(TwoPeakModel(center=1.0, separation=sep,
                                        relative_height=lam,
-                                       filter=Filter.lorentzian(eta))).shift
+                                       filter=Filter.lorentzian(eta)))
                for lam in (0.25, 0.5, 1.0)]
         assert row[0] <= row[1] <= row[2]
     ratios = np.linspace(0.5, 1.2, 36)
-    diffs = [peak_shift(with_eta(models["lorentzian"], r * sep / 2)).shift
-             - peak_shift(with_eta(models["gaussian"], r * sep / 2)).shift
+    diffs = [peak_shift(with_eta(models["lorentzian"], r * sep / 2))
+             - peak_shift(with_eta(models["gaussian"], r * sep / 2))
              for r in ratios]
     signs = np.sign(diffs)
     flips = [ratios[i] for i in range(len(ratios) - 1)

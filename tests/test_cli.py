@@ -1,4 +1,5 @@
 import argparse
+import importlib.util
 import json
 import math
 import os
@@ -60,6 +61,14 @@ class TestDepthBound:
         assert float(row[6]) == pytest.approx(m_c, rel=1e-12)
         assert float(row[8]) == pytest.approx(d_c, rel=1e-12)
         assert int(row[7]) == math.ceil(m_c)
+
+    @pytest.mark.parametrize("argv", [
+        ["--t-max", "1e300"], ["--fixed-ht", "1e300"], ["--eps-c", "1e-320"]])
+    def test_overflowing_budget_refused(self, tmp_path, no_simulation, capsys, argv):
+        out = tmp_path / "depth.csv"
+        assert run(["depth-bound", *argv, "--out", str(out)]) == 1
+        assert not out.exists()
+        assert capsys.readouterr().err.startswith("gaplab:")
 
 
 class TestSpectrum:
@@ -132,20 +141,19 @@ class TestSpectrum:
         assert exc.value.code == 1
 
     def test_filter_none_needs_explicit_grid(self, tmp_path, capsys):
-        with pytest.raises(SystemExit) as exc:
-            run(["spectrum", "--filter", "none", "--exact",
-                 "--out", str(tmp_path / "x.csv")])
-        assert exc.value.code == 1
+        assert run(["spectrum", "--filter", "none", "--exact",
+                    "--out", str(tmp_path / "x.csv")]) == 1
         assert "give --d-omega-over-h" in capsys.readouterr().err
 
     @pytest.mark.parametrize("command", ["gap", "spectrum", "sweep-theta", "scaling"])
-    @pytest.mark.parametrize("argv", [["--d-omega-over-h", "0"], ["--l-points", "0"]])
+    @pytest.mark.parametrize("argv", [
+        ["--d-omega-over-h", "0"], ["--l-points", "0"],
+        # grids longer than MAX_GRID_LENGTH = 2**17
+        ["--d-omega-over-h", "5e-324"], ["--l-points", "131074"]])
     def test_impossible_grid_refused_before_simulating(self, tmp_path, no_simulation,
                                                        capsys, command, argv):
         out = tmp_path / "x.out"
-        with pytest.raises(SystemExit) as exc:
-            run([command, *argv, "--out", str(out)])
-        assert exc.value.code == 1
+        assert run([command, *argv, "--out", str(out)]) == 1
         assert not out.exists()
         assert "give --d-omega-over-h" not in capsys.readouterr().err
 
@@ -235,10 +243,8 @@ class TestUnfilteredRuns:
     @pytest.mark.parametrize("command", ["gap", "sweep-theta", "scaling"])
     def test_gap_commands_reject_filter_none_before_simulating(
             self, tmp_path, no_simulation, command):
-        with pytest.raises(SystemExit) as exc:
-            run([command, "--exact", "--filter", "none", "--d-omega-over-h",
-                 "0.075", "--out", str(tmp_path / "x.out")])
-        assert exc.value.code == 1
+        assert run([command, "--exact", "--filter", "none", "--d-omega-over-h",
+                    "0.075", "--out", str(tmp_path / "x.out")]) == 1
 
     @pytest.mark.parametrize("argv", [
         ["gap", "--d-omega-over-h", "0.1"],
@@ -248,9 +254,8 @@ class TestUnfilteredRuns:
         ["gap"]])
     def test_zero_broadening_refused_before_simulating(self, tmp_path, no_simulation,
                                                        capsys, argv):
-        with pytest.raises(SystemExit) as exc:
-            run(argv + ["--exact", "--eta-over-h", "0", "--out", str(tmp_path / "x.out")])
-        assert exc.value.code == 1
+        assert run(argv + ["--exact", "--eta-over-h", "0",
+                           "--out", str(tmp_path / "x.out")]) == 1
         assert "need a broadened filter" in capsys.readouterr().err
 
     def test_spectrum_accepts_filter_none(self, tmp_path):
@@ -365,6 +370,32 @@ class TestBenchmarkReference:
             return a == b
 
         assert close(got, want)
+
+    @pytest.mark.parametrize("workload", ["scaling_shots", "long_time_exact"])
+    def test_traced_quick_run_binds_every_boundary(self, tmp_path, monkeypatch,
+                                                    workload):
+        # the benchmark's tracer wraps module-level names from outside the
+        # package (perfbench/tracing.py BOUNDARIES) and binds counters to their
+        # signatures; a renamed, moved or re-signed name shows as absent, as a
+        # null metric or as a failed run
+        bench = Path(__file__).resolve().parents[1] / "perfbench"
+        spec = importlib.util.spec_from_file_location("perfbench_workloads",
+                                                      bench / "workloads.py")
+        workloads = importlib.util.module_from_spec(spec)
+        monkeypatch.setitem(sys.modules, spec.name, workloads)   # for its dataclass
+        spec.loader.exec_module(workloads)
+        argv = workloads.command(workloads.WORKLOADS[workload], 1, quick=True)
+        env = dict(os.environ, PYTHONPATH=str(Path(gaplab.__file__).parents[1]),
+                   OPENBLAS_NUM_THREADS="1", OMP_NUM_THREADS="1", MKL_NUM_THREADS="1")
+        proc = subprocess.run(
+            [sys.executable, str(bench / "child.py"),
+             json.dumps({"argv": argv, "trace": True})],
+            cwd=tmp_path, env=env, capture_output=True, text=True, timeout=120)
+        assert proc.returncode == 0, proc.stderr
+        result = json.loads(proc.stdout.strip().splitlines()[-1])
+        assert result["exit"] == 0
+        assert result["absent"] == ["simulator.propagator_overlap"]
+        assert None not in result["layers"].values()
 
 
 class TestToy:

@@ -1,6 +1,7 @@
 """Property tests: the batched propagation engine against the per-gate circuit
 and the decoupled closed form, the time-reversal mirror the engine relies on,
-the FFT transform against the cosine sum, and file round trips.
+the FFT transform against the cosine sum, the vectorized peak search against a
+per-index scan, and file round trips.
 
 Examples are drawn under the derandomized profile loaded in conftest, so a
 run is repeatable.
@@ -15,8 +16,11 @@ from hypothesis import example, given
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
-from gaplab import (Filter, InputOrientation, SpinModel, TimeGrid, TrotterPlan,
-                    filter_value, run_time_series, trotter_propagator)
+from gaplab import (Filter, GapEstimate, GapSearchConfig, GapSearchError,
+                    InputOrientation, ParameterError, SpinModel, TimeGrid,
+                    TrotterPlan, filter_value, find_gap, run_time_series,
+                    trotter_propagator)
+from gaplab.gapfinder import _windows
 from gaplab.scaling import PhaseDiagramRow, phase_diagram_to_csv, read_phase_diagram
 from gaplab.spectral import Spectrum, read_spectrum, spectrum_to_csv, transform
 
@@ -121,6 +125,60 @@ def test_fft_matches_cosine_sum(series, filt):
     # ulps, so terms carry errors up to ~ 6 pi L eps |w_n|
     scale = grid.dt / (2 * math.pi) * np.sum(p_plus + p_minus)
     assert np.max(np.abs(got - ref)) <= 32 * grid.length * EPS * scale
+
+
+def find_gap_by_scan(spectrum, config):
+    """Reference: every window tests each grid index for a strict local maximum
+    in [lo, hi] with omega > 0, and keeps the tallest, the first of ties."""
+    om, av = spectrum.omegas, spectrum.values
+    ceiling = spectrum.omega_max_physical
+    for width in _windows(config, spectrum.filter.eta):
+        lo = max(config.initial_guess - width / 2.0, 0.0)
+        hi = config.initial_guess + width / 2.0
+        if ceiling is not None:
+            hi = min(hi, ceiling)
+        candidates = [
+            m for m in range(1, len(om) - 1)
+            if lo <= om[m] <= hi and om[m] > 0
+            and av[m] > av[m - 1] and av[m] > av[m + 1]
+        ]
+        if candidates:
+            m = max(candidates, key=lambda m: av[m])
+            return GapEstimate(gap=float(om[m]), peak_height=float(av[m]),
+                               window_used=width)
+    raise GapSearchError(
+        f"no local maximum within +-{max(_windows(config, spectrum.filter.eta)) / 2:.4g} "
+        f"of {config.initial_guess:.4g}")
+
+
+@st.composite
+def peak_searches(draw):
+    """(spectrum, config): values from a small integer set, so ties and
+    plateaus occur, on a DFT grid with or without its fold."""
+    length = draw(st.integers(3, 40))
+    d_omega = draw(st.sampled_from((0.05, 0.1, 0.25)))
+    values = draw(arrays(float, length, elements=st.sampled_from((0.0, 1.0, 2.0, 3.0))))
+    fold = draw(st.sampled_from((None, length // 2 * d_omega)))
+    spectrum = Spectrum(omegas=np.arange(length) * d_omega, values=values,
+                        d_omega=d_omega, filter=Filter.gaussian(draw(st.floats(0.1, 2.0))),
+                        omega_max_physical=fold)
+    window = draw(st.one_of(st.none(), st.floats(0.1, 4.0)))
+    cap = None if window is None else draw(st.one_of(
+        st.none(), st.floats(1.0, 8.0).map(lambda f: f * window)))
+    guess = draw(st.floats(0.01, 0.6 * length * d_omega))
+    return spectrum, GapSearchConfig(guess, initial_window=window, max_window=cap)
+
+
+def _outcome(search, spectrum, config):
+    try:
+        return search(spectrum, config)
+    except (GapSearchError, ParameterError) as exc:
+        return type(exc), str(exc)
+
+
+@given(peak_searches())
+def test_find_gap_matches_per_index_scan(case):
+    assert _outcome(find_gap, *case) == _outcome(find_gap_by_scan, *case)
 
 
 @st.composite

@@ -21,7 +21,7 @@ from gaplab import (
     prepare_input,
     spectral_function,
 )
-from gaplab.spectral import read_spectrum, spectrum_to_csv
+from gaplab.spectral import MAX_GRID_LENGTH, grid_size, read_spectrum, spectrum_to_csv
 
 
 def series_from_values(grid, values):
@@ -49,6 +49,18 @@ class TestDefaultGrid:
     def test_needs_broadening(self):
         with pytest.raises(ParameterError):
             default_grid(Filter.none())
+
+    @pytest.mark.parametrize("filt, d_omega", [
+        (Filter.gaussian(0.3), 1e-9), (Filter.gaussian(1e-9), None)])
+    def test_grid_above_the_cap_refused(self, filt, d_omega):
+        with pytest.raises(ParameterError):
+            grid_size(filt, d_omega)
+
+    def test_cap_is_reachable(self):
+        # 7 / d_omega = 2**16 exactly: the default rule lands on the cap
+        assert grid_size(Filter.none(), 7.0 / 2**16) == (7.0 / 2**16, MAX_GRID_LENGTH)
+        with pytest.raises(ParameterError):
+            grid_size(Filter.none(), 1.0, MAX_GRID_LENGTH + 2)
 
 
 class TestSpectralFunction:

@@ -40,16 +40,14 @@ class TestTwoPeakSpectrum:
 class TestPeakShift:
     def test_vanishing_second_peak_means_no_shift(self):
         for family in ("lorentzian", "gaussian"):
-            res = peak_shift(make_model(family=family, lam=0.0, eta=0.12))
-            assert res.shift <= 1e-8
-            assert not res.absorbed
+            assert peak_shift(make_model(family=family, lam=0.0, eta=0.12)) <= 1e-8
 
     @pytest.mark.parametrize("family", ["lorentzian", "gaussian"])
     @pytest.mark.parametrize("lam", [0.25, 0.5, 1.0])
     def test_monotone_in_broadening(self, family, lam):
         model = make_model(family=family, lam=lam)
         etas = np.linspace(0.03, 0.24, 8)
-        shifts = [peak_shift(with_eta(model, eta)).shift for eta in etas]
+        shifts = [peak_shift(with_eta(model, eta)) for eta in etas]
         # non-decreasing up to the optimizer tolerance (gaussian tails keep
         # the true shift at zero until the peaks genuinely overlap)
         assert all(b >= a - 1e-8 for a, b in zip(shifts, shifts[1:]))
@@ -57,18 +55,12 @@ class TestPeakShift:
     @pytest.mark.parametrize("family", ["lorentzian", "gaussian"])
     def test_monotone_in_relative_height(self, family):
         eta = 0.15
-        shifts = [peak_shift(make_model(family=family, lam=lam, eta=eta)).shift
+        shifts = [peak_shift(make_model(family=family, lam=lam, eta=eta))
                   for lam in (0.25, 0.5, 1.0)]
         assert shifts[0] <= shifts[1] <= shifts[2]
 
     def test_small_broadening_shift_vanishes(self):
-        res = peak_shift(make_model(lam=0.5, eta=0.01))
-        assert res.shift < 1e-3
-
-    def test_absorbed_at_large_broadening(self):
-        res = peak_shift(make_model(lam=1.0, eta=0.6))
-        assert res.absorbed
-        assert res.shift > 0
+        assert peak_shift(make_model(lam=0.5, eta=0.01)) < 1e-3
 
     def test_family_shift_curves_cross_near_published_point(self):
         # lorentzian leads below, gaussian above; crossing near 2 eta/sep = 0.85
@@ -76,8 +68,8 @@ class TestPeakShift:
         m_g = make_model(family="gaussian", lam=0.5)
         sep = m_l.separation
         ratios = np.linspace(0.5, 1.2, 36)
-        diffs = [peak_shift(with_eta(m_l, r * sep / 2)).shift
-                 - peak_shift(with_eta(m_g, r * sep / 2)).shift for r in ratios]
+        diffs = [peak_shift(with_eta(m_l, r * sep / 2))
+                 - peak_shift(with_eta(m_g, r * sep / 2)) for r in ratios]
         signs = np.sign(diffs)
         flips = [ratios[i] for i in range(len(ratios) - 1)
                  if signs[i] != 0 and signs[i + 1] != 0 and signs[i] != signs[i + 1]]

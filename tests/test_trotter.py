@@ -213,3 +213,11 @@ class TestDepthCutoff:
     def test_eps_c_validation(self):
         with pytest.raises(ParameterError):
             depth_cutoff(SpinModel(4, 0.4, 1.0), 1, Filter.none(), 1.0, eps_c=0.0)
+
+    @pytest.mark.parametrize("filt, t, eps_c", [
+        (Filter.none(), 1e300, 1e-2),           # M_c = inf
+        (Filter.gaussian(0.3), 1e300, 1e-2),    # inf * 0 = NaN
+        (Filter.none(), np.array([0.0, 1.0]), 1e-320)])
+    def test_overflowing_budget_refused(self, filt, t, eps_c):
+        with pytest.raises(ParameterError):
+            depth_cutoff(SpinModel(4, 0.4, 1.0), 1, filt, t, eps_c=eps_c)
