@@ -156,6 +156,8 @@ def cmd_depth_bound(cfg, out) -> int:
     if min(cfg["t_points"], cfg["n_points"]) < 1 or cfg["n_max"] < 2:
         raise ParameterError("depth-bound needs --t-points and --n-points >= 1 "
                              "and --n-max >= 2")
+    if not all(map(math.isfinite, (cfg["t_max"], cfg["fixed_ht"]))):
+        raise ParameterError("depth-bound needs finite --t-max and --fixed-ht")
     filters = [Filter.none(), Filter.lorentzian(cfg["eta_over_h"]),
                Filter.gaussian(cfg["eta_over_h"])]
     n_grid = np.unique(np.round(np.logspace(

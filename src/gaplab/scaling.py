@@ -10,6 +10,7 @@ coupling, sorted by J/h, beside the exact reference 2|1 - J/h|.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -32,10 +33,20 @@ class Extrapolation:
 
 
 def _t_quantile(dof: int) -> float:
-    """Two-sided Student-t quantile at CONFIDENCE; scipy is imported on first
-    use, since it costs about 0.4 s of start-up that only extrapolation needs."""
-    from scipy.special import stdtrit
-    return stdtrit(dof, 0.5 + CONFIDENCE / 2.0)
+    """Two-sided Student-t quantile at CONFIDENCE for integer dof >= 1.
+    P(|T| <= sqrt(dof) tan theta) is a finite trigonometric sum (Abramowitz &
+    Stegun 26.7.3-26.7.4) rising in theta on (0, pi/2); bisection until the
+    midpoint stops moving gives the quantile to rounding."""
+    lo, hi = 0.0, math.pi / 2
+    while lo < (theta := 0.5 * (lo + hi)) < hi:
+        c, s = math.cos(theta), math.sin(theta)
+        term = total = float(dof > 1)
+        for j in range(2 + dof % 2, dof, 2):
+            term *= c * c * (j - 1) / j
+            total += term
+        cover = 2.0 / math.pi * (theta + s * c * total) if dof % 2 else s * total
+        lo, hi = (theta, hi) if cover < CONFIDENCE else (lo, theta)
+    return math.sqrt(dof) * math.tan(theta)
 
 
 def extrapolate(points) -> Extrapolation:

@@ -7,8 +7,8 @@ all-zeros outcome,
     P(t) = |<psi| U_M(t) |psi>|^2,
 
 on a uniform time grid for both time directions.  Finite measurement
-statistics replace each P by a seeded binomial draw over the single
-all-zeros event.
+statistics replace each P by a binomial draw over the single all-zeros
+event, one seeded draw per orientation covering both branches.
 
 One engine, `run_time_series`, produces every series: it builds the dense
 U_M(t) once per positive time and applies it to all input orientations
@@ -189,9 +189,10 @@ def run_time_series(model: SpinModel, plan: TrotterPlan, orientations,
     times builds one propagator and applies it to all K input states at once;
     memory stays O(dim^2 + dim K).  The minus branch is its exact mirror: real
     inputs and real-angle steps give U_M(-t) = conj U_M(t) bit for bit, so
-    p_minus is a copy of p_plus.  In shot mode each (seed, branch, n) point
-    draws from its own generator, so any execution order gives identical
-    data; `seeds` holds one seed >= 0 per orientation (default 0 for each).
+    p_minus is a copy of p_plus.  In shot mode one draw per orientation,
+    default_rng(seed).binomial(shots, block), covers its whole (2, L) block,
+    so a series depends on its own seed alone, not on its batch; `seeds`
+    holds one seed >= 0 per orientation (default 0 for each).
     """
     _check_simulated(model.n_spins)
     orientations = list(orientations)
@@ -213,10 +214,7 @@ def run_time_series(model: SpinModel, plan: TrotterPlan, orientations,
     probs[:, 1] = probs[:, 0]
     if shots is not None:
         for k, seed in enumerate(seeds):
-            for b in range(2):
-                for n in range(grid.length):
-                    rng = np.random.default_rng([seed, b, n])
-                    probs[k, b, n] = rng.binomial(shots, probs[k, b, n]) / shots
+            probs[k] = np.random.default_rng(seed).binomial(shots, probs[k]) / shots
     return [TimeSeries(grid=grid, p_plus=p[0], p_minus=p[1], shots=shots,
                        seed=seed if shots is not None else None)
             for p, seed in zip(probs, seeds)]

@@ -2,8 +2,8 @@
 
 The spectrum A(w) ~ A0(w - c) + lam * A0(w - c - sep) overlaps two unit-area
 line shapes; the tracked observable is the relative displacement of the local
-maximum nearest c as the broadening grows.  Everything is closed-form, so the
-maximum is located by bounded scalar minimization rather than any transform.
+maximum nearest c as the broadening grows.  Everything is closed-form, so a
+golden-section search inside a grid bracket locates the maximum, no transform.
 """
 
 from __future__ import annotations
@@ -45,23 +45,28 @@ def peak_shift(m: TwoPeakModel) -> float:
     """Relative displacement |c' - c| / c of the local maximum c' nearest the
     first peak center c; once the broadening merges the two peaks, c' is the
     merged maximum."""
-    from scipy.optimize import minimize_scalar  # deferred: costs ~0.25 s to import
-
     width = m.filter.eta
-    lo = m.center - m.separation
-    hi = m.center + 1.5 * m.separation + 2.0 * width
+    lo, hi = m.center - m.separation, m.center + 1.5 * m.separation + 2.0 * width
     n_pts = min(max(2001, int(40 * (hi - lo) / max(width, 1e-3))), 40001)
     grid = np.linspace(lo, hi, n_pts)
-    vals = _amplitude(m, grid)
-    interior = local_maxima(vals)
+    interior = local_maxima(_amplitude(m, grid))
     if len(interior) == 0:
         raise ParameterError("no maximum found: broadening too small for the grid")
     tracked = min(interior, key=lambda i: abs(grid[i] - m.center))
-    res = minimize_scalar(lambda w: -_amplitude(m, w),
-                          bounds=(grid[tracked - 1], grid[tracked + 1]),
-                          method="bounded",
-                          options={"xatol": 1e-10 * m.center})
-    return abs(float(res.x) - m.center) / m.center
+    a, b = grid[tracked - 1], grid[tracked + 1]
+    r = (math.sqrt(5.0) - 1.0) / 2.0      # golden-section search for the maximum
+    c, d = b - r * (b - a), a + r * (b - a)
+    fc, fd = _amplitude(m, c), _amplitude(m, d)
+    while b - a > 1e-10 * m.center:
+        if fc > fd:
+            b, d, fd = d, c, fc
+            c = b - r * (b - a)
+            fc = _amplitude(m, c)
+        else:
+            a, c, fc = c, d, fd
+            d = a + r * (b - a)
+            fd = _amplitude(m, d)
+    return abs(float(0.5 * (a + b)) - m.center) / m.center
 
 
 def shift_table(center: float, separation: float, lambdas, etas):

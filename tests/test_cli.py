@@ -528,11 +528,13 @@ def _float_settings():
                 yield command, key
 
 
+@pytest.mark.filterwarnings("error::RuntimeWarning")
 @pytest.mark.parametrize("value", ["nan", "inf"])
 @pytest.mark.parametrize("command, key", list(_float_settings()))
 def test_non_finite_settings_refused(tmp_path, no_simulation, capsys, command, key,
                                      value):
-    # every float setting of every subcommand, including ones added later
+    # every float setting of every subcommand, including ones added later,
+    # refused before numpy computes with it (a RuntimeWarning fails the row)
     out = tmp_path / "x.out"
     try:
         code = run([command, "--" + key.replace("_", "-"), value, "--out", str(out)])
@@ -544,13 +546,20 @@ def test_non_finite_settings_refused(tmp_path, no_simulation, capsys, command, k
     assert err.startswith("gaplab:") or err.startswith("usage:")
 
 
-def test_import_leaves_scipy_stats_unloaded():
-    # scipy costs over half a second of start-up that gap, spectrum and
-    # sweep-theta never use: scaling and toymodel import it on first call
+def test_runs_load_no_scipy(tmp_path):
+    # scipy is a test-side oracle only: a shot-mode scaling run (the t
+    # quantile) and a toy run (the peak search) must not import any of it
+    scaling_argv = ["scaling", "--j-list", "0.4", "--n-list", "2,3,4", "--shots", "64",
+                    "--theta-count", "3", "--m", "20",
+                    "--out", str(tmp_path / "diagram.csv")]
+    toy_argv = ["toy", "--lambda-list", "0.5", "--eta-list", "0.1",
+                "--out", str(tmp_path / "toy.csv")]
     env = dict(os.environ, PYTHONPATH=str(Path(gaplab.__file__).parents[1]))
     out = subprocess.run(
         [sys.executable, "-c",
-         "import sys, gaplab.cli; "
-         "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"],
+         "import sys; from gaplab.cli import main; "
+         f"assert main({scaling_argv!r}) == 0 and main({toy_argv!r}) == 0; "
+         "print(sorted(m for m in sys.modules if m.startswith('scipy')))"],
         env=env, capture_output=True, text=True, check=True)
     assert out.stdout.strip() == "[]"
+    assert (tmp_path / "diagram.csv").exists() and (tmp_path / "toy.csv").exists()

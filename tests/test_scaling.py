@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 from scipy import stats
+from scipy.special import stdtrit
 
 from gaplab import (
     DataError,
@@ -10,7 +11,7 @@ from gaplab import (
     perturbative_gap_guess,
     phase_diagram,
 )
-from gaplab.scaling import phase_diagram_to_csv, read_phase_diagram
+from gaplab.scaling import _t_quantile, phase_diagram_to_csv, read_phase_diagram
 
 
 def ols_normal_equations(sizes, gaps):
@@ -62,6 +63,11 @@ class TestExtrapolate:
         half = stats.t.ppf(0.975, 2) * se
         assert ex.confidence_band[0] == pytest.approx(ex.intercept - half, rel=1e-10)
         assert ex.confidence_band[1] == pytest.approx(ex.intercept + half, rel=1e-10)
+
+    def test_t_quantile_matches_scipy(self):
+        # the closed-form quantile against scipy's inverse Student-t CDF
+        for dof in range(1, 200):
+            assert _t_quantile(dof) == pytest.approx(stdtrit(dof, 0.975), rel=1e-13)
 
     def test_band_shrinks_with_noise(self, rng):
         widths = []

@@ -204,6 +204,21 @@ class TestRunTimeSeries:
             sigma = np.sqrt(np.maximum(e_arr * (1 - e_arr), 1e-12) / shots)
             assert np.all(np.abs(s_arr - e_arr) <= 3.0 * sigma + 1e-9)
 
+    @pytest.mark.parametrize("seed", [0, 7, 2**32 - 1])
+    def test_one_binomial_draw_per_orientation(self, seed):
+        # the draw contract: one generator per orientation seed draws the
+        # whole (2, L) block of both branches in one call
+        model = SpinModel(3, 0.4, 1.0)
+        orientation = InputOrientation.uniform(3, 0.27 * math.pi)
+        plan = TrotterPlan(1, 4)
+        [exact] = run_time_series(model, plan, [orientation], self.grid())
+        exact_block = np.stack([exact.p_plus, exact.p_minus])
+        [noisy] = run_time_series(model, plan, [orientation], self.grid(),
+                                  shots=256, seeds=[seed])
+        drawn = np.random.default_rng(seed).binomial(256, exact_block) / 256
+        assert np.array_equal(noisy.p_plus, drawn[0])
+        assert np.array_equal(noisy.p_minus, drawn[1])
+
     def test_shot_mode_start_is_exact(self):
         model = SpinModel(3, 0.4, 1.0)
         [series] = run_time_series(model, TrotterPlan(1, 4),

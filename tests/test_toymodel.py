@@ -1,7 +1,9 @@
 import numpy as np
 import pytest
+from scipy.optimize import minimize_scalar
 
 from gaplab import Filter, ParameterError, TwoPeakModel, peak_shift
+from gaplab.spectral import local_maxima
 from gaplab.toymodel import _amplitude, shift_table
 
 from conftest import with_eta
@@ -37,7 +39,32 @@ class TestTwoPeakSpectrum:
                          filter=Filter.lorentzian(0.1))
 
 
+def scipy_peak_shift(m):
+    """Reference: the same grid bracket, maximized by scipy's bounded method."""
+    lo = m.center - m.separation
+    hi = m.center + 1.5 * m.separation + 2.0 * m.filter.eta
+    n_pts = min(max(2001, int(40 * (hi - lo) / max(m.filter.eta, 1e-3))), 40001)
+    grid = np.linspace(lo, hi, n_pts)
+    tracked = min(local_maxima(_amplitude(m, grid)),
+                  key=lambda i: abs(grid[i] - m.center))
+    res = minimize_scalar(lambda w: -_amplitude(m, w),
+                          bounds=(grid[tracked - 1], grid[tracked + 1]),
+                          method="bounded", options={"xatol": 1e-10 * m.center})
+    return abs(float(res.x) - m.center) / m.center
+
+
 class TestPeakShift:
+    @pytest.mark.parametrize("family", ["lorentzian", "gaussian"])
+    @pytest.mark.parametrize("lam", [0.25, 0.5, 1.0])
+    def test_matches_scipy_bounded_search(self, family, lam):
+        # criterion 10's models; scipy's bounded method resolves x only to
+        # about sqrt(eps) |x|, so agreement is to a few 1e-8
+        for eta in np.linspace(0.04, 0.3, 12):
+            m = make_model(family=family, lam=lam, eta=float(eta))
+            shift = peak_shift(m)
+            assert type(shift) is float
+            assert shift == pytest.approx(scipy_peak_shift(m), abs=5e-8)
+
     def test_vanishing_second_peak_means_no_shift(self):
         for family in ("lorentzian", "gaussian"):
             assert peak_shift(make_model(family=family, lam=0.0, eta=0.12)) <= 1e-8
