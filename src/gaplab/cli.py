@@ -20,7 +20,8 @@ import numpy as np
 
 from . import gapfinder, scaling, spectral, toymodel, trotter
 from ._textio import write_json, write_table
-from .errors import DataError, GapSearchError, GaplabError, ParameterError
+from .errors import (DataError, GapSearchError, GaplabError, ParameterError,
+                     is_count)
 from .gapfinder import GapSearchConfig, find_gap, gap_error, spectral_error
 from .model import SpinModel, exact_diagonalize, perturbative_gap_guess
 from .simulator import InputOrientation, _check_simulated, run_time_series
@@ -104,6 +105,8 @@ def _resolve(args, parser):
                 loaded = json.load(fh)
         except (OSError, json.JSONDecodeError) as exc:
             parser.error(f"cannot read config file: {exc}")
+        if not isinstance(loaded, dict):
+            parser.error(f"config file must hold a JSON object, not {loaded!r}")
         unknown = set(loaded) - set(cfg)
         if unknown:
             parser.error(f"unknown config keys: {sorted(unknown)}")
@@ -234,8 +237,10 @@ def cmd_gap(cfg, out) -> int:
 def _theta_values(cfg):
     if cfg.get("theta_list") is not None:
         thetas = [float(v) * math.pi for v in cfg["theta_list"]]
-    else:
+    elif is_count(cfg["theta_count"], 0):
         thetas = [math.pi * l / 50 for l in range(cfg["theta_count"])]
+    else:
+        raise ParameterError(f"theta_count {cfg['theta_count']!r} is not an integer")
     if not thetas:
         raise ParameterError("the sweep needs at least one orientation")
     return thetas
@@ -263,7 +268,7 @@ def _scaling_cell(cfg, n, coupling):
 
 
 def cmd_scaling(cfg, out) -> int:
-    """Every cell's chain and search window is checked before the first sweep."""
+    """Every cell is checked before the first sweep; sweeps search but score nothing."""
     sizes, couplings = cfg["n_list"], cfg["j_list"]
     if len(set(sizes)) < len(sizes) or len(sizes) < 3:
         raise ParameterError(f"--n-list needs 3 or more distinct sizes, not {sizes}")
@@ -276,6 +281,7 @@ def cmd_scaling(cfg, out) -> int:
     cells = [[_scaling_cell(cfg, n, coupling) for n in sizes]
              for coupling in couplings]
     grid = _grid(cfg, filt)
+    thetas = _theta_values(cfg)
 
     extrapolations = {}
     samples = []
@@ -283,9 +289,9 @@ def cmd_scaling(cfg, out) -> int:
     for j_index, (coupling, row) in enumerate(zip(couplings, cells)):
         points = []
         for n, model, search in row:
-            sweep = gapfinder.theta_sweep(
-                model, plan, filt, grid, _theta_values(cfg), shots=cfg["shots"],
-                seed=gapfinder._derived_seed(cfg["seed"], j_index, n), search=search)
+            sweep, _ = gapfinder.search_sweep(
+                model, plan, filt, grid, thetas, search, cfg["shots"],
+                gapfinder._derived_seed(cfg["seed"], j_index, n))
             try:
                 best = sweep.best_record()
             except GapSearchError:

@@ -1,4 +1,12 @@
-"""Exception types shared across the package."""
+"""Exception types, and the integer check, shared across the package."""
+
+import numbers
+
+
+def is_count(value, least: int) -> bool:
+    """Whether value is an integer, not a bool, of at least `least`."""
+    return (isinstance(value, numbers.Integral) and not isinstance(value, bool)
+            and value >= least)
 
 
 class GaplabError(Exception):

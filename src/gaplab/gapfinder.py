@@ -16,7 +16,8 @@ from dataclasses import asdict, dataclass
 import numpy as np
 
 from ._textio import write_json
-from .errors import DataError, GapSearchError, NumericError, ParameterError
+from .errors import (DataError, GapSearchError, NumericError, ParameterError,
+                     is_count)
 from .model import SpinModel, commutator_norm_bounds, exact_diagonalize
 from .simulator import InputOrientation, TimeGrid, run_time_series
 from .spectral import (Spectrum, exact_spectrum_oracle, local_maxima,
@@ -143,7 +144,7 @@ class SweepRecord:
     peak_height: float | None
     eps_gap: float | None
     eps_spect: float | None
-    eps_bound: float
+    eps_bound: float | None
     seed: int | None
     failure: str | None = None
 
@@ -168,53 +169,59 @@ class SweepResult:
 
 def _derived_seed(*keys: int) -> int:
     """A 32-bit seed drawn from the SeedSequence of the given non-negative keys."""
-    if any(k < 0 for k in keys):
-        raise ParameterError(f"seeds must be >= 0, got {keys}")
+    if not all(is_count(k, 0) for k in keys):
+        raise ParameterError(f"seeds must be integers >= 0, got {keys}")
     return int(np.random.SeedSequence(keys).generate_state(1)[0])
+
+
+def search_sweep(model: SpinModel, plan: TrotterPlan, filt: Filter, grid: TimeGrid,
+                 thetas, search: GapSearchConfig, shots: int | None, seed: int):
+    """The search half of theta_sweep, and all that `scaling` runs: simulate every
+    orientation in one call (shot mode draws from per-theta derived seeds),
+    transform each series and search it for the gap.  Returns the sweep, its
+    error measures left None, and its spectra."""
+    thetas = [float(theta) for theta in thetas]
+    seeds = [_derived_seed(seed, l) for l in range(len(thetas))] \
+        if shots is not None else None
+    all_series = run_time_series(
+        model, plan, [InputOrientation.uniform(model.n_spins, t) for t in thetas],
+        grid, shots=shots, seeds=seeds)
+    records, spectra = [], []
+    for theta, series in zip(thetas, all_series):
+        spectra.append(spectral_function(series, filt))
+        record = SweepRecord(
+            theta=theta, eta=filt.eta, filter=filt.family, p=plan.order, M=plan.depth,
+            D=gate_count(plan.order, model.n_spins) * plan.depth, seed=series.seed,
+            gap=None, peak_height=None, eps_gap=None, eps_spect=None, eps_bound=None)
+        try:
+            est = find_gap(spectra[-1], search)
+            record.gap, record.peak_height = est.gap, est.peak_height
+        except GapSearchError as exc:
+            record.failure = str(exc)
+        records.append(record)
+    return SweepResult(records=records), spectra
 
 
 def theta_sweep(model: SpinModel, plan: TrotterPlan, filt: Filter,
                 grid: TimeGrid, thetas, search: GapSearchConfig,
                 shots: int | None = None, seed: int = 0) -> SweepResult:
-    """Gap pipeline over a set of uniform input orientations.
-
-    Per theta: simulate the series, transform, search for the gap, and score
-    it against the exact diagonalization; search failures are recorded and do
-    not abort the sweep.  All orientations are simulated in one call, sharing
-    each propagator; shot-mode runs draw from per-theta derived seeds.  The
-    chain is simulated before it is diagonalized, so a chain above the
-    simulation cap is refused before the eigensolver runs.
-    """
+    """Gap pipeline over uniform input orientations: search_sweep, then eps_bound
+    for every record and eps_gap, eps_spect against the exact diagonalization for
+    each gap found; `sweep-theta` records these scores, `scaling` skips them.
+    Search failures do not abort the sweep.  The chain is simulated before it is
+    diagonalized, so a chain above the simulation cap fails before the eigensolver."""
     eps_bound = spectral_error_bound(model, plan, filt, grid)
-    circuit_depth = gate_count(plan.order, model.n_spins) * plan.depth
-
-    thetas = list(thetas)
-    orientations = [InputOrientation.uniform(model.n_spins, theta) for theta in thetas]
-    seeds = [_derived_seed(seed, l) for l in range(len(thetas))] \
-        if shots is not None else None
-    all_series = run_time_series(model, plan, orientations, grid, shots=shots,
-                                 seeds=seeds)
+    result, spectra = search_sweep(model, plan, filt, grid, thetas, search, shots, seed)
     eig = exact_diagonalize(model)
     exact_gap = float(eig.energies[1] - eig.energies[0])
-    records = []
-    for theta, orientation, series in zip(thetas, orientations, all_series):
-        spec = spectral_function(series, filt)
-        oracle = exact_spectrum_oracle(eig, orientation, filt, grid)
-        base = dict(theta=float(theta), eta=filt.eta, filter=filt.family,
-                    p=plan.order, M=plan.depth, D=circuit_depth, seed=series.seed)
-        try:
-            est = find_gap(spec, search)
-        except GapSearchError as exc:
-            records.append(SweepRecord(**base, gap=None, peak_height=None,
-                                       eps_gap=None, eps_spect=None,
-                                       eps_bound=eps_bound, failure=str(exc)))
-            continue
-        records.append(SweepRecord(
-            **base, gap=est.gap, peak_height=est.peak_height,
-            eps_gap=gap_error(est, exact_gap),
-            eps_spect=spectral_error(spec, oracle),
-            eps_bound=eps_bound))
-    return SweepResult(records=records)
+    for record, spec in zip(result.records, spectra):
+        record.eps_bound = eps_bound
+        if record.failure is None:
+            orientation = InputOrientation.uniform(model.n_spins, record.theta)
+            record.eps_gap = gap_error(record, exact_gap)
+            record.eps_spect = spectral_error(
+                spec, exact_spectrum_oracle(eig, orientation, filt, grid))
+    return result
 
 
 def sweep_to_json(result: SweepResult, path, metadata: dict):

@@ -13,12 +13,11 @@ from __future__ import annotations
 
 import functools
 import math
-import numbers
 from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import NumericError, ParameterError, ResourceLimitError
+from .errors import NumericError, ParameterError, ResourceLimitError, is_count
 
 #: Largest chain length for which dense 2^N x 2^N matrices are built.
 MAX_DENSE_SPINS = 12
@@ -49,7 +48,7 @@ class SpinModel:
     field: float      # h > 0, transverse field and unit scale
 
     def __post_init__(self):
-        if not isinstance(self.n_spins, numbers.Integral) or self.n_spins < 2:
+        if not is_count(self.n_spins, 2):
             raise ParameterError(f"need an integer >= 2 spins, got {self.n_spins}")
         if not math.isfinite(self.coupling):
             raise ParameterError(f"coupling must be finite, got {self.coupling}")

@@ -21,12 +21,11 @@ it, as an independent oracle for the dense propagator.
 from __future__ import annotations
 
 import math
-import numbers
 from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DataError, ParameterError, ResourceLimitError
+from .errors import DataError, ParameterError, ResourceLimitError, is_count
 from .model import SpinModel
 from .trotter import ITERATION_LAYERS, TrotterPlan, trotter_propagator
 
@@ -70,8 +69,7 @@ class TimeGrid:
     def __post_init__(self):
         if not (self.dt > 0 and math.isfinite(self.dt)):
             raise ParameterError(f"dt must be positive and finite, got {self.dt}")
-        if (not isinstance(self.length, numbers.Integral) or self.length < 2
-                or self.length % 2):
+        if not is_count(self.length, 2) or self.length % 2:
             raise ParameterError(f"length must be even and >= 2, got {self.length}")
 
     @property
@@ -200,11 +198,11 @@ def run_time_series(model: SpinModel, plan: TrotterPlan, orientations,
         raise ParameterError("need at least one input orientation")
     if any(len(o.angles) != model.n_spins for o in orientations):
         raise ParameterError("orientation length does not match the chain")
-    if shots is not None and shots < 1:
-        raise ParameterError(f"shots must be >= 1, got {shots}")
+    if shots is not None and not is_count(shots, 1):
+        raise ParameterError(f"shots must be an integer >= 1, got {shots!r}")
     seeds = [0] * len(orientations) if seeds is None else list(seeds)
-    if len(seeds) != len(orientations) or any(seed < 0 for seed in seeds):
-        raise ParameterError(f"need one seed >= 0 per orientation, got {seeds}")
+    if len(seeds) != len(orientations) or not all(is_count(s, 0) for s in seeds):
+        raise ParameterError(f"need one integer seed >= 0 per orientation, got {seeds}")
     psi = np.stack([prepare_input(o) for o in orientations], axis=1)
     probs = np.ones((len(orientations), 2, grid.length))
     for n, t in enumerate(grid.times[1:], start=1):

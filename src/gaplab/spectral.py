@@ -16,13 +16,12 @@ which exact_spectrum_oracle evaluates directly from the eigensystem.
 from __future__ import annotations
 
 import math
-import numbers
 from dataclasses import dataclass
 
 import numpy as np
 
 from ._textio import read_table, write_table
-from .errors import DataError, NumericError, ParameterError
+from .errors import DataError, NumericError, ParameterError, is_count
 from .model import EigenDecomposition
 from .simulator import InputOrientation, TimeGrid, TimeSeries, prepare_input
 from .trotter import Filter, filter_value
@@ -72,8 +71,7 @@ def grid_size(filt: Filter, d_omega: float | None = None,
         if 7.0 / d_omega > MAX_GRID_LENGTH // 2:
             raise ParameterError(f"d_omega = {d_omega} needs L > {MAX_GRID_LENGTH}")
         length = 2 * math.ceil(7.0 / d_omega)
-    if not (isinstance(length, numbers.Integral) and 0 < length <= MAX_GRID_LENGTH
-            and length % 2 == 0):
+    if not (is_count(length, 1) and length <= MAX_GRID_LENGTH and length % 2 == 0):
         raise ParameterError("L must be a positive even integer up to "
                              f"MAX_GRID_LENGTH = {MAX_GRID_LENGTH}, got {length}")
     return float(d_omega), int(length)

@@ -13,12 +13,11 @@ z basis and e^{-iH2 s} is a tensor power of one single-spin x rotation.
 from __future__ import annotations
 
 import math
-import numbers
 from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ParameterError
+from .errors import ParameterError, is_count
 from .model import SpinModel, commutator_norm_bounds, h1_diagonal
 
 KAPPA4 = 1.0 / (4.0 - 4.0 ** (1.0 / 3.0))
@@ -47,9 +46,9 @@ class TrotterPlan:
     depth: int
 
     def __post_init__(self):
-        if not isinstance(self.order, numbers.Integral) or self.order not in (1, 2, 4):
+        if not is_count(self.order, 1) or self.order not in (1, 2, 4):
             raise ParameterError(f"order must be 1, 2 or 4, got {self.order}")
-        if not isinstance(self.depth, numbers.Integral) or self.depth < 1:
+        if not is_count(self.depth, 1):
             raise ParameterError(f"depth must be an integer >= 1, got {self.depth}")
 
 

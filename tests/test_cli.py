@@ -135,6 +135,16 @@ class TestSpectrum:
                  str(tmp_path / "x.csv")])
         assert exc.value.code == 1
 
+    @pytest.mark.parametrize("text", ["5", "null", '["n"]', '[["n", 3]]'])
+    def test_config_that_is_not_an_object_is_usage_error(self, tmp_path, capsys,
+                                                          text):
+        cfg_file = tmp_path / "cfg.json"
+        cfg_file.write_text(text)
+        with pytest.raises(SystemExit) as exc:
+            run(["gap", "--config", str(cfg_file), "--out", str(tmp_path / "x.json")])
+        assert exc.value.code == 1
+        assert "config file must hold a JSON object" in capsys.readouterr().err
+
     def test_bad_order_is_usage_error(self, tmp_path):
         with pytest.raises(SystemExit) as exc:
             run(["spectrum", "--p", "3", "--out", str(tmp_path / "x.csv")])
@@ -223,6 +233,19 @@ class TestScaling:
         detail = json.loads(samples.read_text())
         assert len(detail["samples"]) == 3
         assert all(s["theta_star"] is not None for s in detail["samples"])
+
+    def test_shot_mode_scores_nothing(self, tmp_path, monkeypatch):
+        # scaling records each cell's tallest peak alone, so it runs neither
+        # the eigensolver, nor the line-shape oracle, nor the error bound
+        def refuse(*args, **kwargs):
+            raise AssertionError("scored a sweep that scaling never records")
+        for name in ("exact_diagonalize", "exact_spectrum_oracle",
+                     "spectral_error_bound"):
+            monkeypatch.setattr(f"gaplab.gapfinder.{name}", refuse)
+        out = tmp_path / "diag.csv"
+        assert run(["scaling", "--shots", "64", "--j-list", "0.4", "--n-list", "2,3,4",
+                    "--theta-count", "3", "--m", "20", "--out", str(out)]) == 0
+        assert len(read_table(out)[2]) == 1
 
     @pytest.mark.parametrize("argv", [
         ["--n-list", "2,3,4,1"],
@@ -339,6 +362,27 @@ class TestNegativeSeed:
         monkeypatch.setattr("gaplab.simulator.trotter_propagator", refuse)
         out = tmp_path / "x.out"
         assert run(argv + ["--seed", "-1", "--out", str(out)]) == 1
+        assert not out.exists()
+        assert capsys.readouterr().err.startswith("gaplab:")
+
+
+class TestNonIntegerCounts:
+    @pytest.mark.parametrize("command, key, value", [
+        ("gap", "shots", 10.5), ("gap", "shots", True), ("gap", "seed", 1.5),
+        ("spectrum", "seed", 1.5), ("sweep-theta", "seed", 1.5),
+        ("sweep-theta", "theta_count", 2.5), ("scaling", "shots", 10.5),
+        ("scaling", "seed", 1.5), ("scaling", "theta_count", 2.5)])
+    def test_refused_before_any_propagator(self, tmp_path, monkeypatch, capsys,
+                                           command, key, value):
+        # a fractional shot count would truncate the binomial draw but still
+        # divide by the fraction; fractional seeds and counts reach numpy
+        def refuse(*args, **kwargs):
+            raise AssertionError("built a propagator for a refused setting")
+        monkeypatch.setattr("gaplab.simulator.trotter_propagator", refuse)
+        cfg_file = tmp_path / "cfg.json"
+        cfg_file.write_text(json.dumps({key: value}))
+        out = tmp_path / "x.out"
+        assert run([command, "--config", str(cfg_file), "--out", str(out)]) == 1
         assert not out.exists()
         assert capsys.readouterr().err.startswith("gaplab:")
 

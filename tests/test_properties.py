@@ -1,26 +1,30 @@
 """Property tests: the batched propagation engine against the per-gate circuit
 and the decoupled closed form, the time-reversal mirror the engine relies on,
 the FFT transform against the cosine sum, the vectorized peak search against a
-per-index scan, and file round trips.
+per-index scan, `scaling`'s search-only pick against the scored sweep's best
+record, and file round trips.
 
 Examples are drawn under the derandomized profile loaded in conftest, so a
 run is repeatable.
 """
 
+import json
 import math
 import tempfile
 from pathlib import Path
 
 import numpy as np
-from hypothesis import example, given
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
 from gaplab import (Filter, GapEstimate, GapSearchConfig, GapSearchError,
                     InputOrientation, ParameterError, SpinModel, TimeGrid,
-                    TrotterPlan, filter_value, find_gap, run_time_series,
+                    TrotterPlan, default_grid, filter_value, find_gap,
+                    perturbative_gap_guess, run_time_series, theta_sweep,
                     trotter_propagator)
-from gaplab.gapfinder import _windows
+from gaplab.cli import main
+from gaplab.gapfinder import _derived_seed, _windows
 from gaplab.scaling import PhaseDiagramRow, phase_diagram_to_csv, read_phase_diagram
 from gaplab.spectral import Spectrum, read_spectrum, spectrum_to_csv, transform
 
@@ -213,3 +217,61 @@ def test_phase_diagram_csv_round_trip(rows):
         back, meta = read_phase_diagram(path)
     assert back == rows
     assert meta["m"] == 35
+
+
+@st.composite
+def scaling_runs(draw):
+    """(seed, couplings, orientation count, shots, search window) for a small
+    `scaling` run; a narrow fixed window makes some searches and cells fail."""
+    return (draw(st.integers(0, 2**32 - 1)),
+            draw(st.lists(st.sampled_from([0.2, 0.4, 0.6]), min_size=1, max_size=2,
+                          unique=True)),
+            draw(st.integers(1, 12)),
+            draw(st.sampled_from([None, 64, 1024])),
+            draw(st.sampled_from([None, 0.1, 0.2])))
+
+
+@settings(max_examples=12)
+@given(scaling_runs())
+@example((7, [0.2, 0.6], 8, None, 0.1))    # partial: failed orientations and cells
+@example((7, [0.4], 3, 64, 0.1))           # no row reaches three sizes
+def test_scaling_picks_the_scored_sweeps_best_record(case):
+    # scaling runs only the search half of theta_sweep; its per-cell choice
+    # must be the scored sweep's best_record at the same derived seed, failed
+    # orientations and cells included
+    seed, couplings, theta_count, shots, window = case
+    sizes, m, filt = (2, 3, 4), 12, Filter.gaussian(0.3)
+    argv = ["scaling", "--j-list", ",".join(map(str, couplings)),
+            "--n-list", ",".join(map(str, sizes)), "--m", str(m),
+            "--theta-count", str(theta_count), "--seed", str(seed),
+            *(["--exact"] if shots is None else ["--shots", str(shots)]),
+            *([] if window is None else ["--initial-window-over-h", str(window),
+                                         "--max-window-over-h", str(window)])]
+    want, full_rows = [], 0
+    for j_index, coupling in enumerate(couplings):
+        row = []
+        for n in sizes:
+            model = SpinModel(n, coupling, 1.0)
+            sweep = theta_sweep(
+                model, TrotterPlan(1, m), filt, default_grid(filt),
+                [math.pi * l / 50 for l in range(theta_count)],
+                GapSearchConfig(perturbative_gap_guess(model), window, window),
+                shots=shots, seed=_derived_seed(seed, j_index, n))
+            try:
+                best = sweep.best_record()
+            except GapSearchError:
+                continue
+            row.append({"j_over_h": coupling, "n": n, "gap": best.gap,
+                        "theta_star": best.theta})
+        want += row
+        full_rows += len(row) >= 3
+    with tempfile.TemporaryDirectory() as tmp:
+        samples = Path(tmp) / "samples.json"
+        code = main(argv + ["--samples-out", str(samples),
+                            "--out", str(Path(tmp) / "diagram.csv")])
+        if not full_rows:
+            assert code == 2 and not samples.exists()
+            return
+        assert code == (0 if len(want) == len(sizes) * len(couplings)
+                        and full_rows == len(couplings) else 3)
+        assert json.loads(samples.read_text())["samples"] == want

@@ -257,9 +257,11 @@ class TestRunTimeSeries:
         with pytest.raises(ParameterError):
             run_time_series(model, TrotterPlan(1, 4), [orientation], self.grid(),
                             shots=0)
-        with pytest.raises(ParameterError):
-            run_time_series(model, TrotterPlan(1, 4), [orientation], self.grid(),
-                            shots=64, seeds=[-1])
+        for shots, seeds in ((64, [-1]), (10.5, [1]), (True, [1]), (64, [1.5]),
+                             (64, [True])):
+            with pytest.raises(ParameterError):
+                run_time_series(model, TrotterPlan(1, 4), [orientation], self.grid(),
+                                shots=shots, seeds=seeds)
 
     @pytest.mark.parametrize("n_spins", [MAX_SIMULATED_SPINS + 1, 13])
     def test_dense_cap_enforced_before_allocation(self, n_spins, monkeypatch):

@@ -26,6 +26,8 @@ def shot_series_with_nan():
     pytest.param(lambda: SpinModel(2.5, 0.4, 1.0), id="spins-fractional"),
     pytest.param(lambda: TrotterPlan(1, 2.5), id="depth-fractional"),
     pytest.param(lambda: TrotterPlan(2.0, 3), id="order-float"),
+    pytest.param(lambda: TrotterPlan(True, 3), id="order-bool"),
+    pytest.param(lambda: TrotterPlan(1, True), id="depth-bool"),
     pytest.param(lambda: TimeGrid(math.nan, 4), id="dt-nan"),
     pytest.param(lambda: TimeGrid(0.5, 4.0), id="length-float"),
     pytest.param(lambda: Filter.gaussian(math.nan), id="eta-nan"),
