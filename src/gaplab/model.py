@@ -82,6 +82,15 @@ def ising_bond_parity(n_spins: int) -> np.ndarray:
     return out
 
 
+@functools.lru_cache(maxsize=None)
+def basis_xor_table(n_spins: int) -> np.ndarray:
+    """Basis-index XOR a ^ b over all pairs (a, b) (read-only)."""
+    idx = np.arange(2 ** n_spins)
+    out = idx[:, None] ^ idx
+    out.flags.writeable = False
+    return out
+
+
 def h1_diagonal(model: SpinModel) -> np.ndarray:
     """Diagonal of H1 (H1 is diagonal in the z basis)."""
     return -model.coupling * ising_bond_parity(model.n_spins)

@@ -30,8 +30,8 @@ from .model import SpinModel
 from .trotter import ITERATION_LAYERS, TrotterPlan, trotter_propagator
 
 #: Largest chain the engine simulates: each positive time (the minus branch is its
-#: exact mirror) powers a dense 2^N x 2^N step, 0.014 s at N = 8 but 0.9 s at N = 10
-#: (p = 2, M = 35, one BLAS thread).
+#: exact mirror) powers a dense 2^N x 2^N step, about 0.02 s at N = 8 but 1.0-1.1 s at
+#: N = 10 (p = 2, M = 35, one BLAS thread), nearly all of it matrix products.
 MAX_SIMULATED_SPINS = 8
 
 
@@ -108,8 +108,9 @@ class TimeSeries:
 def prepare_input(orientation: InputOrientation) -> np.ndarray:
     """Normalized statevector prod_j [cos(theta_j/2)|0> + sin(theta_j/2)|1>]."""
     out = np.array([1.0 + 0j])
-    for a in orientation.angles:
-        out = np.kron(out, np.array([math.cos(a / 2), math.sin(a / 2)], dtype=complex))
+    for a in orientation.angles:   # np.kron(out, factors): the same products, in order
+        factors = np.array([math.cos(a / 2), math.sin(a / 2)], dtype=complex)
+        out = (out[:, None] * factors).ravel()
     return out
 
 
@@ -184,10 +185,11 @@ def run_time_series(model: SpinModel, plan: TrotterPlan, orientations,
     """Both time branches of P on the grid for each orientation, exact or sampled.
 
     U_M(t) does not depend on the input state, so each of the L - 1 positive
-    times builds one propagator and applies it to all K input states at once;
-    memory stays O(dim^2 + dim K).  The minus branch is its exact mirror: real
-    inputs and real-angle steps give U_M(-t) = conj U_M(t) bit for bit, so
-    p_minus is a copy of p_plus.  In shot mode one draw per orientation,
+    times builds one propagator and applies it to all K input states at once.
+    Their K amplitudes fill one (K, L) array, squared and clipped once at the
+    end; memory is O(dim^2 + dim K + K L).  The minus branch is its exact
+    mirror: real inputs and real-angle steps give U_M(-t) = conj U_M(t) bit for
+    bit, so p_minus is a copy of p_plus.  In shot mode one draw per orientation,
     default_rng(seed).binomial(shots, block), covers its whole (2, L) block,
     so a series depends on its own seed alone, not on its batch; `seeds`
     holds one seed >= 0 per orientation (default 0 for each).
@@ -204,12 +206,11 @@ def run_time_series(model: SpinModel, plan: TrotterPlan, orientations,
     if len(seeds) != len(orientations) or not all(is_count(s, 0) for s in seeds):
         raise ParameterError(f"need one integer seed >= 0 per orientation, got {seeds}")
     psi = np.stack([prepare_input(o) for o in orientations], axis=1)
-    probs = np.ones((len(orientations), 2, grid.length))
+    bra = psi.conj()
+    amp = np.ones((len(orientations), grid.length), dtype=complex)
     for n, t in enumerate(grid.times[1:], start=1):
-        evolved = trotter_propagator(model, plan, t) @ psi
-        amp = np.einsum("ik,ik->k", psi.conj(), evolved)
-        probs[:, 0, n] = np.clip(np.abs(amp) ** 2, 0.0, 1.0)
-    probs[:, 1] = probs[:, 0]
+        amp[:, n] = np.einsum("ik,ik->k", bra, trotter_propagator(model, plan, t) @ psi)
+    probs = np.repeat(np.clip(np.abs(amp) ** 2, 0.0, 1.0)[:, None], 2, axis=1)
     if shots is not None:
         for k, seed in enumerate(seeds):
             probs[k] = np.random.default_rng(seed).binomial(shots, probs[k]) / shots

@@ -440,6 +440,12 @@ class TestBenchmarkReference:
         assert result["exit"] == 0
         assert result["absent"] == ["simulator.propagator_overlap"]
         assert None not in result["layers"].values()
+        # one propagator per positive time: a second build of any U_M(t), or
+        # an engine that stops mirroring the minus branch, changes the counts
+        layers = result["layers"]
+        assert layers["trotter.propagators_per_time"] == 1.0
+        assert layers["trotter.propagator_calls"] == {
+            "scaling_shots": 748, "long_time_exact": 2799}[workload]
 
 
 class TestToy:

@@ -1,13 +1,15 @@
 """Property tests: the batched propagation engine against the per-gate circuit
-and the decoupled closed form, the time-reversal mirror the engine relies on,
-the FFT transform against the cosine sum, the vectorized peak search against a
-per-index scan, `scaling`'s search-only pick against the scored sweep's best
-record, and file round trips.
+and the decoupled closed form, the closed-form layers against np.kron and the
+square-and-multiply power against np.linalg.matrix_power, the time-reversal
+mirror the engine relies on, the FFT transform against the cosine sum, the
+vectorized peak search against a per-index scan, `scaling`'s search-only pick
+against the scored sweep's best record, and file round trips.
 
 Examples are drawn under the derandomized profile loaded in conftest, so a
 run is repeatable.
 """
 
+import functools
 import json
 import math
 import tempfile
@@ -26,7 +28,9 @@ from gaplab import (Filter, GapEstimate, GapSearchConfig, GapSearchError,
 from gaplab.cli import main
 from gaplab.gapfinder import _derived_seed, _windows
 from gaplab.scaling import PhaseDiagramRow, phase_diagram_to_csv, read_phase_diagram
+from gaplab.simulator import prepare_input
 from gaplab.spectral import Spectrum, read_spectrum, spectrum_to_csv, transform
+from gaplab.trotter import _step, _x_rotation_power
 
 from conftest import overlap_by_path
 
@@ -82,9 +86,11 @@ def propagator_cases(draw):
 
 
 # criterion 6: the last time of the L = 2800 grid at depth 10000
+LAST_LONG_TIME = 2799 * 2 * math.pi / (2800 * 0.005)
+
+
 @given(propagator_cases())
-@example((SpinModel(4, 0.4, 1.0), TrotterPlan(1, 10000),
-          2799 * 2 * math.pi / (2800 * 0.005)))
+@example((SpinModel(4, 0.4, 1.0), TrotterPlan(1, 10000), LAST_LONG_TIME))
 def test_propagator_is_conjugate_under_time_reversal(case):
     # H1, H2 and every step are real-angle closed forms, so reversing time
     # conjugates U_M(t) exactly; the engine builds only the plus branch and
@@ -92,6 +98,50 @@ def test_propagator_is_conjugate_under_time_reversal(case):
     model, plan, t = case
     assert np.array_equal(trotter_propagator(model, plan, -t),
                           trotter_propagator(model, plan, t).conj())
+
+
+@given(st.integers(2, 8), st.floats(-10.0, 10.0), st.floats(0.1, 2.0),
+       st.lists(st.floats(0.0, 2 * math.pi), min_size=8, max_size=8))
+def test_closed_form_layers_match_kron_products(n, dt, field, angles):
+    # the x-rotation layer reads one row at a XOR b and the input state is a
+    # row product; both multiply the same factors in the same order as np.kron
+    model = SpinModel(n, 0.4, field)
+    a = field * dt
+    u1 = np.array([[math.cos(a), 1j * math.sin(a)], [1j * math.sin(a), math.cos(a)]])
+    assert np.array_equal(_x_rotation_power(model, dt),
+                          functools.reduce(np.kron, [u1] * n, np.ones((1, 1), complex)))
+    orientation = InputOrientation(tuple(angles[:n]))
+    factors = [np.array([math.cos(t / 2), math.sin(t / 2)], dtype=complex)
+               for t in orientation.angles]
+    assert np.array_equal(prepare_input(orientation),
+                          functools.reduce(np.kron, factors, np.ones(1, complex)))
+
+
+@st.composite
+def powered_steps(draw, depths):
+    """(step, plan, t) on a small chain at a depth drawn from `depths`."""
+    model = SpinModel(draw(st.integers(2, 5)), draw(st.floats(-2.0, 2.0)),
+                      draw(st.floats(0.25, 2.0)))
+    plan = TrotterPlan(draw(st.sampled_from((1, 2, 4))), draw(depths))
+    t = draw(st.floats(0.0, 50.0))
+    return model, plan, t, _step(model, plan.order, t / plan.depth)
+
+
+@given(powered_steps(st.one_of(st.sampled_from((1, 2, 10000)), st.integers(4, 64))))
+@example((SpinModel(4, 0.4, 1.0), TrotterPlan(4, 10000), LAST_LONG_TIME,
+          _step(SpinModel(4, 0.4, 1.0), 4, LAST_LONG_TIME / 10000)))
+def test_square_and_multiply_matches_matrix_power(case):
+    model, plan, t, step = case
+    assert np.array_equal(trotter_propagator(model, plan, t),
+                          np.linalg.matrix_power(step, plan.depth))
+
+
+@given(powered_steps(st.just(3)))
+def test_depth_three_matches_matrix_power_to_rounding(case):
+    # numpy special-cases depth 3 as (U U) U; square-and-multiply takes U (U U)
+    model, plan, t, step = case
+    diff = trotter_propagator(model, plan, t) - np.linalg.matrix_power(step, 3)
+    assert np.abs(diff).max() <= 1e-14
 
 
 def cosine_transform(grid, p_plus, p_minus, filt):

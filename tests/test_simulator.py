@@ -1,3 +1,4 @@
+import functools
 import math
 
 import numpy as np
@@ -20,7 +21,7 @@ from gaplab import (
 )
 from gaplab import simulator
 from gaplab.simulator import MAX_SIMULATED_SPINS, apply_gates
-from gaplab.trotter import KAPPA4
+from gaplab.trotter import KAPPA4, _step
 
 from conftest import (gate_sequence_unitary, literal_gate_count, naive_tfim,
                       operator_norm, overlap_by_path)
@@ -309,6 +310,38 @@ class TestRunTimeSeries:
         for series in batch:
             assert np.allclose(series.p_plus, want_plus, rtol=0, atol=1e-14)
             assert np.array_equal(series.p_minus, series.p_plus)
+
+    @pytest.mark.parametrize("order", [1, 4])
+    def test_matches_per_time_loop(self, order):
+        # the engine keeps each time's amplitudes and squares them once; the
+        # loop it replaced squared and clipped at every time, with the
+        # propagator from np.linalg.matrix_power and the state from np.kron.
+        # Criterion 6's chain and depth, every 14th time of its L = 2800 grid
+        model, plan = SpinModel(4, 0.4, 1.0), TrotterPlan(order, 10000)
+        grid = TimeGrid(dt=14 * 2 * math.pi / (2800 * 0.005), length=200)
+        orientations = [InputOrientation.uniform(4, 0.1 * math.pi),
+                        InputOrientation.uniform(4, 0.45 * math.pi),
+                        InputOrientation((0.3, 1.2, 2.5, 5.9))]
+        psi = np.stack([functools.reduce(
+            np.kron, [np.array([math.cos(a / 2), math.sin(a / 2)], dtype=complex)
+                      for a in o.angles], np.ones(1, complex)) for o in orientations], axis=1)
+        want = np.ones((len(orientations), 2, grid.length))
+        for n, t in enumerate(grid.times[1:], start=1):
+            step = _step(model, plan.order, t / plan.depth)
+            evolved = np.linalg.matrix_power(step, plan.depth) @ psi
+            amp = np.einsum("ik,ik->k", psi.conj(), evolved)
+            want[:, 0, n] = np.clip(np.abs(amp) ** 2, 0.0, 1.0)
+        want[:, 1] = want[:, 0]
+        batch = run_time_series(model, plan, orientations, grid)
+        for series, w in zip(batch, want):
+            assert np.array_equal(series.p_plus, w[0])
+            assert np.array_equal(series.p_minus, w[1])
+        seeds = [3, 1, 4]
+        sampled = run_time_series(model, plan, orientations, grid, shots=256, seeds=seeds)
+        for series, w, seed in zip(sampled, want, seeds):
+            draw = np.random.default_rng(seed).binomial(256, w) / 256
+            assert np.array_equal(series.p_plus, draw[0])
+            assert np.array_equal(series.p_minus, draw[1])
 
     def test_series_validation(self):
         grid = self.grid()
