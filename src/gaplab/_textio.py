@@ -1,8 +1,9 @@
-"""Minimal CSV-with-metadata-header reading and writing, and the JSON writer.
+"""The CSV-with-metadata-header writer and the JSON writer.
 
 Files carry their provenance as `# key = <json>` lines before the column
-header, so every output can be parsed back into the run that produced it.
-Floats are written with repr for lossless, byte-stable round trips.
+header: the `config` line replayed through --config reproduces the file.
+Floats are written with repr, so a reader gets back the exact values (the
+tests hold the reader, in tests/conftest.py).
 """
 
 from __future__ import annotations
@@ -10,8 +11,6 @@ from __future__ import annotations
 import json
 
 import numpy as np
-
-from .errors import DataError
 
 
 def write_table(path, metadata: dict, columns: list, rows):
@@ -36,31 +35,3 @@ def _cell(v):
     if isinstance(v, (int, np.integer)):
         return str(int(v))
     return repr(float(v))
-
-
-def read_table(path):
-    """Returns (metadata, columns, rows-as-string-lists)."""
-    metadata = {}
-    columns = None
-    rows = []
-    with open(path, "r", encoding="utf-8") as fh:
-        for line in fh:
-            line = line.rstrip("\n")
-            if not line:
-                continue
-            if line.startswith("#"):
-                body = line[1:].strip()
-                key, sep, value = body.partition("=")
-                if sep:
-                    try:
-                        metadata[key.strip()] = json.loads(value.strip())
-                    except json.JSONDecodeError as exc:
-                        raise DataError(f"bad metadata line {line!r}") from exc
-                continue
-            if columns is None:
-                columns = line.split(",")
-            else:
-                rows.append(line.split(","))
-    if columns is None:
-        raise DataError(f"no column header found in {path}")
-    return metadata, columns, rows

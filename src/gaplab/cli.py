@@ -20,9 +20,8 @@ import numpy as np
 
 from . import gapfinder, scaling, spectral, toymodel, trotter
 from ._textio import write_json, write_table
-from .errors import (DataError, GapSearchError, GaplabError, ParameterError,
-                     is_count)
-from .gapfinder import GapSearchConfig, find_gap, gap_error, spectral_error
+from .errors import DataError, GapSearchError, GaplabError, ParameterError
+from .gapfinder import GapSearchConfig, find_gap
 from .model import SpinModel, exact_diagonalize, perturbative_gap_guess
 from .simulator import InputOrientation, _check_simulated, run_time_series
 from .spectral import exact_spectrum_oracle, spectral_function
@@ -64,23 +63,8 @@ class _Parser(argparse.ArgumentParser):
         self.exit(_USAGE_EXIT, f"{self.prog}: error: {message}\n")
 
 
-def _floats(text):
-    return [float(v) for v in str(text).split(",") if v != ""]
-
-
-def _ints(text):
-    return [int(v) for v in str(text).split(",") if v != ""]
-
-
-# The type of each setting's flag, float if not listed; `oracle` is a switch,
-# and `shots` shares its setting with the flag --exact.
-_TYPES = {
-    "n": int, "p": int, "m": int, "shots": int, "seed": int, "l_points": int,
-    "t_points": int, "n_max": int, "n_points": int, "theta_count": int,
-    "filter": str, "samples_out": str, "oracle": bool, "n_list": _ints,
-    "j_list": _floats, "theta_list": _floats, "lambda_list": _floats,
-    "eta_list": _floats,
-}
+# The type of each setting whose default is None, float if not listed (_kind).
+_TYPES = {"l_points": int, "samples_out": str, "theta_list": [float]}
 _CHOICES = {"p": (1, 2, 4), "filter": trotter.FILTER_FAMILIES}
 _HELP = {
     "exact": "exact return probabilities instead of shot sampling",
@@ -94,11 +78,47 @@ _HELP = {
 }
 
 
+def _settings(subcommand):
+    """The settings the subcommand records, with their defaults."""
+    return {**_COMMANDS[subcommand][2], **_RECORDED_UNREAD.get(subcommand, {})}
+
+
+def _kind(key, default):
+    """A setting's type, of its flag and its values: [t] for a list of t."""
+    if default is None:
+        return _TYPES.get(key, float)
+    return [type(default[0])] if isinstance(default, list) else type(default)
+
+
+def _list_of(kind):
+    def comma_separated(text):
+        return [kind(v) for v in text.split(",") if v != ""]
+    return comma_separated
+
+
+def _has_kind(value, kind):
+    """A bool is no number, and an int passes where a float is expected."""
+    if isinstance(kind, list):
+        return isinstance(value, list) and all(_has_kind(v, kind[0]) for v in value)
+    return (isinstance(value, bool) == (kind is bool)
+            and isinstance(value, (int, float) if kind is float else kind))
+
+
+def _check_kinds(subcommand, cfg):
+    """Refuse a --config value not of its flag's type (flags are typed as they
+    are parsed); null passes where the default is None, and for shots."""
+    for key, default in _settings(subcommand).items():
+        kind, value = _kind(key, default), cfg[key]
+        if not (_has_kind(value, kind)
+                or value is None and (default is None or key == "shots")):
+            name = getattr(kind, "__name__", None) or f"a list of {kind[0].__name__}"
+            raise ParameterError(f"setting {key} takes {name}, not {value!r}")
+
+
 def _resolve(args, parser):
     """Meld the subcommand's defaults, a --config file and explicit flags
     into one dict holding exactly the settings the subcommand records."""
-    cfg = {**_COMMANDS[args.subcommand][2],
-           **_RECORDED_UNREAD.get(args.subcommand, {})}
+    cfg = _settings(args.subcommand)
     if hasattr(args, "config"):
         try:
             with open(args.config, "r", encoding="utf-8") as fh:
@@ -214,33 +234,28 @@ def cmd_gap(cfg, out) -> int:
     search = _search_config(cfg, delta0)    # refuses a bad window before simulating
     grid, orientation, spec = _spectrum_pipeline(cfg, model, plan, filt)
     eig = exact_diagonalize(model)
-    delta_exact = float(eig.energies[1] - eig.energies[0])
-    result = {"delta0": delta0, "delta_exact_ed": delta_exact}
-    code = 0
+    result = {"delta0": delta0,
+              "delta_exact_ed": float(eig.energies[1] - eig.energies[0])}
     try:
         est = find_gap(spec, search)
-        oracle = exact_spectrum_oracle(eig, orientation, filt, grid)
-        result.update({
-            "gap": est.gap, "peak_height": est.peak_height,
-            "window_used": est.window_used,
-            "eps_gap": gap_error(est, delta_exact),
-            "eps_spect": spectral_error(spec, oracle),
-            "eps_bound": gapfinder.spectral_error_bound(model, plan, filt, grid),
-            "failure": None})
     except GapSearchError as exc:
         result.update({"gap": None, "failure": str(exc)})
-        code = _FAILURE_EXIT
+    else:
+        eps_gap, eps_spect = gapfinder.score(est.gap, spec, eig, orientation, grid)
+        result.update({
+            "gap": est.gap, "peak_height": est.peak_height,
+            "window_used": est.window_used, "eps_gap": eps_gap, "eps_spect": eps_spect,
+            "eps_bound": gapfinder.spectral_error_bound(model, plan, filt, grid),
+            "failure": None})
     write_json(out, {**_meta("gap", cfg), "result": result})
-    return code
+    return 0 if result["failure"] is None else _FAILURE_EXIT
 
 
 def _theta_values(cfg):
     if cfg.get("theta_list") is not None:
         thetas = [float(v) * math.pi for v in cfg["theta_list"]]
-    elif is_count(cfg["theta_count"], 0):
-        thetas = [math.pi * l / 50 for l in range(cfg["theta_count"])]
     else:
-        raise ParameterError(f"theta_count {cfg['theta_count']!r} is not an integer")
+        thetas = [math.pi * l / 50 for l in range(cfg["theta_count"])]
     if not thetas:
         raise ParameterError("the sweep needs at least one orientation")
     return thetas
@@ -360,13 +375,14 @@ def build_parser() -> _Parser:
         sp = subs.add_parser(name, help=help_text, allow_abbrev=False,
                              argument_default=argparse.SUPPRESS)
         sp.add_argument("--config", help="JSON file of saved configuration values")
-        for key in settings:
-            flag, kind = "--" + key.replace("_", "-"), _TYPES.get(key, float)
+        for key, default in settings.items():
+            flag, kind = "--" + key.replace("_", "-"), _kind(key, default)
             if kind is bool:
                 sp.add_argument(flag, action="store_true", help=_HELP.get(key))
                 continue
             group = sp.add_mutually_exclusive_group() if key == "shots" else sp
-            group.add_argument(flag, type=kind, choices=_CHOICES.get(key),
+            group.add_argument(flag, choices=_CHOICES.get(key),
+                               type=_list_of(kind[0]) if isinstance(kind, list) else kind,
                                help=_HELP.get(key))
             if key == "shots":
                 group.add_argument("--exact", dest="shots", action="store_const",
@@ -380,6 +396,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     cfg = _resolve(args, parser)
     try:
+        _check_kinds(args.subcommand, cfg)
         return _COMMANDS[args.subcommand][0](cfg, args.out)
     except (ParameterError, DataError) as exc:
         print(f"gaplab: {exc}", file=sys.stderr)

@@ -18,7 +18,8 @@ import numpy as np
 from ._textio import write_json
 from .errors import (DataError, GapSearchError, NumericError, ParameterError,
                      is_count)
-from .model import SpinModel, commutator_norm_bounds, exact_diagonalize
+from .model import (EigenDecomposition, SpinModel, commutator_norm_bounds,
+                    exact_diagonalize)
 from .simulator import InputOrientation, TimeGrid, run_time_series
 from .spectral import (Spectrum, exact_spectrum_oracle, local_maxima,
                        spectral_function, transform)
@@ -88,11 +89,10 @@ def find_gap(spectrum: Spectrum, config: GapSearchConfig) -> GapEstimate:
         f"no local maximum within +-{width / 2:.4g} of {config.initial_guess:.4g}")
 
 
-def gap_error(estimate, exact_gap: float) -> float:
+def gap_error(gap: float, exact_gap: float) -> float:
     """Relative gap error |Delta - Delta_exact| / Delta_exact."""
     if exact_gap == 0:
         raise ParameterError("relative gap error is undefined at zero exact gap")
-    gap = getattr(estimate, "gap", estimate)
     return abs(gap - exact_gap) / abs(exact_gap)
 
 
@@ -125,6 +125,15 @@ def spectral_error_bound(model: SpinModel, plan: TrotterPlan, filt: Filter,
     a_exact = transform(grid, ones, ones, filt)
     d_a = transform(grid, dev, dev, filt)
     return _error_ratio(d_a, a_exact + d_a)
+
+
+def score(gap: float, spectrum: Spectrum, eig: EigenDecomposition,
+          orientation: InputOrientation, grid: TimeGrid) -> tuple[float, float]:
+    """(eps_gap, eps_spect) of a gap found in `spectrum`: its error against the
+    exact gap E1 - E0, and the spectrum's against the line-shape oracle."""
+    oracle = exact_spectrum_oracle(eig, orientation, spectrum.filter, grid)
+    return (gap_error(gap, float(eig.energies[1] - eig.energies[0])),
+            spectral_error(spectrum, oracle))
 
 
 # --------------------------------------------------------------------------
@@ -206,21 +215,19 @@ def theta_sweep(model: SpinModel, plan: TrotterPlan, filt: Filter,
                 grid: TimeGrid, thetas, search: GapSearchConfig,
                 shots: int | None = None, seed: int = 0) -> SweepResult:
     """Gap pipeline over uniform input orientations: search_sweep, then eps_bound
-    for every record and eps_gap, eps_spect against the exact diagonalization for
-    each gap found; `sweep-theta` records these scores, `scaling` skips them.
+    for every record and `score` against the exact diagonalization for each gap
+    found; `sweep-theta` records these scores, `scaling` skips them.
     Search failures do not abort the sweep.  The chain is simulated before it is
     diagonalized, so a chain above the simulation cap fails before the eigensolver."""
     eps_bound = spectral_error_bound(model, plan, filt, grid)
     result, spectra = search_sweep(model, plan, filt, grid, thetas, search, shots, seed)
     eig = exact_diagonalize(model)
-    exact_gap = float(eig.energies[1] - eig.energies[0])
     for record, spec in zip(result.records, spectra):
         record.eps_bound = eps_bound
         if record.failure is None:
-            orientation = InputOrientation.uniform(model.n_spins, record.theta)
-            record.eps_gap = gap_error(record, exact_gap)
-            record.eps_spect = spectral_error(
-                spec, exact_spectrum_oracle(eig, orientation, filt, grid))
+            record.eps_gap, record.eps_spect = score(
+                record.gap, spec, eig,
+                InputOrientation.uniform(model.n_spins, record.theta), grid)
     return result
 
 

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._textio import read_table, write_table
+from ._textio import write_table
 from .errors import DataError, NumericError
 from .model import exact_gap_thermodynamic
 
@@ -100,11 +100,3 @@ def phase_diagram_to_csv(rows, path, metadata: dict):
     write_table(path, metadata, _COLUMNS,
                 ((r.coupling, r.gap_infinity, r.band_lo, r.band_hi, r.exact_reference)
                  for r in rows))
-
-
-def read_phase_diagram(path):
-    """Inverse of phase_diagram_to_csv; returns (rows, metadata)."""
-    meta, columns, rows = read_table(path)
-    if columns != _COLUMNS:
-        raise DataError(f"unexpected columns {columns}")
-    return [PhaseDiagramRow(*(float(v) for v in r)) for r in rows], meta

@@ -20,8 +20,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._textio import read_table, write_table
-from .errors import DataError, NumericError, ParameterError, is_count
+from ._textio import write_table
+from .errors import DataError, ParameterError, is_count
 from .model import EigenDecomposition
 from .simulator import InputOrientation, TimeGrid, TimeSeries, prepare_input
 from .trotter import Filter, filter_value
@@ -154,11 +154,6 @@ def exact_spectrum_oracle(eig: EigenDecomposition, orientation: InputOrientation
     return spectrum
 
 
-# --------------------------------------------------------------------------
-# Serialization.
-# --------------------------------------------------------------------------
-
-
 def spectrum_to_csv(spectrum: Spectrum, path, metadata: dict | None = None,
                     extra_columns: dict | None = None):
     meta = dict(metadata or {})
@@ -170,19 +165,3 @@ def spectrum_to_csv(spectrum: Spectrum, path, metadata: dict | None = None,
     rows = ((m, spectrum.omegas[m], spectrum.values[m], *(e[m] for e in extras))
             for m in range(len(spectrum.omegas)))
     write_table(path, meta, columns, rows)
-
-
-def read_spectrum(path):
-    """Inverse of spectrum_to_csv; returns (Spectrum, metadata)."""
-    meta, columns, rows = read_table(path)
-    if columns[:3] != ["m", "omega_m", "A_m"]:
-        raise DataError(f"unexpected columns {columns}")
-    omegas = np.array([float(r[1]) for r in rows])
-    values = np.array([float(r[2]) for r in rows])
-    filt = Filter(meta.get("filter", "none"), float(meta.get("eta", 0.0)))
-    if len(omegas) < 2:
-        raise NumericError("spectrum file needs at least two rows")
-    fold = meta.get("omega_max_physical")
-    return Spectrum(omegas=omegas, values=values,
-                    d_omega=float(meta["d_omega"]), filter=filt,
-                    omega_max_physical=None if fold is None else float(fold)), meta

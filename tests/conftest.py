@@ -12,8 +12,9 @@ import numpy as np
 import pytest
 from hypothesis import settings
 
-from gaplab._textio import read_table
+from gaplab.scaling import PhaseDiagramRow
 from gaplab.simulator import apply_gates, gate_sequence, prepare_input
+from gaplab.spectral import Spectrum
 from gaplab.trotter import Filter, TrotterPlan, trotter_propagator
 
 # Property tests draw a fixed example sequence, so every run checks the
@@ -212,9 +213,32 @@ def rng():
     return np.random.default_rng(20260811)
 
 
+def read_table(path):
+    """(metadata, columns, rows of strings) of a CSV file gaplab wrote: its
+    `# key = <json>` lines, then the column header and the rows."""
+    lines = Path(path).read_text(encoding="utf-8").splitlines()
+    meta = [line[1:].partition("=") for line in lines if line.startswith("#")]
+    table = [line.split(",") for line in lines if not line.startswith("#")]
+    return {key.strip(): json.loads(value) for key, _, value in meta}, table[0], table[1:]
+
+
+def read_spectrum(path):
+    """(Spectrum, metadata) of a spectrum_to_csv file, its fold point kept."""
+    meta, _, rows = read_table(path)
+    return Spectrum(omegas=[float(r[1]) for r in rows],
+                    values=[float(r[2]) for r in rows], d_omega=meta["d_omega"],
+                    filter=Filter(meta["filter"], meta["eta"]),
+                    omega_max_physical=meta["omega_max_physical"]), meta
+
+
+def read_phase_diagram(path):
+    """(rows, metadata) of a phase_diagram_to_csv file."""
+    meta, _, rows = read_table(path)
+    return [PhaseDiagramRow(*map(float, r)) for r in rows], meta
+
+
 def read_config_header(path) -> dict:
     """The resolved configuration recorded in a CSV or JSON output file."""
     if str(path).endswith(".json"):
         return json.loads(Path(path).read_text(encoding="utf-8"))["config"]
-    meta, _, _ = read_table(path)
-    return meta["config"]
+    return read_table(path)[0]["config"]

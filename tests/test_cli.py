@@ -15,9 +15,8 @@ import gaplab
 from gaplab import Filter, SpinModel, depth_cutoff
 from gaplab import cli
 from gaplab.cli import build_parser, main
-from gaplab._textio import read_table
 
-from conftest import read_config_header
+from conftest import read_config_header, read_table
 
 FAST_SPECTRUM = ["--exact", "--eta-over-h", "0.3", "--filter", "gaussian"]
 
@@ -218,6 +217,20 @@ class TestSweepTheta:
                     "--max-window-over-h", "0.6", "--out", str(out)])
         assert code == 2
 
+    @pytest.mark.parametrize("order", ["1", "4"])
+    def test_scores_equal_those_of_gap(self, tmp_path, order):
+        # `gap` and `sweep-theta` score a found gap through one function, so at
+        # the same orientation they agree bit for bit
+        argv = ["--exact", "--p", order]
+        assert run(["gap", *argv, "--theta-over-pi", "0.27",
+                    "--out", str(tmp_path / "gap.json")]) == 0
+        assert run(["sweep-theta", *argv, "--theta-list", "0.27",
+                    "--out", str(tmp_path / "sweep.json")]) == 0
+        result = json.loads((tmp_path / "gap.json").read_text())["result"]
+        [record] = json.loads((tmp_path / "sweep.json").read_text())["records"]
+        keys = ["gap", "peak_height", "eps_gap", "eps_spect", "eps_bound"]
+        assert [result[k] for k in keys] == [record[k] for k in keys]
+
 
 class TestScaling:
     def test_simulated_small(self, tmp_path):
@@ -387,33 +400,33 @@ class TestNonIntegerCounts:
         assert capsys.readouterr().err.startswith("gaplab:")
 
 
+PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
+
+
+def _perfbench_module(name, monkeypatch):
+    """One of the benchmark's scripts, loaded from its file as a module."""
+    spec = importlib.util.spec_from_file_location(f"perfbench_{name}",
+                                                  PERFBENCH / f"{name}.py")
+    module = importlib.util.module_from_spec(spec)
+    monkeypatch.setitem(sys.modules, spec.name, module)   # for its dataclasses
+    spec.loader.exec_module(module)
+    return module
+
+
 class TestBenchmarkReference:
-    def test_long_time_exact_within_reference(self, tmp_path):
+    def test_long_time_exact_within_reference(self, tmp_path, monkeypatch):
         # the quick long_time_exact benchmark command (criterion 6, L = 2800,
-        # M = 10000) must reproduce the benchmark's captured exact output to
-        # 1e-12 relative, the rule every exact-mode change is held to
-        reference = json.loads((Path(__file__).resolve().parents[1] / "perfbench"
-                                / "reference.json").read_text())
-        want = reference["quick"]["long_time_exact"]
+        # M = 10000) must reproduce the benchmark's captured exact output by
+        # the benchmark's own rule, 1e-12 relative, as every exact-mode change
+        checks = _perfbench_module("checks", monkeypatch)
+        want = json.loads((PERFBENCH / "reference.json").read_text())
         out = tmp_path / "sweep.json"
         assert run(["sweep-theta", "--n", "4", "--j-over-h", "0.4", "--p", "1",
                     "--filter", "lorentzian", "--eta-over-h", "0.02",
                     "--m", "10000", "--exact", "--theta-count", "1",
                     "--out", str(out)]) == 0
-        got = json.loads(out.read_text())
-        got["config"].pop("seed", None)
-
-        def close(a, b):
-            if isinstance(a, dict) and isinstance(b, dict):
-                return a.keys() == b.keys() and all(close(a[k], b[k]) for k in a)
-            if isinstance(a, list) and isinstance(b, list):
-                return len(a) == len(b) and all(map(close, a, b))
-            if isinstance(a, float) or isinstance(b, float):
-                return (isinstance(a, (int, float)) and isinstance(b, (int, float))
-                        and abs(a - b) <= 1e-12 * max(1.0, abs(b)))
-            return a == b
-
-        assert close(got, want)
+        got = checks.comparable(json.loads(out.read_text()))
+        assert checks._close(got, want["quick"]["long_time_exact"])
 
     @pytest.mark.parametrize("workload", ["scaling_shots", "long_time_exact"])
     def test_traced_quick_run_binds_every_boundary(self, tmp_path, monkeypatch,
@@ -422,17 +435,12 @@ class TestBenchmarkReference:
         # package (perfbench/tracing.py BOUNDARIES) and binds counters to their
         # signatures; a renamed, moved or re-signed name shows as absent, as a
         # null metric or as a failed run
-        bench = Path(__file__).resolve().parents[1] / "perfbench"
-        spec = importlib.util.spec_from_file_location("perfbench_workloads",
-                                                      bench / "workloads.py")
-        workloads = importlib.util.module_from_spec(spec)
-        monkeypatch.setitem(sys.modules, spec.name, workloads)   # for its dataclass
-        spec.loader.exec_module(workloads)
+        workloads = _perfbench_module("workloads", monkeypatch)
         argv = workloads.command(workloads.WORKLOADS[workload], 1, quick=True)
         env = dict(os.environ, PYTHONPATH=str(Path(gaplab.__file__).parents[1]),
                    OPENBLAS_NUM_THREADS="1", OMP_NUM_THREADS="1", MKL_NUM_THREADS="1")
         proc = subprocess.run(
-            [sys.executable, str(bench / "child.py"),
+            [sys.executable, str(PERFBENCH / "child.py"),
              json.dumps({"argv": argv, "trace": True})],
             cwd=tmp_path, env=env, capture_output=True, text=True, timeout=120)
         assert proc.returncode == 0, proc.stderr
@@ -573,8 +581,8 @@ class TestSettings:
 
 def _float_settings():
     for command, (_, _, settings) in cli._COMMANDS.items():
-        for key in settings:
-            if cli._TYPES.get(key, float) in (float, cli._floats):
+        for key, default in settings.items():
+            if cli._kind(key, default) in (float, [float]):
                 yield command, key
 
 
@@ -594,6 +602,45 @@ def test_non_finite_settings_refused(tmp_path, no_simulation, capsys, command, k
     assert not out.exists()
     err = capsys.readouterr().err
     assert err.startswith("gaplab:") or err.startswith("usage:")
+
+
+def _wrong_typed_settings():
+    """(command, setting, value) for values not of the setting's type; null
+    passes only where the default is None, and for shots."""
+    wrong = {int: [2.5, True], float: ["0.3", True], str: [7, True], bool: ["no", 1]}
+    for command in cli._COMMANDS:
+        for key, default in cli._settings(command).items():
+            kind = cli._kind(key, default)
+            values = [5, "2,3", [True], [wrong[kind[0]][0]]] \
+                if isinstance(kind, list) else wrong[kind]
+            for value in values + ([None] if default is not None and key != "shots"
+                                   else []):
+                yield command, key, value
+
+
+@pytest.mark.parametrize("command, key, value", list(_wrong_typed_settings()))
+def test_wrong_typed_config_value_refused(tmp_path, monkeypatch, capsys, command, key,
+                                          value):
+    # every setting of every subcommand: a --config value of another type than
+    # its flag's (samples_out 7 would open file descriptor 7) exits 1 with one
+    # line and no traceback, before any propagator is built
+    def refuse(*args, **kwargs):
+        raise AssertionError("built a propagator for a refused setting")
+    monkeypatch.setattr("gaplab.simulator.trotter_propagator", refuse)
+    cfg_file = tmp_path / "cfg.json"
+    cfg_file.write_text(json.dumps({key: value}))
+    assert run([command, "--config", str(cfg_file), "--out",
+                str(tmp_path / "x.out")]) == 1
+    assert list(tmp_path.iterdir()) == [cfg_file]
+    assert capsys.readouterr().err.startswith(f"gaplab: setting {key} takes ")
+
+
+def test_int_config_value_passes_for_float(tmp_path):
+    cfg_file = tmp_path / "cfg.json"
+    cfg_file.write_text(json.dumps({"center": 2, "lambda_list": [1]}))
+    assert run(["toy", "--config", str(cfg_file), "--eta-list", "0.1",
+                "--out", str(tmp_path / "toy.csv")]) == 0
+    assert read_config_header(tmp_path / "toy.csv")["center"] == 2
 
 
 def test_runs_load_no_scipy(tmp_path):

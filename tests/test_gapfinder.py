@@ -209,7 +209,7 @@ class TestEmpiricalCutoff:
                                            [orientation], grid)
                 spec = spectral_function(series, filt)
                 est = find_gap(spec, GapSearchConfig(initial_guess=1.4))
-                errs.append(gap_error(est, exact_gap))
+                errs.append(gap_error(est.gap, exact_gap))
             cutoffs[family] = empirical_depth_cutoff(
                 [4 * m for m in depths], errs)
         assert cutoffs["gaussian"] <= cutoffs["lorentzian"]
@@ -287,7 +287,7 @@ class TestResolutionFloor:
         [series] = run_time_series(model, TrotterPlan(1, 150), [orientation], grid)
         spec = spectral_function(series, filt)
         est = find_gap(spec, GapSearchConfig(initial_guess=1.4))
-        assert gap_error(est, exact_gap) <= 2 * eta / exact_gap
+        assert gap_error(est.gap, exact_gap) <= 2 * eta / exact_gap
 
 
 class TestUnfilteredInvariance:

@@ -27,12 +27,12 @@ from gaplab import (Filter, GapEstimate, GapSearchConfig, GapSearchError,
                     trotter_propagator)
 from gaplab.cli import main
 from gaplab.gapfinder import _derived_seed, _windows
-from gaplab.scaling import PhaseDiagramRow, phase_diagram_to_csv, read_phase_diagram
+from gaplab.scaling import PhaseDiagramRow, phase_diagram_to_csv
 from gaplab.simulator import prepare_input
-from gaplab.spectral import Spectrum, read_spectrum, spectrum_to_csv, transform
+from gaplab.spectral import Spectrum, spectrum_to_csv, transform
 from gaplab.trotter import _step, _x_rotation_power
 
-from conftest import overlap_by_path
+from conftest import overlap_by_path, read_phase_diagram, read_spectrum
 
 EPS = np.finfo(float).eps
 finite = st.floats(allow_nan=False, allow_infinity=False)

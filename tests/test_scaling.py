@@ -11,7 +11,9 @@ from gaplab import (
     perturbative_gap_guess,
     phase_diagram,
 )
-from gaplab.scaling import _t_quantile, phase_diagram_to_csv, read_phase_diagram
+from gaplab.scaling import _t_quantile, phase_diagram_to_csv
+
+from conftest import read_phase_diagram
 
 
 def ols_normal_equations(sizes, gaps):

@@ -21,7 +21,9 @@ from gaplab import (
     prepare_input,
     spectral_function,
 )
-from gaplab.spectral import MAX_GRID_LENGTH, grid_size, read_spectrum, spectrum_to_csv
+from gaplab.spectral import MAX_GRID_LENGTH, grid_size, spectrum_to_csv
+
+from conftest import read_spectrum
 
 
 def series_from_values(grid, values):
