@@ -5,8 +5,8 @@ Every output embeds in its header the fully resolved settings its subcommand
 reads (declared once, in _COMMANDS), and a saved configuration replayed
 through --config reproduces the file byte for byte.
 
-Exit codes: 0 success, 1 usage/configuration, 2 numeric or search failure,
-3 partial sweep failure.
+Exit codes: 0 success, 1 usage/configuration or an unwritable output,
+2 numeric or search failure, 3 partial sweep failure.
 """
 
 from __future__ import annotations
@@ -14,6 +14,7 @@ from __future__ import annotations
 import argparse
 import json
 import math
+import os
 import sys
 
 import numpy as np
@@ -113,6 +114,16 @@ def _check_kinds(subcommand, cfg):
                 or value is None and (default is None or key == "shots")):
             name = getattr(kind, "__name__", None) or f"a list of {kind[0].__name__}"
             raise ParameterError(f"setting {key} takes {name}, not {value!r}")
+
+
+def _check_outputs(*paths):
+    """Refuse, before any work, an empty output path or one whose directory
+    does not exist; None is an output not asked for."""
+    for path in paths:
+        if path == "":
+            raise ParameterError("an output path cannot be empty")
+        if path is not None and not os.path.isdir(os.path.dirname(path) or "."):
+            raise ParameterError(f"no directory to write {path!r} in")
 
 
 def _resolve(args, parser):
@@ -300,7 +311,6 @@ def cmd_scaling(cfg, out) -> int:
 
     extrapolations = {}
     samples = []
-    failed_cells = 0
     for j_index, (coupling, row) in enumerate(zip(couplings, cells)):
         points = []
         for n, model, search in row:
@@ -310,22 +320,21 @@ def cmd_scaling(cfg, out) -> int:
             try:
                 best = sweep.best_record()
             except GapSearchError:
-                failed_cells += 1
                 continue
             points.append((n, best.gap))
             samples.append({"j_over_h": coupling, "n": n, "gap": best.gap,
                             "theta_star": best.theta})
         if len(points) >= 3:
             extrapolations[coupling] = scaling.extrapolate(points)
-        else:
-            failed_cells += 1
     if not extrapolations:
-        return _FAILURE_EXIT
-    scaling.phase_diagram_to_csv(scaling.phase_diagram(extrapolations), out,
-                                 metadata=_meta("scaling", cfg))
-    if cfg["samples_out"]:
+        raise GapSearchError(f"no coupling found a gap at 3 or more sizes "
+                             f"({len(samples)} of {len(sizes) * len(couplings)} "
+                             f"cells found one); nothing written")
+    scaling.phase_diagram_to_csv(extrapolations, out, metadata=_meta("scaling", cfg))
+    if cfg["samples_out"] is not None:
         write_json(cfg["samples_out"], {"config": cfg, "samples": samples})
-    return _PARTIAL_EXIT if failed_cells else 0
+    # 3 or more sizes per coupling: a coupling left out has a failed cell
+    return _PARTIAL_EXIT if len(samples) < len(sizes) * len(couplings) else 0
 
 
 def cmd_toy(cfg, out) -> int:
@@ -397,8 +406,9 @@ def main(argv=None) -> int:
     cfg = _resolve(args, parser)
     try:
         _check_kinds(args.subcommand, cfg)
+        _check_outputs(args.out, cfg.get("samples_out"))
         return _COMMANDS[args.subcommand][0](cfg, args.out)
-    except (ParameterError, DataError) as exc:
+    except (ParameterError, DataError, OSError) as exc:
         print(f"gaplab: {exc}", file=sys.stderr)
         return _USAGE_EXIT
     except GaplabError as exc:

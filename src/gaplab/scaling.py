@@ -75,28 +75,10 @@ def extrapolate(points) -> Extrapolation:
                          confidence_band=(intercept - half, intercept + half))
 
 
-@dataclass(frozen=True)
-class PhaseDiagramRow:
-    coupling: float
-    gap_infinity: float
-    band_lo: float
-    band_hi: float
-    exact_reference: float
-
-
-def phase_diagram(extrapolations: dict) -> list:
-    """(J/h, gap, band) rows sorted by J/h, plus the exact reference line 2|1 - J/h|."""
-    rows = []
-    for coupling in sorted(extrapolations):
-        ex = extrapolations[coupling]
-        rows.append(PhaseDiagramRow(
-            coupling=float(coupling), gap_infinity=ex.intercept,
-            band_lo=ex.confidence_band[0], band_hi=ex.confidence_band[1],
-            exact_reference=exact_gap_thermodynamic(coupling, 1.0)))
-    return rows
-
-
-def phase_diagram_to_csv(rows, path, metadata: dict):
+def phase_diagram_to_csv(extrapolations: dict, path, metadata: dict):
+    """One row per coupling, sorted by J/h: the intercept, its band and the
+    exact reference 2|1 - J/h|."""
     write_table(path, metadata, _COLUMNS,
-                ((r.coupling, r.gap_infinity, r.band_lo, r.band_hi, r.exact_reference)
-                 for r in rows))
+                ((float(j), ex.intercept, *ex.confidence_band,
+                  exact_gap_thermodynamic(j, 1.0))
+                 for j, ex in sorted(extrapolations.items())))

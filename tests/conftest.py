@@ -12,7 +12,6 @@ import numpy as np
 import pytest
 from hypothesis import settings
 
-from gaplab.scaling import PhaseDiagramRow
 from gaplab.simulator import apply_gates, gate_sequence, prepare_input
 from gaplab.spectral import Spectrum
 from gaplab.trotter import Filter, TrotterPlan, trotter_propagator
@@ -232,9 +231,9 @@ def read_spectrum(path):
 
 
 def read_phase_diagram(path):
-    """(rows, metadata) of a phase_diagram_to_csv file."""
+    """(rows of float tuples, metadata) of a phase_diagram_to_csv file."""
     meta, _, rows = read_table(path)
-    return [PhaseDiagramRow(*map(float, r)) for r in rows], meta
+    return [tuple(map(float, r)) for r in rows], meta
 
 
 def read_config_header(path) -> dict:

@@ -635,6 +635,38 @@ def test_wrong_typed_config_value_refused(tmp_path, monkeypatch, capsys, command
     assert capsys.readouterr().err.startswith(f"gaplab: setting {key} takes ")
 
 
+def _unwritable_outputs():
+    """(command, output flag, path) for every output of every subcommand: a
+    path in a directory that does not exist, and the empty path."""
+    for command in cli._COMMANDS:
+        for flag in ["--out"] + (["--samples-out"] if "samples_out" in
+                                 cli._settings(command) else []):
+            for path in ("missing/x", ""):
+                yield command, flag, path
+
+
+@pytest.mark.parametrize("command, flag, path", list(_unwritable_outputs()))
+def test_unwritable_output_refused(tmp_path, no_simulation, capsys, command, flag,
+                                   path):
+    # refused before any work: exit 1 with one line and no traceback, and no
+    # output written (a bad --samples-out leaves no diagram.csv either)
+    argv = [command, flag, str(tmp_path / path) if path else ""]
+    if flag != "--out":
+        argv += ["--out", str(tmp_path / "diagram.csv")]
+    assert run(argv) == 1
+    assert list(tmp_path.iterdir()) == []
+    err = capsys.readouterr().err
+    assert err.startswith("gaplab: ") and err.count("\n") == 1
+
+
+def test_write_error_reported_in_one_line(tmp_path, capsys):
+    # a path that passes the checks but cannot be opened: a directory
+    assert run(["toy", "--lambda-list", "0.5", "--eta-list", "0.1",
+                "--out", str(tmp_path)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("gaplab: ") and err.count("\n") == 1
+
+
 def test_int_config_value_passes_for_float(tmp_path):
     cfg_file = tmp_path / "cfg.json"
     cfg_file.write_text(json.dumps({"center": 2, "lambda_list": [1]}))

@@ -9,7 +9,9 @@ Examples are drawn under the derandomized profile loaded in conftest, so a
 run is repeatable.
 """
 
+import contextlib
 import functools
+import io
 import json
 import math
 import tempfile
@@ -27,7 +29,7 @@ from gaplab import (Filter, GapEstimate, GapSearchConfig, GapSearchError,
                     trotter_propagator)
 from gaplab.cli import main
 from gaplab.gapfinder import _derived_seed, _windows
-from gaplab.scaling import PhaseDiagramRow, phase_diagram_to_csv
+from gaplab.scaling import Extrapolation, phase_diagram_to_csv
 from gaplab.simulator import prepare_input
 from gaplab.spectral import Spectrum, spectrum_to_csv, transform
 from gaplab.trotter import _step, _x_rotation_power
@@ -258,14 +260,16 @@ def test_spectrum_csv_round_trip(spec):
     assert back.omega_max_physical == spec.omega_max_physical
 
 
-@given(st.lists(st.builds(PhaseDiagramRow, finite, finite, finite, finite, finite),
-                max_size=10))
-def test_phase_diagram_csv_round_trip(rows):
+@given(st.dictionaries(finite, st.builds(Extrapolation, finite, finite,
+                                         st.tuples(finite, finite)), max_size=10))
+def test_phase_diagram_csv_round_trip(extrapolations):
+    # one row per coupling, sorted by J/h, beside the exact reference 2|1 - J/h|
     with tempfile.TemporaryDirectory() as tmp:
         path = Path(tmp) / "diagram.csv"
-        phase_diagram_to_csv(rows, path, metadata={"m": 35})
+        phase_diagram_to_csv(extrapolations, path, metadata={"m": 35})
         back, meta = read_phase_diagram(path)
-    assert back == rows
+    assert back == [(j, ex.intercept, *ex.confidence_band, 2 * abs(1 - j))
+                    for j, ex in sorted(extrapolations.items())]
     assert meta["m"] == 35
 
 
@@ -316,12 +320,16 @@ def test_scaling_picks_the_scored_sweeps_best_record(case):
         want += row
         full_rows += len(row) >= 3
     with tempfile.TemporaryDirectory() as tmp:
-        samples = Path(tmp) / "samples.json"
-        code = main(argv + ["--samples-out", str(samples),
-                            "--out", str(Path(tmp) / "diagram.csv")])
+        samples, diagram = Path(tmp) / "samples.json", Path(tmp) / "diagram.csv"
+        with contextlib.redirect_stderr(io.StringIO()) as err:
+            code = main(argv + ["--samples-out", str(samples), "--out", str(diagram)])
         if not full_rows:
-            assert code == 2 and not samples.exists()
+            assert code == 2 and not samples.exists() and not diagram.exists()
+            assert err.getvalue() == (
+                f"gaplab: no coupling found a gap at 3 or more sizes ({len(want)} of "
+                f"{len(sizes) * len(couplings)} cells found one); nothing written\n")
             return
+        assert err.getvalue() == ""
         assert code == (0 if len(want) == len(sizes) * len(couplings)
                         and full_rows == len(couplings) else 3)
         assert json.loads(samples.read_text())["samples"] == want

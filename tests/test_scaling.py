@@ -9,7 +9,6 @@ from gaplab import (
     SpinModel,
     extrapolate,
     perturbative_gap_guess,
-    phase_diagram,
 )
 from gaplab.scaling import _t_quantile, phase_diagram_to_csv
 
@@ -125,19 +124,21 @@ class TestBandConvergence:
 
 
 class TestPhaseDiagram:
-    def test_exact_inputs_land_on_reference_line(self):
-        diagram = phase_diagram({
-            c: extrapolate(perturbative_sample(c)) for c in (0.2, 0.4, 0.6, 0.8)})
-        for row in diagram:
-            assert row.exact_reference == pytest.approx(2 * (1 - row.coupling))
-            assert row.gap_infinity == pytest.approx(row.exact_reference, abs=1e-12)
+    def test_exact_inputs_land_on_reference_line(self, tmp_path):
+        path = tmp_path / "diag.csv"
+        phase_diagram_to_csv({c: extrapolate(perturbative_sample(c))
+                              for c in (0.8, 0.2, 0.6, 0.4)}, path, metadata={})
+        rows, _ = read_phase_diagram(path)
+        assert [row[0] for row in rows] == [0.2, 0.4, 0.6, 0.8]
+        for coupling, gap_infinity, _, _, exact_reference in rows:
+            assert exact_reference == pytest.approx(2 * (1 - coupling))
+            assert gap_infinity == pytest.approx(exact_reference, abs=1e-12)
 
     def test_csv_round_trip(self, tmp_path):
-        diagram = phase_diagram({
-            c: extrapolate(perturbative_sample(c)) for c in (0.2, 0.4)})
+        extrapolations = {c: extrapolate(perturbative_sample(c)) for c in (0.2, 0.4)}
         path = tmp_path / "diag.csv"
-        phase_diagram_to_csv(diagram, path, metadata={"m": 35})
+        phase_diagram_to_csv(extrapolations, path, metadata={"m": 35})
         back, meta = read_phase_diagram(path)
         assert meta["m"] == 35
         assert len(back) == 2
-        assert back[1].gap_infinity == pytest.approx(diagram[1].gap_infinity)
+        assert back[1][1] == extrapolations[0.4].intercept
