@@ -117,13 +117,16 @@ def _check_kinds(subcommand, cfg):
 
 
 def _check_outputs(*paths):
-    """Refuse, before any work, an empty output path or one whose directory
-    does not exist; None is an output not asked for."""
+    """Refuse, before any work, an output path that is empty, a directory or in a
+    missing directory, and two outputs naming one file (None: not asked for)."""
+    paths = [path for path in paths if path is not None]
     for path in paths:
-        if path == "":
-            raise ParameterError("an output path cannot be empty")
-        if path is not None and not os.path.isdir(os.path.dirname(path) or "."):
+        if path == "" or os.path.isdir(path):
+            raise ParameterError(f"output path {path!r} is empty or a directory")
+        if not os.path.isdir(os.path.dirname(path) or "."):
             raise ParameterError(f"no directory to write {path!r} in")
+    if len(set(map(os.path.realpath, paths))) < len(paths):
+        raise ParameterError(f"--out and --samples-out both name {paths[0]!r}")
 
 
 def _resolve(args, parser):
@@ -341,7 +344,7 @@ def cmd_toy(cfg, out) -> int:
     separation = cfg["separation_ratio"] * cfg["center"]
     rows = toymodel.shift_table(cfg["center"], separation,
                                 cfg["lambda_list"], cfg["eta_list"])
-    toymodel.shift_table_to_csv(rows, out, metadata=_meta("toy", cfg))
+    write_table(out, _meta("toy", cfg), ["eta", "lambda", "family", "shift"], rows)
     return 0
 
 

@@ -72,14 +72,12 @@ def find_gap(spectrum: Spectrum, config: GapSearchConfig) -> GapEstimate:
     capped window; the caller restarts with a different guess.
     """
     om, av = spectrum.omegas, spectrum.values
+    fold = spectrum.omega_max_physical
     peaks = local_maxima(av)
-    peaks = peaks[om[peaks] > 0]
-    ceiling = spectrum.omega_max_physical
+    peaks = peaks[(om[peaks] > 0) & (om[peaks] <= (np.inf if fold is None else fold))]
     for width in _windows(config, spectrum.filter.eta):
         lo = max(config.initial_guess - width / 2.0, 0.0)
         hi = config.initial_guess + width / 2.0
-        if ceiling is not None:
-            hi = min(hi, ceiling)
         inside = peaks[(om[peaks] >= lo) & (om[peaks] <= hi)]
         if len(inside):
             m = inside[np.argmax(av[inside])]   # the first of tied maxima
@@ -232,13 +230,9 @@ def theta_sweep(model: SpinModel, plan: TrotterPlan, filt: Filter,
 
 
 def sweep_to_json(result: SweepResult, path, metadata: dict):
-    payload = {"config": metadata,
-               "records": [asdict(r) for r in result.records]}
-    ok = [r for r in result.records if r.failure is None]
-    payload["summary"] = {
-        "n_records": len(result.records),
-        "n_failed": len(result.failed()),
-        "unfavored_thetas": result.unfavored_thetas(),
-        "theta_star": result.best_record().theta if ok else None,
-    }
-    write_json(path, payload)
+    ok = len(result.failed()) < len(result.records)
+    summary = {"n_records": len(result.records), "n_failed": len(result.failed()),
+               "unfavored_thetas": result.unfavored_thetas(),
+               "theta_star": result.best_record().theta if ok else None}
+    write_json(path, {"config": metadata, "records": [asdict(r) for r in result.records],
+                      "summary": summary})

@@ -73,11 +73,24 @@ class EigenDecomposition:
 
 
 @functools.lru_cache(maxsize=None)
+def basis_bits(n_spins: int) -> np.ndarray:
+    """(2^N, N) site bits of every basis index, site 0 most significant (read-only)."""
+    out = (np.arange(2 ** n_spins)[:, None] >> np.arange(n_spins - 1, -1, -1)) & 1
+    out.flags.writeable = False
+    return out
+
+
+def kron_product(factors: np.ndarray) -> np.ndarray:
+    """np.kron of the rows of an (N, 2) array, by the same products in the same order."""
+    n = len(factors)
+    return np.multiply.reduce(factors[np.arange(n), basis_bits(n)], axis=1)
+
+
+@functools.lru_cache(maxsize=None)
 def ising_bond_parity(n_spins: int) -> np.ndarray:
     """Diagonal of sum_b Z_b Z_{b+1} over computational basis states (read-only)."""
-    idx = np.arange(2 ** n_spins)
-    z = 1 - 2 * ((idx[None, :] >> (n_spins - 1 - np.arange(n_spins)[:, None])) & 1)
-    out = np.sum(z[:-1] * z[1:], axis=0).astype(float)
+    z = 1 - 2 * basis_bits(n_spins)
+    out = np.sum(z[:, :-1] * z[:, 1:], axis=1).astype(float)
     out.flags.writeable = False
     return out
 

@@ -26,7 +26,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DataError, ParameterError, ResourceLimitError, is_count
-from .model import SpinModel
+from .model import SpinModel, kron_product
 from .trotter import ITERATION_LAYERS, TrotterPlan, trotter_propagator
 
 #: Largest chain the engine simulates: each positive time (the minus branch is its
@@ -106,12 +106,9 @@ class TimeSeries:
 
 
 def prepare_input(orientation: InputOrientation) -> np.ndarray:
-    """Normalized statevector prod_j [cos(theta_j/2)|0> + sin(theta_j/2)|1>]."""
-    out = np.array([1.0 + 0j])
-    for a in orientation.angles:   # np.kron(out, factors): the same products, in order
-        factors = np.array([math.cos(a / 2), math.sin(a / 2)], dtype=complex)
-        out = (out[:, None] * factors).ravel()
-    return out
+    """Product state prod_j [cos(theta_j/2)|0> + sin(theta_j/2)|1>], by kron_product."""
+    pairs = [(math.cos(a / 2), math.sin(a / 2)) for a in orientation.angles]
+    return kron_product(np.array(pairs, dtype=complex).reshape(-1, 2))
 
 
 # --------------------------------------------------------------------------
@@ -209,7 +206,8 @@ def run_time_series(model: SpinModel, plan: TrotterPlan, orientations,
     bra = psi.conj()
     amp = np.ones((len(orientations), grid.length), dtype=complex)
     for n, t in enumerate(grid.times[1:], start=1):
-        amp[:, n] = np.einsum("ik,ik->k", bra, trotter_propagator(model, plan, t) @ psi)
+        evolved = trotter_propagator(model, plan, t).dot(psi)
+        amp[:, n] = np.einsum("ik,ik->k", bra, evolved)
     probs = np.repeat(np.clip(np.abs(amp) ** 2, 0.0, 1.0)[:, None], 2, axis=1)
     if shots is not None:
         for k, seed in enumerate(seeds):

@@ -13,7 +13,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._textio import write_table
 from .errors import ParameterError
 from .spectral import filter_fourier, local_maxima
 from .trotter import Filter
@@ -82,7 +81,3 @@ def shift_table(center: float, separation: float, lambdas, etas):
                                  relative_height=lam, filter=Filter(family, float(eta)))
                 rows.append((float(eta), float(lam), family, peak_shift(m)))
     return rows
-
-
-def shift_table_to_csv(rows, path, metadata: dict):
-    write_table(path, metadata, ["eta", "lambda", "family", "shift"], rows)

@@ -637,11 +637,12 @@ def test_wrong_typed_config_value_refused(tmp_path, monkeypatch, capsys, command
 
 def _unwritable_outputs():
     """(command, output flag, path) for every output of every subcommand: a
-    path in a directory that does not exist, and the empty path."""
+    path in a directory that does not exist, the empty path, and an existing
+    directory ("sub", made by the test)."""
     for command in cli._COMMANDS:
         for flag in ["--out"] + (["--samples-out"] if "samples_out" in
                                  cli._settings(command) else []):
-            for path in ("missing/x", ""):
+            for path in ("missing/x", "", "sub"):
                 yield command, flag, path
 
 
@@ -650,19 +651,39 @@ def test_unwritable_output_refused(tmp_path, no_simulation, capsys, command, fla
                                    path):
     # refused before any work: exit 1 with one line and no traceback, and no
     # output written (a bad --samples-out leaves no diagram.csv either)
+    (tmp_path / "sub").mkdir()
     argv = [command, flag, str(tmp_path / path) if path else ""]
     if flag != "--out":
         argv += ["--out", str(tmp_path / "diagram.csv")]
     assert run(argv) == 1
+    assert list(tmp_path.iterdir()) == [tmp_path / "sub"]
+    assert list((tmp_path / "sub").iterdir()) == []
+    err = capsys.readouterr().err
+    assert err.startswith("gaplab: ") and err.count("\n") == 1
+
+
+@pytest.mark.parametrize("samples_out", ["same.csv", "./same.csv"])
+def test_samples_out_naming_the_diagram_refused(tmp_path, no_simulation, capsys,
+                                                monkeypatch, samples_out):
+    # the samples JSON would overwrite the phase diagram: refused before any work,
+    # however the one file is spelled
+    monkeypatch.chdir(tmp_path)
+    assert run(["scaling", "--exact", "--j-list", "0.4", "--n-list", "2,3,4",
+                "--theta-count", "3", "--samples-out", samples_out,
+                "--out", str(tmp_path / "same.csv")]) == 1
     assert list(tmp_path.iterdir()) == []
     err = capsys.readouterr().err
     assert err.startswith("gaplab: ") and err.count("\n") == 1
 
 
 def test_write_error_reported_in_one_line(tmp_path, capsys):
-    # a path that passes the checks but cannot be opened: a directory
+    # a path that passes the checks but cannot be opened: a dangling symlink
+    # into a directory that does not exist
+    link = tmp_path / "toy.csv"
+    link.symlink_to(tmp_path / "missing" / "toy.csv")
     assert run(["toy", "--lambda-list", "0.5", "--eta-list", "0.1",
-                "--out", str(tmp_path)]) == 1
+                "--out", str(link)]) == 1
+    assert not (tmp_path / "missing").exists()
     err = capsys.readouterr().err
     assert err.startswith("gaplab: ") and err.count("\n") == 1
 

@@ -43,6 +43,14 @@ class TestPrepareInput:
         psi = prepare_input(InputOrientation((math.pi / 2, math.pi / 2)))
         assert np.allclose(psi, 0.5)
 
+    @pytest.mark.parametrize("angles", [(), (0.3,)])
+    def test_fewer_than_two_sites(self, angles):
+        # np.kron's products: none is the unit state, one site its own pair
+        want = functools.reduce(np.kron, [np.array([math.cos(a / 2), math.sin(a / 2)],
+                                                   dtype=complex) for a in angles],
+                                np.ones(1, complex))
+        assert np.array_equal(prepare_input(InputOrientation(angles)), want)
+
     def test_angles_wrap(self):
         a = InputOrientation((2 * math.pi + 0.3,)).angles[0]
         assert a == pytest.approx(0.3)
@@ -311,7 +319,7 @@ class TestRunTimeSeries:
             assert np.allclose(series.p_plus, want_plus, rtol=0, atol=1e-14)
             assert np.array_equal(series.p_minus, series.p_plus)
 
-    @pytest.mark.parametrize("order", [1, 4])
+    @pytest.mark.parametrize("order", [1, 2, 4])
     def test_matches_per_time_loop(self, order):
         # the engine keeps each time's amplitudes and squares them once; the
         # loop it replaced squared and clipped at every time, with the
