@@ -49,15 +49,6 @@ _RECORDED_UNREAD = {"gap": {"eps_c": 1e-2},
                     "sweep-theta": {"eps_c": 1e-2, "theta_over_pi": 0.27}}
 
 
-def _search_config(cfg, initial_guess):
-    """The peak-search config, its windows checked against eta before simulating."""
-    config = GapSearchConfig(initial_guess=initial_guess,
-                             initial_window=cfg["initial_window_over_h"],
-                             max_window=cfg["max_window_over_h"])
-    gapfinder._windows(config, cfg["eta_over_h"])
-    return config
-
-
 class _Parser(argparse.ArgumentParser):
     def error(self, message):
         self.print_usage(sys.stderr)
@@ -149,27 +140,16 @@ def _resolve(args, parser):
     return cfg
 
 
-def _filter(cfg):
-    return Filter(cfg["filter"], cfg["eta_over_h"]) \
-        if cfg["filter"] != "none" else Filter.none()
-
-
-def _build(cfg):
-    model = SpinModel(n_spins=cfg["n"], coupling=cfg["j_over_h"], field=1.0)
+def _setup(cfg, searched=True):
+    """The run's plan, filter and time grid; records the resolved d_omega and L
+    in cfg.  Where a peak search or the oracle reads the line (`searched`), a
+    filter with no width (--filter none or eta = 0) is refused first: neither
+    can use a delta line."""
     plan = TrotterPlan(order=cfg["p"], depth=cfg["m"])
-    return model, plan, _filter(cfg)
-
-
-def _require_broadened(filt):
-    """Refuse before simulating a filter with no width (--filter none or
-    eta = 0): neither the peak search nor the oracle can use a delta line."""
-    if not filt.broadened:
+    filt = Filter(cfg["filter"], cfg["eta_over_h"])
+    if searched and not filt.broadened:
         raise ParameterError("the peak search and the oracle need a broadened "
                              "filter (eta > 0), not --filter none or --eta-over-h 0")
-
-
-def _grid(cfg, filt):
-    """The run's time grid; records the resolved d_omega and L in cfg."""
     try:
         d_omega, length = spectral.grid_size(filt, cfg["d_omega_over_h"], cfg["l_points"])
     except ParameterError as exc:
@@ -177,7 +157,17 @@ def _grid(cfg, filt):
             raise ParameterError(f"{exc}; give --d-omega-over-h") from exc
         raise
     cfg["d_omega_over_h"], cfg["l_points"] = d_omega, length
-    return spectral.default_grid(filt, d_omega, length)
+    return plan, filt, spectral.default_grid(filt, d_omega, length)
+
+
+def _search(cfg, model):
+    """The peak-search config from the chain's perturbative guess, its windows
+    checked against eta before simulating."""
+    config = GapSearchConfig(initial_guess=perturbative_gap_guess(model),
+                             initial_window=cfg["initial_window_over_h"],
+                             max_window=cfg["max_window_over_h"])
+    gapfinder._windows(config, cfg["eta_over_h"])
+    return config
 
 
 def _meta(subcommand, cfg):
@@ -218,20 +208,18 @@ def cmd_depth_bound(cfg, out) -> int:
     return 0
 
 
-def _spectrum_pipeline(cfg, model, plan, filt):
-    grid = _grid(cfg, filt)
+def _spectrum_pipeline(cfg, model, plan, filt, grid):
     orientation = InputOrientation.uniform(model.n_spins,
                                            cfg["theta_over_pi"] * math.pi)
     [series] = run_time_series(model, plan, [orientation], grid,
                                shots=cfg["shots"], seeds=[cfg["seed"]])
-    return grid, orientation, spectral_function(series, filt)
+    return orientation, spectral_function(series, filt)
 
 
 def cmd_spectrum(cfg, out) -> int:
-    model, plan, filt = _build(cfg)
-    if cfg["oracle"]:
-        _require_broadened(filt)
-    grid, orientation, spec = _spectrum_pipeline(cfg, model, plan, filt)
+    model = SpinModel(cfg["n"], cfg["j_over_h"], 1.0)
+    plan, filt, grid = _setup(cfg, searched=cfg["oracle"])
+    orientation, spec = _spectrum_pipeline(cfg, model, plan, filt, grid)
     extra = {}
     if cfg["oracle"]:
         eig = exact_diagonalize(model)
@@ -242,13 +230,12 @@ def cmd_spectrum(cfg, out) -> int:
 
 
 def cmd_gap(cfg, out) -> int:
-    model, plan, filt = _build(cfg)
-    _require_broadened(filt)
-    delta0 = perturbative_gap_guess(model)
-    search = _search_config(cfg, delta0)    # refuses a bad window before simulating
-    grid, orientation, spec = _spectrum_pipeline(cfg, model, plan, filt)
+    model = SpinModel(cfg["n"], cfg["j_over_h"], 1.0)
+    plan, filt, grid = _setup(cfg)
+    search = _search(cfg, model)
+    orientation, spec = _spectrum_pipeline(cfg, model, plan, filt, grid)
     eig = exact_diagonalize(model)
-    result = {"delta0": delta0,
+    result = {"delta0": search.initial_guess,
               "delta_exact_ed": float(eig.energies[1] - eig.energies[0])}
     try:
         est = find_gap(spec, search)
@@ -276,24 +263,16 @@ def _theta_values(cfg):
 
 
 def cmd_sweep_theta(cfg, out) -> int:
-    model, plan, filt = _build(cfg)
-    _require_broadened(filt)
-    grid = _grid(cfg, filt)
-    guess = perturbative_gap_guess(model)
+    model = SpinModel(cfg["n"], cfg["j_over_h"], 1.0)
+    plan, filt, grid = _setup(cfg)
     result = gapfinder.theta_sweep(model, plan, filt, grid,
                                    _theta_values(cfg), shots=cfg["shots"],
-                                   seed=cfg["seed"],
-                                   search=_search_config(cfg, guess))
+                                   seed=cfg["seed"], search=_search(cfg, model))
     gapfinder.sweep_to_json(result, out, metadata=cfg)
     n_failed = len(result.failed())
     if n_failed == len(result.records):
         return _FAILURE_EXIT
     return _PARTIAL_EXIT if n_failed else 0
-
-
-def _scaling_cell(cfg, n, coupling):
-    model = SpinModel(n, coupling, 1.0)
-    return n, model, _search_config(cfg, perturbative_gap_guess(model))
 
 
 def cmd_scaling(cfg, out) -> int:
@@ -303,20 +282,17 @@ def cmd_scaling(cfg, out) -> int:
         raise ParameterError(f"--n-list needs 3 or more distinct sizes, not {sizes}")
     if len(set(couplings)) < len(couplings) or not couplings:
         raise ParameterError(f"--j-list needs distinct couplings, not {couplings}")
-    filt = _filter(cfg)
-    _require_broadened(filt)
+    plan, filt, grid = _setup(cfg)
     _check_simulated(max(sizes))
-    plan = TrotterPlan(cfg["p"], cfg["m"])
-    cells = [[_scaling_cell(cfg, n, coupling) for n in sizes]
-             for coupling in couplings]
-    grid = _grid(cfg, filt)
+    models = [[SpinModel(n, coupling, 1.0) for n in sizes] for coupling in couplings]
+    searches = [[_search(cfg, model) for model in row] for row in models]
     thetas = _theta_values(cfg)
 
     extrapolations = {}
     samples = []
-    for j_index, (coupling, row) in enumerate(zip(couplings, cells)):
+    for j_index, coupling in enumerate(couplings):
         points = []
-        for n, model, search in row:
+        for n, model, search in zip(sizes, models[j_index], searches[j_index]):
             sweep, _ = gapfinder.search_sweep(
                 model, plan, filt, grid, thetas, search, cfg["shots"],
                 gapfinder._derived_seed(cfg["seed"], j_index, n))

@@ -184,12 +184,12 @@ def _derived_seed(*keys: int) -> int:
 def search_sweep(model: SpinModel, plan: TrotterPlan, filt: Filter, grid: TimeGrid,
                  thetas, search: GapSearchConfig, shots: int | None, seed: int):
     """The search half of theta_sweep, and all that `scaling` runs: simulate every
-    orientation in one call (shot mode draws from per-theta derived seeds),
-    transform each series and search it for the gap.  Returns the sweep, its
-    error measures left None, and its spectra."""
+    orientation in one call (shot mode draws from per-theta derived seeds, exact
+    mode checks the seed itself), transform each series and search it for the gap.
+    Returns the sweep, its error measures left None, and its spectra."""
     thetas = [float(theta) for theta in thetas]
     seeds = [_derived_seed(seed, l) for l in range(len(thetas))] \
-        if shots is not None else None
+        if shots is not None else [seed] * len(thetas)
     all_series = run_time_series(
         model, plan, [InputOrientation.uniform(model.n_spins, t) for t in thetas],
         grid, shots=shots, seeds=seeds)

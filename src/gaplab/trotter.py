@@ -7,7 +7,7 @@ The depth-M approximant of e^{-iHt} is U_M(t) = [U(t/M)]^M with a single step
     U4(s) = U2(k s)^2 U2((1-4k) s) U2(k s)^2,   k = (4 - 4^(1/3))^(-1)
 
 Both sub-exponentials are closed forms: H1 is diagonal in the z basis, and entry
-(a, b) of e^{-iH2 s} is one 2^N-entry row (a kron_product over the cached site-bit
+(a, b) of e^{-iH2 s} is one 2^N-entry row (cos/i sin products over the site-bit
 table) read at a XOR b.  2-D products use ndarray.dot: `@`'s zgemm, less dispatch.
 """
 
@@ -19,8 +19,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ParameterError, is_count
-from .model import (SpinModel, basis_xor_table, commutator_norm_bounds, h1_diagonal,
-                    kron_product)
+from .model import (SpinModel, basis_bits, basis_xor_table, commutator_norm_bounds,
+                    h1_diagonal)
 
 KAPPA4 = 1.0 / (4.0 - 4.0 ** (1.0 / 3.0))
 
@@ -59,7 +59,8 @@ class Filter:
     """Multiplicative time-domain decay e.g. e^{-eta t} (lorentzian line shape).
 
     `eta` is half of the full width at half maximum of the frequency-space
-    line shape; the gaussian clock rate is sigma = eta / sqrt(2 ln 2).
+    line shape; the gaussian clock rate is sigma = eta / sqrt(2 ln 2).  Family
+    `none` means eta = 0: a given eta is checked, then set to 0.
     """
 
     family: str
@@ -70,13 +71,15 @@ class Filter:
             raise ParameterError(f"unknown filter family {self.family!r}")
         if not (self.eta >= 0 and math.isfinite(self.eta)):
             raise ParameterError(f"broadening must be finite and >= 0, got {self.eta}")
+        if self.family == "none":
+            object.__setattr__(self, "eta", 0.0)
 
     @property
     def broadened(self) -> bool:
         """Whether the line shape has a width (eta > 0): an unfiltered or
         zero-eta line is a delta, which neither a grid rule nor a peak search
         can use."""
-        return self.family != "none" and self.eta > 0
+        return self.eta > 0
 
     @property
     def sigma(self) -> float:
@@ -117,9 +120,10 @@ def gate_count(order: int, n_spins: int) -> int:
 
 def _x_rotation_power(model: SpinModel, dt: float) -> np.ndarray:
     """e^{-iH2 dt} = prod_j [cos(h dt) + i sin(h dt) X_j]; entry (a, b) is row[a XOR b],
-    the kron_product of cos(h dt) per equal bit and i sin(h dt) per unequal."""
+    the product of cos(h dt) per equal bit and i sin(h dt) per unequal, site 0 first."""
     a = model.field * dt
-    row = kron_product(np.array([[math.cos(a), 1j * math.sin(a)]] * model.n_spins))
+    pair = np.array([math.cos(a), 1j * math.sin(a)])
+    row = np.multiply.reduce(pair[basis_bits(model.n_spins)], axis=1)
     return row[basis_xor_table(model.n_spins)]
 
 

@@ -154,6 +154,16 @@ class TestSpectrum:
                     "--out", str(tmp_path / "x.csv")]) == 1
         assert "give --d-omega-over-h" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("eta", ["nan", "inf", "-1"])
+    def test_filter_none_checks_eta(self, tmp_path, no_simulation, capsys, eta):
+        # --filter none reads no width, but a bad one is still refused
+        out = tmp_path / "x.csv"
+        assert run(["spectrum", "--filter", "none", "--eta-over-h", eta,
+                    "--d-omega-over-h", "0.1", "--exact", "--out", str(out)]) == 1
+        assert not out.exists()
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("gaplab:")
+
     @pytest.mark.parametrize("command", ["gap", "spectrum", "sweep-theta", "scaling"])
     @pytest.mark.parametrize("argv", [
         ["--d-omega-over-h", "0"], ["--l-points", "0"],
@@ -368,7 +378,8 @@ class TestEmptyScans:
 class TestNegativeSeed:
     @pytest.mark.parametrize("argv", [
         ["gap"], ["spectrum"], ["sweep-theta", "--theta-count", "2"],
-        ["scaling", "--exact"]])
+        ["scaling", "--exact"], ["sweep-theta", "--exact", "--theta-count", "2"],
+        ["gap", "--exact"], ["spectrum", "--exact"]])
     def test_refused_before_any_propagator(self, tmp_path, monkeypatch, capsys, argv):
         def refuse(*args, **kwargs):
             raise AssertionError("built a propagator for a refused seed")

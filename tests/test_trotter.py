@@ -128,6 +128,16 @@ class TestFilter:
         with pytest.raises(ParameterError):
             Filter.lorentzian(-0.1)
 
+    def test_none_means_zero_width(self):
+        # a given eta is checked, then dropped: the unfiltered line is a delta
+        assert Filter("none", 0.3).eta == 0.0
+        assert Filter("none", 0.3) == Filter.none()
+        with pytest.raises(ParameterError):
+            Filter("none", float("nan"))
+        assert not Filter("none", 0.3).broadened
+        assert not Filter("gaussian", 0.0).broadened
+        assert Filter("gaussian", 0.1).broadened
+
 
 class TestTruncationBound:
     def test_zero_time(self):
