@@ -5,7 +5,9 @@ results are checked against a second code path, not against themselves.
 """
 
 import dataclasses
+import importlib.util
 import json
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -241,3 +243,16 @@ def read_config_header(path) -> dict:
     if str(path).endswith(".json"):
         return json.loads(Path(path).read_text(encoding="utf-8"))["config"]
     return read_table(path)[0]["config"]
+
+
+PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
+
+
+def perfbench_module(name, monkeypatch):
+    """One of the benchmark's scripts, loaded from its file as a module."""
+    spec = importlib.util.spec_from_file_location(f"perfbench_{name}",
+                                                  PERFBENCH / f"{name}.py")
+    module = importlib.util.module_from_spec(spec)
+    monkeypatch.setitem(sys.modules, spec.name, module)   # for its dataclasses
+    spec.loader.exec_module(module)
+    return module

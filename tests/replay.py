@@ -1,0 +1,87 @@
+"""Replay the corpus commands at HEAD and at another revision, and compare bytes.
+
+Each command of exact_corpus.COMMANDS runs as listed and, where it has
+`--exact`, once more without it (shot mode, at its default shots and seed).
+Shot-mode output depends on numpy's binomial stream, so it stays out of the
+Tier-1 corpus; this script shows what a change did to it.  Both revisions are
+checked out in temporary git worktrees and run the same command list, the one
+beside this script.  Per command it prints `identical`, or the first
+difference: the exit code, a printed line or a line of an output file.
+
+    python tests/replay.py REVISION
+"""
+
+import argparse
+import json
+import os
+import subprocess
+import sys
+import tempfile
+from pathlib import Path
+
+REPO = Path(__file__).resolve().parents[1]
+
+
+def _capture_all():
+    """Run in a child whose PYTHONPATH names one checkout's src (the parent
+    imports no gaplab): every command's exit code, printed text and output
+    files, as one JSON line on stdout."""
+    from exact_corpus import COMMANDS, capture
+
+    results = []
+    for argv in COMMANDS:
+        shot = tuple(a for a in argv if a != "--exact")
+        for run in (argv, shot) if shot != argv else (argv,):
+            with tempfile.TemporaryDirectory() as workdir:
+                results.append(capture(run, Path(workdir), read=Path.read_text))
+    print(json.dumps(results))
+
+
+def _run_at(revision: str, tmp: Path) -> list:
+    tree = tmp / "tree"
+    subprocess.run(["git", "-C", str(REPO), "worktree", "add", "--detach", str(tree),
+                    revision], check=True, capture_output=True)
+    try:
+        path = os.pathsep.join((str(tree / "src"), str(Path(__file__).parent)))
+        child = subprocess.run(
+            [sys.executable, "-c", "import replay; replay._capture_all()"],
+            check=True, capture_output=True, text=True,
+            env=dict(os.environ, PYTHONPATH=path))
+    finally:
+        subprocess.run(["git", "-C", str(REPO), "worktree", "remove", "--force",
+                        str(tree)], check=True)
+    return json.loads(child.stdout)
+
+
+def first_difference(base: dict, head: dict) -> str | None:
+    for key in ("exit", "stdout", "stderr"):
+        if base[key] != head[key]:
+            return f"{key}: {base[key]!r} -> {head[key]!r}"
+    if sorted(base["outputs"]) != sorted(head["outputs"]):
+        return f"files: {sorted(base['outputs'])} -> {sorted(head['outputs'])}"
+    for name, text in sorted(base["outputs"].items()):
+        old, new = text.splitlines(), head["outputs"][name].splitlines()
+        for number, (a, b) in enumerate(zip(old, new), start=1):
+            if a != b:
+                return f"{name} line {number}: {a!r} -> {b!r}"
+        if len(old) != len(new):
+            return f"{name}: {len(old)} -> {len(new)} lines"
+    return None
+
+
+def main():
+    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    parser.add_argument("revision", help="the revision HEAD is compared with")
+    args = parser.parse_args()
+    runs = []
+    for revision in (args.revision, "HEAD"):
+        with tempfile.TemporaryDirectory() as tmp:
+            runs.append(_run_at(revision, Path(tmp)))
+    for base, head in zip(*runs):
+        diff = first_difference(base, head)
+        print(f"{'identical' if diff is None else 'differs'}: "
+              f"{' '.join(base['argv'])}" + ("" if diff is None else f"\n    {diff}"))
+
+
+if __name__ == "__main__":
+    main()

@@ -1,5 +1,4 @@
 import argparse
-import importlib.util
 import json
 import math
 import os
@@ -16,7 +15,7 @@ from gaplab import Filter, SpinModel, depth_cutoff
 from gaplab import cli
 from gaplab.cli import build_parser, main
 
-from conftest import read_config_header, read_table
+from conftest import PERFBENCH, perfbench_module, read_config_header, read_table
 
 FAST_SPECTRUM = ["--exact", "--eta-over-h", "0.3", "--filter", "gaussian"]
 
@@ -411,25 +410,12 @@ class TestNonIntegerCounts:
         assert capsys.readouterr().err.startswith("gaplab:")
 
 
-PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
-
-
-def _perfbench_module(name, monkeypatch):
-    """One of the benchmark's scripts, loaded from its file as a module."""
-    spec = importlib.util.spec_from_file_location(f"perfbench_{name}",
-                                                  PERFBENCH / f"{name}.py")
-    module = importlib.util.module_from_spec(spec)
-    monkeypatch.setitem(sys.modules, spec.name, module)   # for its dataclasses
-    spec.loader.exec_module(module)
-    return module
-
-
 class TestBenchmarkReference:
     def test_long_time_exact_within_reference(self, tmp_path, monkeypatch):
         # the quick long_time_exact benchmark command (criterion 6, L = 2800,
         # M = 10000) must reproduce the benchmark's captured exact output by
         # the benchmark's own rule, 1e-12 relative, as every exact-mode change
-        checks = _perfbench_module("checks", monkeypatch)
+        checks = perfbench_module("checks", monkeypatch)
         want = json.loads((PERFBENCH / "reference.json").read_text())
         out = tmp_path / "sweep.json"
         assert run(["sweep-theta", "--n", "4", "--j-over-h", "0.4", "--p", "1",
@@ -446,7 +432,7 @@ class TestBenchmarkReference:
         # package (perfbench/tracing.py BOUNDARIES) and binds counters to their
         # signatures; a renamed, moved or re-signed name shows as absent, as a
         # null metric or as a failed run
-        workloads = _perfbench_module("workloads", monkeypatch)
+        workloads = perfbench_module("workloads", monkeypatch)
         argv = workloads.command(workloads.WORKLOADS[workload], 1, quick=True)
         env = dict(os.environ, PYTHONPATH=str(Path(gaplab.__file__).parents[1]),
                    OPENBLAS_NUM_THREADS="1", OMP_NUM_THREADS="1", MKL_NUM_THREADS="1")
