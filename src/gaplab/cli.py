@@ -293,9 +293,10 @@ def cmd_scaling(cfg, out) -> int:
     for j_index, coupling in enumerate(couplings):
         points = []
         for n, model, search in zip(sizes, models[j_index], searches[j_index]):
+            seed = cfg["seed"] if cfg["shots"] is None \
+                else gapfinder._derived_seed(cfg["seed"], j_index, n)
             sweep, _ = gapfinder.search_sweep(
-                model, plan, filt, grid, thetas, search, cfg["shots"],
-                gapfinder._derived_seed(cfg["seed"], j_index, n))
+                model, plan, filt, grid, thetas, search, cfg["shots"], seed)
             try:
                 best = sweep.best_record()
             except GapSearchError:

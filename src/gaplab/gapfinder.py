@@ -4,8 +4,9 @@ The search starts from the caller's guess Delta_0 (the command line passes the
 perturbative one), looks for a strict local maximum of A inside
 [Delta_0 - dD/2, Delta_0 + dD/2] with dD starting at 2 eta, and widens the
 window by a factor 1.5 at a time up to 10 eta before giving up.  The estimate
-is the grid argmax: no sub-bin interpolation, so the resolution floor is set by
-the line width, not the fit.
+is the grid argmax, with no sub-bin interpolation: its resolution floor is
++-d_omega/2, half the frequency step, which only the default grid rule
+(d_omega = eta/4) ties to the line width, as eta/8.
 """
 
 from __future__ import annotations
@@ -119,9 +120,8 @@ def spectral_error_bound(model: SpinModel, plan: TrotterPlan, filt: Filter,
     p = plan.order
     c = commutator_norm_bounds(model, p).prefactor
     dev = c * np.abs(grid.times) ** (p + 1) / plan.depth**p
-    ones = np.ones(grid.length)
-    a_exact = transform(grid, ones, ones, filt)
-    d_a = transform(grid, dev, dev, filt)
+    a_exact = transform(grid, np.ones(grid.length), filt)
+    d_a = transform(grid, dev, filt)
     return _error_ratio(d_a, a_exact + d_a)
 
 

@@ -6,16 +6,17 @@ all-zeros outcome,
 
     P(t) = |<psi| U_M(t) |psi>|^2,
 
-on a uniform time grid for both time directions.  Finite measurement
-statistics replace each P by a binomial draw over the single all-zeros
-event, one seeded draw per orientation covering both branches.
+on a uniform time grid.  Real inputs and real-angle steps give U_M(-t) =
+conj U_M(t), so P(-t) = P(t) bit for bit and a series holds P once for both
+time directions.  Finite measurement statistics replace each P by a binomial
+draw over the single all-zeros event: `shots` per direction, pooled into one
+Bin(2 shots, P) draw, the law of the two directions' draws summed.
 
 One engine, `run_time_series`, produces every series: it builds the dense
 U_M(t) once per positive time and applies it to all input orientations
-together; the minus branch is its exact mirror, since real inputs and
-real-angle steps give U_M(-t) = conj U_M(t).  The gate list (`gate_sequence`,
-`apply_gates`) describes the circuit a device would run; only the tests execute
-it, as an independent oracle for the dense propagator.
+together.  The gate list (`gate_sequence`, `apply_gates`) describes the
+circuit a device would run; only the tests execute it, as an independent
+oracle for the dense propagator.
 """
 
 from __future__ import annotations
@@ -29,8 +30,8 @@ from .errors import DataError, ParameterError, ResourceLimitError, is_count
 from .model import SpinModel, kron_product
 from .trotter import ITERATION_LAYERS, TrotterPlan, trotter_propagator
 
-#: Largest chain the engine simulates: each positive time (the minus branch is its
-#: exact mirror) powers a dense 2^N x 2^N step, about 0.02 s at N = 8 but 1.0-1.1 s at
+#: Largest chain the engine simulates: each positive time (P(-t) = P(t) needs no
+#: second one) powers a dense 2^N x 2^N step, about 0.02 s at N = 8 but 1.0-1.1 s at
 #: N = 10 (p = 2, M = 35, one BLAS thread), nearly all of it matrix products.
 MAX_SIMULATED_SPINS = 8
 
@@ -84,24 +85,20 @@ class TimeGrid:
 
 @dataclass
 class TimeSeries:
-    """Return probabilities on both time branches, plus sampling provenance."""
+    """Return probabilities P(t_n) = P(-t_n), plus sampling provenance."""
 
     grid: TimeGrid
-    p_plus: np.ndarray
-    p_minus: np.ndarray
+    p: np.ndarray
     shots: int | None = None     # None means exact probabilities
     seed: int | None = None
 
     def __post_init__(self):
-        self.p_plus = np.asarray(self.p_plus, dtype=float)
-        self.p_minus = np.asarray(self.p_minus, dtype=float)
-        if len(self.p_plus) != self.grid.length or len(self.p_minus) != self.grid.length:
+        self.p = np.asarray(self.p, dtype=float)
+        if len(self.p) != self.grid.length:
             raise DataError("series length does not match the time grid")
-        for arr in (self.p_plus, self.p_minus):
-            if not np.all((arr >= -1e-9) & (arr <= 1 + 1e-9)):
-                raise DataError("return probabilities must lie in [0, 1]")
-        if self.shots is None and not (
-                abs(self.p_plus[0] - 1.0) < 1e-12 and abs(self.p_minus[0] - 1.0) < 1e-12):
+        if not np.all((self.p >= -1e-9) & (self.p <= 1 + 1e-9)):
+            raise DataError("return probabilities must lie in [0, 1]")
+        if self.shots is None and not abs(self.p[0] - 1.0) < 1e-12:
             raise DataError("exact-mode series must start at P(0) = 1")
 
 
@@ -179,17 +176,16 @@ def apply_gates(state: np.ndarray, gates, n_spins: int) -> np.ndarray:
 def run_time_series(model: SpinModel, plan: TrotterPlan, orientations,
                     grid: TimeGrid, shots: int | None = None,
                     seeds=None) -> list:
-    """Both time branches of P on the grid for each orientation, exact or sampled.
+    """P on the grid for each orientation, exact or sampled.
 
     U_M(t) does not depend on the input state, so each of the L - 1 positive
     times builds one propagator and applies it to all K input states at once.
     Their K amplitudes fill one (K, L) array, squared and clipped once at the
-    end; memory is O(dim^2 + dim K + K L).  The minus branch is its exact
-    mirror: real inputs and real-angle steps give U_M(-t) = conj U_M(t) bit for
-    bit, so p_minus is a copy of p_plus.  In shot mode one draw per orientation,
-    default_rng(seed).binomial(shots, block), covers its whole (2, L) block,
-    so a series depends on its own seed alone, not on its batch; `seeds`
-    holds one seed >= 0 per orientation (default 0 for each).
+    end; memory is O(dim^2 + dim K + K L).  In shot mode one draw per
+    orientation, default_rng(seed).binomial(2 shots, p) / (2 shots), covers its
+    whole series: `shots` counts shots per time direction, and the two
+    directions share one P.  A series depends on its own seed alone, not on
+    its batch; `seeds` holds one seed >= 0 per orientation (default 0 for each).
     """
     _check_simulated(model.n_spins)
     orientations = list(orientations)
@@ -208,10 +204,11 @@ def run_time_series(model: SpinModel, plan: TrotterPlan, orientations,
     for n, t in enumerate(grid.times[1:], start=1):
         evolved = trotter_propagator(model, plan, t).dot(psi)
         amp[:, n] = np.einsum("ik,ik->k", bra, evolved)
-    probs = np.repeat(np.clip(np.abs(amp) ** 2, 0.0, 1.0)[:, None], 2, axis=1)
+    probs = np.clip(np.abs(amp) ** 2, 0.0, 1.0)
     if shots is not None:
+        draws = 2 * shots        # per time direction, the two directions pooled
         for k, seed in enumerate(seeds):
-            probs[k] = np.random.default_rng(seed).binomial(shots, probs[k]) / shots
-    return [TimeSeries(grid=grid, p_plus=p[0], p_minus=p[1], shots=shots,
+            probs[k] = np.random.default_rng(seed).binomial(draws, probs[k]) / draws
+    return [TimeSeries(grid=grid, p=p, shots=shots,
                        seed=seed if shots is not None else None)
             for p, seed in zip(probs, seeds)]

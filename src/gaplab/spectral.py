@@ -4,9 +4,10 @@ The spectral function on the frequency grid omega_m = m * d_omega is
 
     A(omega_m) = (dt / 2 pi) Re sum_{s=+-} sum_n e^{i omega_m t_sn} F_n P_sn,
 
-with d_omega dt = 2 pi / L.  The n = 0 term is shared by both branches and
-enters once (half weight per branch); with that convention the transform is
-the full-line trapezoid rule and converges to the line-shape decomposition
+with d_omega dt = 2 pi / L.  As P(-t) = P(t) (see simulator), the sum over s is
+a cosine sum with weights 2 F_n P_n, its n = 0 term (t = 0 on both sides)
+counted once; so the transform is the full-line trapezoid rule and converges
+to the line-shape decomposition
 
     A(omega) = sum_{u,v} |c_u|^2 |c_v|^2 Ftilde(omega - (E_u - E_v)),
 
@@ -84,15 +85,14 @@ def default_grid(filt: Filter, d_omega: float | None = None,
     return TimeGrid(dt=2.0 * math.pi / (length * d_omega), length=length)
 
 
-def transform(grid: TimeGrid, p_plus: np.ndarray, p_minus: np.ndarray,
-              filt: Filter) -> np.ndarray:
-    """The double-branch cosine transform with the shared n = 0 term counted once.
+def transform(grid: TimeGrid, p: np.ndarray, filt: Filter) -> np.ndarray:
+    """The cosine transform of P(t) = P(-t) over both time directions, weights
+    2 F_n P_n with the shared n = 0 term counted once.
 
     On the grid omega_m t_n = 2 pi m n / L, so the cosine sum over n is the
-    real part of a length-L discrete Fourier transform.
+    real part of a length-L discrete Fourier transform.  2 p is p + p exactly.
     """
-    weights = filter_value(filt, grid.times) * (np.asarray(p_plus, dtype=float)
-                                                + np.asarray(p_minus, dtype=float))
+    weights = filter_value(filt, grid.times) * (2.0 * np.asarray(p, dtype=float))
     weights[0] *= 0.5
     return np.fft.fft(weights).real * (grid.dt / (2.0 * math.pi))
 
@@ -112,8 +112,7 @@ def local_maxima(values) -> np.ndarray:
 
 def spectral_function(series: TimeSeries, filt: Filter) -> Spectrum:
     """Filtered spectrum of a measured (or exact) time series."""
-    return _on_grid(series.grid,
-                    transform(series.grid, series.p_plus, series.p_minus, filt), filt)
+    return _on_grid(series.grid, transform(series.grid, series.p, filt), filt)
 
 
 def filter_fourier(filt: Filter, omega):

@@ -269,6 +269,17 @@ class TestScaling:
                     "--theta-count", "3", "--m", "20", "--out", str(out)]) == 0
         assert len(read_table(out)[2]) == 1
 
+    def test_exact_mode_derives_no_seed(self, tmp_path, monkeypatch):
+        # exact mode draws nothing, so no cell seed is derived: deriving one
+        # loads numpy.random, which numpy 2.x imports only on first use
+        def refuse(*keys):
+            raise AssertionError("derived a seed for an exact run")
+        monkeypatch.setattr("gaplab.gapfinder._derived_seed", refuse)
+        out = tmp_path / "diag.csv"
+        assert run(["scaling", "--exact", "--j-list", "0.4", "--n-list", "2,3,4",
+                    "--theta-count", "2", "--out", str(out)]) == 0
+        assert len(read_table(out)[2]) == 1
+
     @pytest.mark.parametrize("argv", [
         ["--n-list", "2,3,4,1"],
         ["--j-list", "0.4,nan"],
@@ -446,7 +457,7 @@ class TestBenchmarkReference:
         assert result["absent"] == ["simulator.propagator_overlap"]
         assert None not in result["layers"].values()
         # one propagator per positive time: a second build of any U_M(t), or
-        # an engine that stops mirroring the minus branch, changes the counts
+        # an engine that builds U_M(-t) as well, changes the counts
         layers = result["layers"]
         assert layers["trotter.propagators_per_time"] == 1.0
         assert layers["trotter.propagator_calls"] == {

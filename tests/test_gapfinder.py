@@ -160,8 +160,8 @@ class TestSpectralErrorBound:
         for depth in (10, 35):
             dev = c * np.abs(self.grid.times) ** 2 / depth
             dev2 = c * np.abs(self.grid.times) ** 2 / (2 * depth)
-            a = transform(self.grid, dev, dev, self.filt)
-            b = transform(self.grid, dev2, dev2, self.filt)
+            a = transform(self.grid, dev, self.filt)
+            b = transform(self.grid, dev2, self.filt)
             assert np.allclose(a, 2 * b, rtol=1e-12)
 
     def test_monotone_decreasing_in_depth(self):
@@ -304,7 +304,7 @@ class TestUnfilteredInvariance:
             amps = np.exp(-1j * np.outer(grid.times, eig.energies)) \
                 @ weights.astype(complex)
             p = np.abs(amps) ** 2
-            series = TimeSeries(grid=grid, p_plus=p, p_minus=p.copy())
+            series = TimeSeries(grid=grid, p=p)
             spec = spectral_function(series, Filter.none())
             est = find_gap(spec, GapSearchConfig(
                 initial_guess=perturbative_gap_guess(model),

@@ -124,7 +124,7 @@ class TestPropagatorOverlap:
         orientation = InputOrientation.uniform(3, 0.27 * math.pi)
         [series] = run_time_series(model, TrotterPlan(1, 5), [orientation],
                                    TimeGrid(dt=0.5, length=4))
-        assert series.p_plus[0] == 1.0 and series.p_minus[0] == 1.0
+        assert series.p[0] == 1.0
 
     def test_paths_agree(self):
         # two independent internal code paths on the documented working point
@@ -169,8 +169,7 @@ class TestRunTimeSeries:
         [series] = run_time_series(model, TrotterPlan(1, 4),
                                    [InputOrientation.uniform(3, 0.27 * math.pi)],
                                    self.grid())
-        assert series.p_plus[0] == 1.0
-        assert series.p_minus[0] == 1.0
+        assert series.p[0] == 1.0
         assert series.shots is None
 
     def test_values_in_unit_interval(self):
@@ -178,8 +177,7 @@ class TestRunTimeSeries:
         [series] = run_time_series(model, TrotterPlan(4, 3),
                                    [InputOrientation.uniform(3, 0.4 * math.pi)],
                                    self.grid())
-        for arr in (series.p_plus, series.p_minus):
-            assert arr.min() >= 0.0 and arr.max() <= 1.0
+        assert series.p.min() >= 0.0 and series.p.max() <= 1.0
 
     def test_shot_mode_deterministic(self):
         model = SpinModel(3, 0.4, 1.0)
@@ -187,8 +185,7 @@ class TestRunTimeSeries:
         runs = [run_time_series(model, TrotterPlan(1, 4), [orientation],
                                 self.grid(), shots=256, seeds=[11])[0]
                 for _ in range(2)]
-        assert np.array_equal(runs[0].p_plus, runs[1].p_plus)
-        assert np.array_equal(runs[0].p_minus, runs[1].p_minus)
+        assert np.array_equal(runs[0].p, runs[1].p)
 
     def test_shot_mode_seed_sensitivity(self):
         model = SpinModel(3, 0.4, 1.0)
@@ -197,10 +194,11 @@ class TestRunTimeSeries:
                               shots=256, seeds=[11])
         [b] = run_time_series(model, TrotterPlan(1, 4), [orientation], self.grid(),
                               shots=256, seeds=[12])
-        assert not np.array_equal(a.p_plus, b.p_plus)
+        assert not np.array_equal(a.p, b.p)
 
     def test_shot_noise_standard_error(self):
-        # binomial scatter at 10^6 shots stays within 3 sigma of the exact value
+        # binomial scatter at 10^6 shots per time direction, 2 * 10^6 pooled,
+        # stays within 3 sigma of the exact value
         model = SpinModel(3, 0.4, 1.0)
         orientation = InputOrientation.uniform(3, 0.27 * math.pi)
         plan = TrotterPlan(1, 4)
@@ -208,32 +206,29 @@ class TestRunTimeSeries:
         shots = 10**6
         [noisy] = run_time_series(model, plan, [orientation], self.grid(),
                                   shots=shots, seeds=[5])
-        for e_arr, s_arr in ((exact.p_plus, noisy.p_plus),
-                             (exact.p_minus, noisy.p_minus)):
-            sigma = np.sqrt(np.maximum(e_arr * (1 - e_arr), 1e-12) / shots)
-            assert np.all(np.abs(s_arr - e_arr) <= 3.0 * sigma + 1e-9)
+        sigma = np.sqrt(np.maximum(exact.p * (1 - exact.p), 1e-12) / (2 * shots))
+        assert np.all(np.abs(noisy.p - exact.p) <= 3.0 * sigma + 1e-9)
 
     @pytest.mark.parametrize("seed", [0, 7, 2**32 - 1])
     def test_one_binomial_draw_per_orientation(self, seed):
         # the draw contract: one generator per orientation seed draws the
-        # whole (2, L) block of both branches in one call
+        # whole series in one call, 256 shots per time direction pooled into
+        # Bin(512, P), the law of the two directions' Bin(256, P) draws summed
         model = SpinModel(3, 0.4, 1.0)
         orientation = InputOrientation.uniform(3, 0.27 * math.pi)
         plan = TrotterPlan(1, 4)
         [exact] = run_time_series(model, plan, [orientation], self.grid())
-        exact_block = np.stack([exact.p_plus, exact.p_minus])
         [noisy] = run_time_series(model, plan, [orientation], self.grid(),
                                   shots=256, seeds=[seed])
-        drawn = np.random.default_rng(seed).binomial(256, exact_block) / 256
-        assert np.array_equal(noisy.p_plus, drawn[0])
-        assert np.array_equal(noisy.p_minus, drawn[1])
+        drawn = np.random.default_rng(seed).binomial(512, exact.p) / 512
+        assert np.array_equal(noisy.p, drawn)
 
     def test_shot_mode_start_is_exact(self):
         model = SpinModel(3, 0.4, 1.0)
         [series] = run_time_series(model, TrotterPlan(1, 4),
                                    [InputOrientation.uniform(3, 0.27 * math.pi)],
                                    self.grid(), shots=64, seeds=[3])
-        assert series.p_plus[0] == 1.0
+        assert series.p[0] == 1.0
 
     def test_batch_equals_separate_runs(self):
         # the shared propagator must not couple orientations: each series of
@@ -248,8 +243,7 @@ class TestRunTimeSeries:
                 [alone] = run_time_series(
                     model, plan, [orientation], self.grid(), shots=shots,
                     seeds=None if seeds is None else [seeds[k]])
-                assert np.allclose(batch[k].p_plus, alone.p_plus, rtol=0, atol=1e-14)
-                assert np.allclose(batch[k].p_minus, alone.p_minus, rtol=0, atol=1e-14)
+                assert np.allclose(batch[k].p, alone.p, rtol=0, atol=1e-14)
                 assert batch[k].seed == (None if seeds is None else seeds[k])
 
     def test_rejects_mismatched_inputs(self):
@@ -288,14 +282,14 @@ class TestRunTimeSeries:
         [series] = run_time_series(SpinModel(n, 0.4, 1.0), TrotterPlan(2, 2),
                                    [InputOrientation.uniform(n, 0.3)],
                                    TimeGrid(dt=0.3, length=2))
-        assert 0.0 <= series.p_plus[1] <= 1.0
+        assert 0.0 <= series.p[1] <= 1.0
 
     def test_one_propagator_per_signed_time(self, monkeypatch):
-        # the engine builds U_M(t) for each positive time only and mirrors the
-        # minus branch (U_M(-t) = conj U_M(t) for the real inputs and steps).
-        # A stand-in propagator g(t)^(1/2) * I returns P = g(t), which differs
-        # between t and -t, so a shifted index, a duplicate call or a call at
-        # a negative time shows
+        # the engine builds U_M(t) for each positive time only: P(-t) = P(t)
+        # (U_M(-t) = conj U_M(t) for the real inputs and steps) needs no
+        # second one.  A stand-in propagator g(t)^(1/2) * I returns P = g(t),
+        # which differs between t and -t, so a shifted index, a duplicate call
+        # or a call at a negative time shows
         def g(t):
             return 0.5 + 0.4 * math.tanh(t)
 
@@ -314,10 +308,9 @@ class TestRunTimeSeries:
         steps = range(1, grid.length)
         assert sorted(calls) == [n * grid.dt for n in steps]
         assert all(isinstance(t, float) and t > 0 for t in calls)
-        want_plus = [1.0] + [g(n * grid.dt) for n in steps]
+        want = [1.0] + [g(n * grid.dt) for n in steps]
         for series in batch:
-            assert np.allclose(series.p_plus, want_plus, rtol=0, atol=1e-14)
-            assert np.array_equal(series.p_minus, series.p_plus)
+            assert np.allclose(series.p, want, rtol=0, atol=1e-14)
 
     @pytest.mark.parametrize("order", [1, 2, 4])
     def test_matches_per_time_loop(self, order):
@@ -333,29 +326,32 @@ class TestRunTimeSeries:
         psi = np.stack([functools.reduce(
             np.kron, [np.array([math.cos(a / 2), math.sin(a / 2)], dtype=complex)
                       for a in o.angles], np.ones(1, complex)) for o in orientations], axis=1)
-        want = np.ones((len(orientations), 2, grid.length))
+        want = np.ones((len(orientations), grid.length))
         for n, t in enumerate(grid.times[1:], start=1):
             step = _step(model, plan.order, t / plan.depth)
             evolved = np.linalg.matrix_power(step, plan.depth) @ psi
             amp = np.einsum("ik,ik->k", psi.conj(), evolved)
-            want[:, 0, n] = np.clip(np.abs(amp) ** 2, 0.0, 1.0)
-        want[:, 1] = want[:, 0]
+            want[:, n] = np.clip(np.abs(amp) ** 2, 0.0, 1.0)
         batch = run_time_series(model, plan, orientations, grid)
         for series, w in zip(batch, want):
-            assert np.array_equal(series.p_plus, w[0])
-            assert np.array_equal(series.p_minus, w[1])
+            assert np.array_equal(series.p, w)
+        # the shot half: 256 shots per time direction, one Bin(512, P) draw
         seeds = [3, 1, 4]
         sampled = run_time_series(model, plan, orientations, grid, shots=256, seeds=seeds)
         for series, w, seed in zip(sampled, want, seeds):
-            draw = np.random.default_rng(seed).binomial(256, w) / 256
-            assert np.array_equal(series.p_plus, draw[0])
-            assert np.array_equal(series.p_minus, draw[1])
+            assert np.array_equal(series.p,
+                                  np.random.default_rng(seed).binomial(512, w) / 512)
 
     def test_series_validation(self):
         grid = self.grid()
         with pytest.raises(DataError):
-            TimeSeries(grid=grid, p_plus=np.ones(5), p_minus=np.ones(16))
+            TimeSeries(grid=grid, p=np.ones(5))
         bad = np.ones(16)
         bad[3] = 1.5
         with pytest.raises(DataError):
-            TimeSeries(grid=grid, p_plus=bad, p_minus=np.ones(16))
+            TimeSeries(grid=grid, p=bad)
+        # an exact series starts at P(0) = 1; a sampled one need not
+        half = np.full(16, 0.5)
+        with pytest.raises(DataError):
+            TimeSeries(grid=grid, p=half)
+        assert TimeSeries(grid=grid, p=half, shots=64, seed=1).p[0] == 0.5

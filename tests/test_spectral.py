@@ -27,8 +27,7 @@ from conftest import read_spectrum
 
 
 def series_from_values(grid, values):
-    values = np.asarray(values, dtype=float)
-    return TimeSeries(grid=grid, p_plus=values, p_minus=values.copy())
+    return TimeSeries(grid=grid, p=values)
 
 
 def exact_return_series(model, orientation, grid):
@@ -38,7 +37,7 @@ def exact_return_series(model, orientation, grid):
     phases = np.exp(-1j * np.outer(grid.times, eig.energies))
     amps = phases @ weights.astype(complex)
     p = np.abs(amps) ** 2
-    return TimeSeries(grid=grid, p_plus=p, p_minus=p.copy())
+    return TimeSeries(grid=grid, p=p)
 
 
 class TestDefaultGrid:

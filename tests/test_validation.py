@@ -16,8 +16,7 @@ from gaplab import (DataError, Filter, GapSearchConfig, InputOrientation,
 def shot_series_with_nan():
     p = np.full(4, 0.5)
     p[2] = math.nan
-    return TimeSeries(grid=TimeGrid(dt=0.5, length=4), p_plus=p,
-                      p_minus=np.full(4, 0.5), shots=64, seed=1)
+    return TimeSeries(grid=TimeGrid(dt=0.5, length=4), p=p, shots=64, seed=1)
 
 
 @pytest.mark.parametrize("build", [
