@@ -183,9 +183,10 @@ def run_time_series(model: SpinModel, plan: TrotterPlan, orientations,
     Their K amplitudes fill one (K, L) array, squared and clipped once at the
     end; memory is O(dim^2 + dim K + K L).  In shot mode one draw per
     orientation, default_rng(seed).binomial(2 shots, p) / (2 shots), covers its
-    whole series: `shots` counts shots per time direction, and the two
-    directions share one P.  A series depends on its own seed alone, not on
-    its batch; `seeds` holds one seed >= 0 per orientation (default 0 for each).
+    whole series: `shots` counts shots per time direction (below 2^62, so the
+    pooled count fits numpy's int64), and the two directions share one P.  A
+    series depends on its own seed alone, not on its batch; `seeds` holds one
+    seed >= 0 per orientation (default 0 for each).
     """
     _check_simulated(model.n_spins)
     orientations = list(orientations)
@@ -193,8 +194,8 @@ def run_time_series(model: SpinModel, plan: TrotterPlan, orientations,
         raise ParameterError("need at least one input orientation")
     if any(len(o.angles) != model.n_spins for o in orientations):
         raise ParameterError("orientation length does not match the chain")
-    if shots is not None and not is_count(shots, 1):
-        raise ParameterError(f"shots must be an integer >= 1, got {shots!r}")
+    if shots is not None and not (is_count(shots, 1) and 2 * shots < 2**63):
+        raise ParameterError(f"shots must be an integer in [1, 2^62), got {shots!r}")
     seeds = [0] * len(orientations) if seeds is None else list(seeds)
     if len(seeds) != len(orientations) or not all(is_count(s, 0) for s in seeds):
         raise ParameterError(f"need one integer seed >= 0 per orientation, got {seeds}")
@@ -206,9 +207,9 @@ def run_time_series(model: SpinModel, plan: TrotterPlan, orientations,
         amp[:, n] = np.einsum("ik,ik->k", bra, evolved)
     probs = np.clip(np.abs(amp) ** 2, 0.0, 1.0)
     if shots is not None:
-        draws = 2 * shots        # per time direction, the two directions pooled
+        pooled = 2 * shots       # shots per time direction, both directions pooled
         for k, seed in enumerate(seeds):
-            probs[k] = np.random.default_rng(seed).binomial(draws, probs[k]) / draws
+            probs[k] = np.random.default_rng(seed).binomial(pooled, probs[k]) / pooled
     return [TimeSeries(grid=grid, p=p, shots=shots,
                        seed=seed if shots is not None else None)
             for p, seed in zip(probs, seeds)]

@@ -95,13 +95,13 @@ def capture(argv, workdir: Path, read=parse) -> dict:
             "outputs": {p.name: read(p) for p in sorted(Path(workdir).iterdir())}}
 
 
-def write_corpus(path: Path = CORPUS):
+def write_corpus():
     """One entry per line, so a regenerated corpus diffs by command."""
     entries = []
     for argv in COMMANDS:
         with tempfile.TemporaryDirectory() as workdir:
             entries.append(capture(argv, Path(workdir)))
-    with open(path, "w", encoding="utf-8") as fh:
+    with open(CORPUS, "w", encoding="utf-8") as fh:
         fh.write("[\n" + ",\n".join(json.dumps(e, sort_keys=True) for e in entries)
                  + "\n]\n")
 

@@ -260,8 +260,9 @@ class TestRunTimeSeries:
         with pytest.raises(ParameterError):
             run_time_series(model, TrotterPlan(1, 4), [orientation], self.grid(),
                             shots=0)
+        # 2^62 shots per direction pool to 2^63, past numpy's int64 count
         for shots, seeds in ((64, [-1]), (10.5, [1]), (True, [1]), (64, [1.5]),
-                             (64, [True])):
+                             (64, [True]), (2**62, [1])):
             with pytest.raises(ParameterError):
                 run_time_series(model, TrotterPlan(1, 4), [orientation], self.grid(),
                                 shots=shots, seeds=seeds)
