@@ -9,8 +9,8 @@ from .model import (BoundSet, EigenDecomposition, SpinModel, build_hamiltonians,
                     commutator_norm_bounds, exact_diagonalize,
                     exact_gap_thermodynamic, perturbative_gap_guess)
 from .scaling import Extrapolation, extrapolate
-from .simulator import (Gate, InputOrientation, TimeGrid, TimeSeries,
-                        gate_sequence, prepare_input, run_time_series)
+from .simulator import (Gate, InputOrientation, TimeGrid, gate_sequence,
+                        prepare_input, run_time_series)
 from .spectral import (Spectrum, default_grid, exact_spectrum_oracle,
                        filter_fourier, spectral_function)
 from .toymodel import TwoPeakModel, peak_shift

@@ -161,11 +161,13 @@ def _setup(cfg, searched=True):
 
 
 def _search(cfg, model):
-    """The peak-search config from the chain's perturbative guess, its windows
-    checked against eta before simulating."""
-    config = GapSearchConfig(initial_guess=perturbative_gap_guess(model),
-                             initial_window=cfg["initial_window_over_h"],
-                             max_window=cfg["max_window_over_h"])
+    """The peak-search config from the chain's perturbative guess, which must be
+    positive, its windows checked against eta before simulating."""
+    guess = perturbative_gap_guess(model)
+    if not guess > 0:
+        raise ParameterError(f"the gap guess 2h[1 - (1 - 1/N) J/h] = {guess:.6g} is not "
+                             f"positive at N = {model.n_spins}, J/h = {model.coupling:g}")
+    config = GapSearchConfig(guess, cfg["initial_window_over_h"], cfg["max_window_over_h"])
     gapfinder._windows(config, cfg["eta_over_h"])
     return config
 
@@ -211,9 +213,9 @@ def cmd_depth_bound(cfg, out) -> int:
 def _spectrum_pipeline(cfg, model, plan, filt, grid):
     orientation = InputOrientation.uniform(model.n_spins,
                                            cfg["theta_over_pi"] * math.pi)
-    [series] = run_time_series(model, plan, [orientation], grid,
-                               shots=cfg["shots"], seeds=[cfg["seed"]])
-    return orientation, spectral_function(series, filt)
+    [p] = run_time_series(model, plan, [orientation], grid,
+                          shots=cfg["shots"], seeds=[cfg["seed"]])
+    return orientation, spectral_function(grid, p, filt)
 
 
 def cmd_spectrum(cfg, out) -> int:
@@ -249,7 +251,9 @@ def cmd_gap(cfg, out) -> int:
             "eps_bound": gapfinder.spectral_error_bound(model, plan, filt, grid),
             "failure": None})
     write_json(out, {**_meta("gap", cfg), "result": result})
-    return 0 if result["failure"] is None else _FAILURE_EXIT
+    if result["failure"] is not None:
+        raise GapSearchError(result["failure"])
+    return 0
 
 
 def _theta_values(cfg):
@@ -269,10 +273,8 @@ def cmd_sweep_theta(cfg, out) -> int:
                                    _theta_values(cfg), shots=cfg["shots"],
                                    seed=cfg["seed"], search=_search(cfg, model))
     gapfinder.sweep_to_json(result, out, metadata=cfg)
-    n_failed = len(result.failed())
-    if n_failed == len(result.records):
-        return _FAILURE_EXIT
-    return _PARTIAL_EXIT if n_failed else 0
+    result.best_record()        # raises GapSearchError if every orientation failed
+    return _PARTIAL_EXIT if result.failed() else 0
 
 
 def cmd_scaling(cfg, out) -> int:

@@ -184,21 +184,23 @@ def _derived_seed(*keys: int) -> int:
 def search_sweep(model: SpinModel, plan: TrotterPlan, filt: Filter, grid: TimeGrid,
                  thetas, search: GapSearchConfig, shots: int | None, seed: int):
     """The search half of theta_sweep, and all that `scaling` runs: simulate every
-    orientation in one call (shot mode draws from per-theta derived seeds, exact
-    mode checks the seed itself), transform each series and search it for the gap.
-    Returns the sweep, its error measures left None, and its spectra."""
+    orientation in one call (shot mode draws from per-theta derived seeds and records
+    each, exact mode checks the seed itself and records None), transform each series
+    and search it for the gap.  Returns the sweep, its error measures left None,
+    and its spectra."""
     thetas = [float(theta) for theta in thetas]
     seeds = [_derived_seed(seed, l) for l in range(len(thetas))] \
         if shots is not None else [seed] * len(thetas)
-    all_series = run_time_series(
+    probs = run_time_series(
         model, plan, [InputOrientation.uniform(model.n_spins, t) for t in thetas],
         grid, shots=shots, seeds=seeds)
     records, spectra = [], []
-    for theta, series in zip(thetas, all_series):
-        spectra.append(spectral_function(series, filt))
+    for theta, series, seed in zip(thetas, probs, seeds):
+        spectra.append(spectral_function(grid, series, filt))
         record = SweepRecord(
             theta=theta, eta=filt.eta, filter=filt.family, p=plan.order, M=plan.depth,
-            D=gate_count(plan.order, model.n_spins) * plan.depth, seed=series.seed,
+            D=gate_count(plan.order, model.n_spins) * plan.depth,
+            seed=seed if shots is not None else None,
             gap=None, peak_height=None, eps_gap=None, eps_spect=None, eps_bound=None)
         try:
             est = find_gap(spectra[-1], search)

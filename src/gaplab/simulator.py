@@ -7,16 +7,16 @@ all-zeros outcome,
     P(t) = |<psi| U_M(t) |psi>|^2,
 
 on a uniform time grid.  Real inputs and real-angle steps give U_M(-t) =
-conj U_M(t), so P(-t) = P(t) bit for bit and a series holds P once for both
-time directions.  Finite measurement statistics replace each P by a binomial
+conj U_M(t), so P(-t) = P(t) bit for bit and one row of P serves both time
+directions.  Finite measurement statistics replace each P by a binomial
 draw over the single all-zeros event: `shots` per direction, pooled into one
 Bin(2 shots, P) draw, the law of the two directions' draws summed.
 
 One engine, `run_time_series`, produces every series: it builds the dense
-U_M(t) once per positive time and applies it to all input orientations
-together.  The gate list (`gate_sequence`, `apply_gates`) describes the
-circuit a device would run; only the tests execute it, as an independent
-oracle for the dense propagator.
+U_M(t) once per positive time, applies it to all K input orientations together
+and returns the float (K, L) array of P.  The gate list (`gate_sequence`,
+`apply_gates`) describes the circuit a device would run; only the tests
+execute it, as an independent oracle for the dense propagator.
 """
 
 from __future__ import annotations
@@ -26,7 +26,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DataError, ParameterError, ResourceLimitError, is_count
+from .errors import ParameterError, ResourceLimitError, is_count
 from .model import SpinModel, kron_product
 from .trotter import ITERATION_LAYERS, TrotterPlan, trotter_propagator
 
@@ -81,25 +81,6 @@ class TimeGrid:
     def d_omega(self) -> float:
         """Conjugate frequency step: d_omega * dt = 2 pi / L."""
         return 2.0 * math.pi / (self.length * self.dt)
-
-
-@dataclass
-class TimeSeries:
-    """Return probabilities P(t_n) = P(-t_n), plus sampling provenance."""
-
-    grid: TimeGrid
-    p: np.ndarray
-    shots: int | None = None     # None means exact probabilities
-    seed: int | None = None
-
-    def __post_init__(self):
-        self.p = np.asarray(self.p, dtype=float)
-        if len(self.p) != self.grid.length:
-            raise DataError("series length does not match the time grid")
-        if not np.all((self.p >= -1e-9) & (self.p <= 1 + 1e-9)):
-            raise DataError("return probabilities must lie in [0, 1]")
-        if self.shots is None and not abs(self.p[0] - 1.0) < 1e-12:
-            raise DataError("exact-mode series must start at P(0) = 1")
 
 
 def prepare_input(orientation: InputOrientation) -> np.ndarray:
@@ -175,8 +156,9 @@ def apply_gates(state: np.ndarray, gates, n_spins: int) -> np.ndarray:
 
 def run_time_series(model: SpinModel, plan: TrotterPlan, orientations,
                     grid: TimeGrid, shots: int | None = None,
-                    seeds=None) -> list:
-    """P on the grid for each orientation, exact or sampled.
+                    seeds=None) -> np.ndarray:
+    """The float (K, L) array of P on the grid, one row per orientation, exact
+    or sampled: P(0) = 1 exactly in exact mode and every value in [0, 1].
 
     U_M(t) does not depend on the input state, so each of the L - 1 positive
     times builds one propagator and applies it to all K input states at once.
@@ -210,6 +192,4 @@ def run_time_series(model: SpinModel, plan: TrotterPlan, orientations,
         pooled = 2 * shots       # shots per time direction, both directions pooled
         for k, seed in enumerate(seeds):
             probs[k] = np.random.default_rng(seed).binomial(pooled, probs[k]) / pooled
-    return [TimeSeries(grid=grid, p=p, shots=shots,
-                       seed=seed if shots is not None else None)
-            for p, seed in zip(probs, seeds)]
+    return probs

@@ -1,6 +1,7 @@
 """Filtered discrete Fourier transform of the time series and exact references.
 
-The spectral function on the frequency grid omega_m = m * d_omega is
+The spectral function of a series P_n = P(t_n), one row of the (K, L) array
+run_time_series returns, on the frequency grid omega_m = m * d_omega is
 
     A(omega_m) = (dt / 2 pi) Re sum_{s=+-} sum_n e^{i omega_m t_sn} F_n P_sn,
 
@@ -24,7 +25,7 @@ import numpy as np
 from ._textio import write_table
 from .errors import DataError, ParameterError, is_count
 from .model import EigenDecomposition
-from .simulator import InputOrientation, TimeGrid, TimeSeries, prepare_input
+from .simulator import InputOrientation, TimeGrid, prepare_input
 from .trotter import Filter, filter_value
 
 
@@ -110,9 +111,9 @@ def local_maxima(values) -> np.ndarray:
     return np.flatnonzero((v[1:-1] > v[:-2]) & (v[1:-1] > v[2:])) + 1
 
 
-def spectral_function(series: TimeSeries, filt: Filter) -> Spectrum:
-    """Filtered spectrum of a measured (or exact) time series."""
-    return _on_grid(series.grid, transform(series.grid, series.p, filt), filt)
+def spectral_function(grid: TimeGrid, p: np.ndarray, filt: Filter) -> Spectrum:
+    """Filtered spectrum of a measured (or exact) series P on the grid."""
+    return _on_grid(grid, transform(grid, p, filt), filt)
 
 
 def filter_fourier(filt: Filter, omega):

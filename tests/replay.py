@@ -6,7 +6,8 @@ Shot-mode output depends on numpy's binomial stream, so it stays out of the
 Tier-1 corpus; this script shows what a change did to it.  Both revisions are
 checked out in temporary git worktrees and run the same command list, the one
 beside this script.  Per command it prints `identical`, or the first
-difference: the exit code, a printed line or a line of an output file.
+difference: the exit code, a printed line or a line of an output file.  It
+exits 1 if any command differs, else 0.
 
     python tests/replay.py REVISION
 """
@@ -77,11 +78,14 @@ def main():
     for revision in (args.revision, "HEAD"):
         with tempfile.TemporaryDirectory() as tmp:
             runs.append(_run_at(revision, Path(tmp)))
+    differs = False
     for base, head in zip(*runs):
         diff = first_difference(base, head)
+        differs |= diff is not None
         print(f"{'identical' if diff is None else 'differs'}: "
               f"{' '.join(base['argv'])}" + ("" if diff is None else f"\n    {diff}"))
+    return 1 if differs else 0
 
 
 if __name__ == "__main__":
-    main()
+    sys.exit(main())

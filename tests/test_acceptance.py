@@ -121,16 +121,16 @@ def test_criterion_04_gap_recovery():
     exact_gap = eig.energies[1] - eig.energies[0]
     config = GapSearchConfig(initial_guess=perturbative_gap_guess(model))
 
-    [series] = run_time_series(model, plan, [orientation], grid)
-    est = find_gap(spectral_function(series, filt), config)
+    [p] = run_time_series(model, plan, [orientation], grid)
+    est = find_gap(spectral_function(grid, p, filt), config)
     exact_dev = abs(est.gap - exact_gap)
     assert exact_dev <= filt.eta
 
     hits = 0
     for seed in range(10):
-        [series] = run_time_series(model, plan, [orientation], grid,
-                                   shots=1024, seeds=[seed])
-        est = find_gap(spectral_function(series, filt), config)
+        [p] = run_time_series(model, plan, [orientation], grid,
+                              shots=1024, seeds=[seed])
+        est = find_gap(spectral_function(grid, p, filt), config)
         hits += abs(est.gap - exact_gap) <= filt.eta
     assert hits >= 9
     elapsed = time.time() - start
@@ -151,8 +151,8 @@ def test_criterion_05_spectral_convergence():
     eps_s, eps_b = [], []
     for m_depth in depths:
         plan = TrotterPlan(1, m_depth)
-        [series] = run_time_series(model, plan, [orientation], grid)
-        spec = spectral_function(series, filt)
+        [p] = run_time_series(model, plan, [orientation], grid)
+        spec = spectral_function(grid, p, filt)
         eps_s.append(spectral_error(spec, oracle))
         eps_b.append(spectral_error_bound(model, plan, filt, grid))
     for a, b in zip(eps_s, eps_s[1:]):

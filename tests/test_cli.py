@@ -187,7 +187,7 @@ class TestGap:
         assert result["eps_bound"] >= result["eps_spect"]
         assert payload["config"]["m"] == 35
 
-    def test_search_failure_exit_code(self, tmp_path):
+    def test_search_failure_exit_code(self, tmp_path, capsys):
         out = tmp_path / "gap.json"
         # J < 0 skews the perturbative guess to 3.0 while the two-spin
         # spectrum keeps its peaks at |J| positions: the capped window sits
@@ -198,6 +198,8 @@ class TestGap:
         assert code == 2
         payload = json.loads(out.read_text())
         assert payload["result"]["failure"]
+        # the file is written, and the reason is printed as well
+        assert capsys.readouterr().err == f"gaplab: {payload['result']['failure']}\n"
 
 
 class TestSweepTheta:
@@ -220,11 +222,14 @@ class TestSweepTheta:
         payload = json.loads(out.read_text())
         assert payload["summary"]["n_failed"] == 1
 
-    def test_total_failure_exit_code(self, tmp_path):
+    def test_total_failure_exit_code(self, tmp_path, capsys):
         out = tmp_path / "sweep.json"
         code = run(["sweep-theta", *FAST_SPECTRUM, "--theta-list", "0.0",
                     "--max-window-over-h", "0.6", "--out", str(out)])
         assert code == 2
+        assert json.loads(out.read_text())["summary"]["n_failed"] == 1
+        assert capsys.readouterr().err == \
+            "gaplab: every orientation in the sweep failed\n"
 
     @pytest.mark.parametrize("order", ["1", "4"])
     def test_scores_equal_those_of_gap(self, tmp_path, order):
@@ -362,11 +367,24 @@ class TestSearchWindow:
         # a start above the default cap of 10 eta = 3
         ["gap", "--initial-window-over-h", "5"],
         ["sweep-theta", "--initial-window-over-h", "5"],
-        ["scaling", "--initial-window-over-h", "5"]])
+        ["scaling", "--initial-window-over-h", "5"],
+        # a perturbative guess 2h[1 - (1 - 1/N) J/h] <= 0: J/h >= N/(N - 1)
+        ["gap", "--j-over-h", "2"],
+        ["scaling", "--j-list", "2"]])
     def test_rejected_before_simulating(self, tmp_path, no_simulation, argv):
         out = tmp_path / "x.out"
         assert run(argv + ["--exact", "--out", str(out)]) == 1
         assert not out.exists()
+
+    @pytest.mark.parametrize("argv, n", [
+        (["gap", "--j-over-h", "2"], 4), (["scaling", "--j-list", "2"], 2)])
+    def test_non_positive_guess_named(self, tmp_path, no_simulation, capsys, argv, n):
+        # the refusal names the guess, not the windows the user never set
+        assert run(argv + ["--exact", "--out", str(tmp_path / "x.out")]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("gaplab: the gap guess 2h[1 - (1 - 1/N) J/h] = ")
+        assert f"is not positive at N = {n}, J/h = 2\n" in err
+        assert "window" not in err
 
 
 class TestEmptyScans:

@@ -28,7 +28,7 @@ from gaplab import (
     spectral_function,
     theta_sweep,
 )
-from gaplab import TimeSeries
+from gaplab import gapfinder
 from gaplab.spectral import Spectrum, transform
 
 
@@ -176,8 +176,8 @@ class TestSpectralErrorBound:
         oracle = exact_spectrum_oracle(eig, orientation, self.filt, self.grid)
         for depth in (10, 35, 100):
             plan = TrotterPlan(1, depth)
-            [series] = run_time_series(self.model, plan, [orientation], self.grid)
-            spec = spectral_function(series, self.filt)
+            [p] = run_time_series(self.model, plan, [orientation], self.grid)
+            spec = spectral_function(self.grid, p, self.filt)
             assert (spectral_error_bound(self.model, plan, self.filt, self.grid)
                     >= spectral_error(spec, oracle))
 
@@ -205,9 +205,8 @@ class TestEmpiricalCutoff:
             grid = default_grid(filt)
             errs = []
             for m in depths:
-                [series] = run_time_series(model, TrotterPlan(1, m),
-                                           [orientation], grid)
-                spec = spectral_function(series, filt)
+                [p] = run_time_series(model, TrotterPlan(1, m), [orientation], grid)
+                spec = spectral_function(grid, p, filt)
                 est = find_gap(spec, GapSearchConfig(initial_guess=1.4))
                 errs.append(gap_error(est.gap, exact_gap))
             cutoffs[family] = empirical_depth_cutoff(
@@ -231,6 +230,7 @@ class TestThetaSweep:
         for r in result.records:
             assert r.eps_bound >= r.eps_spect
             assert r.D == 4 * 100
+            assert r.seed is None       # exact mode draws nothing
 
     def test_buried_peak_fails_and_survivors_win(self):
         # at theta = 0 the neighbor peak's tail buries the target peak, so a
@@ -259,6 +259,8 @@ class TestThetaSweep:
                              search=GapSearchConfig(perturbative_gap_guess(model)))
         seeds = [r.seed for r in result.records]
         assert len(set(seeds)) == 2 and all(s is not None for s in seeds)
+        # each record names the seed its own series was drawn from
+        assert seeds == [gapfinder._derived_seed(4, l) for l in range(2)]
 
     def test_error_grows_toward_small_theta_at_wide_broadening(self):
         # the neighbor peak's tail drags the estimate as theta -> 0, so the
@@ -284,8 +286,8 @@ class TestResolutionFloor:
         orientation = InputOrientation.uniform(4, 0.27 * math.pi)
         eig = exact_diagonalize(model)
         exact_gap = eig.energies[1] - eig.energies[0]
-        [series] = run_time_series(model, TrotterPlan(1, 150), [orientation], grid)
-        spec = spectral_function(series, filt)
+        [p] = run_time_series(model, TrotterPlan(1, 150), [orientation], grid)
+        spec = spectral_function(grid, p, filt)
         est = find_gap(spec, GapSearchConfig(initial_guess=1.4))
         assert gap_error(est.gap, exact_gap) <= 2 * eta / exact_gap
 
@@ -303,9 +305,7 @@ class TestUnfilteredInvariance:
             weights = np.abs(eig.overlaps(prepare_input(orientation))) ** 2
             amps = np.exp(-1j * np.outer(grid.times, eig.energies)) \
                 @ weights.astype(complex)
-            p = np.abs(amps) ** 2
-            series = TimeSeries(grid=grid, p=p)
-            spec = spectral_function(series, Filter.none())
+            spec = spectral_function(grid, np.abs(amps) ** 2, Filter.none())
             est = find_gap(spec, GapSearchConfig(
                 initial_guess=perturbative_gap_guess(model),
                 initial_window=0.5, max_window=0.5))

@@ -67,9 +67,9 @@ def test_batched_engine_matches_gate_circuit(case):
     # path; the identity behind it is
     # test_propagator_is_conjugate_under_time_reversal.
     model, plan, orientations, t = case
-    batch = run_time_series(model, plan, orientations, TimeGrid(dt=t, length=2))
-    for orientation, series in zip(orientations, batch):
-        got = series.p[1]
+    probs = run_time_series(model, plan, orientations, TimeGrid(dt=t, length=2))
+    for orientation, p in zip(orientations, probs):
+        got = p[1]
         for signed_t in (t, -t):
             gates = overlap_by_path(model, plan, orientation, signed_t, "gates")
             assert abs(got - gates) <= 1e-10

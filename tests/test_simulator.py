@@ -6,13 +6,11 @@ import pytest
 from scipy.linalg import expm
 
 from gaplab import (
-    DataError,
     InputOrientation,
     ParameterError,
     ResourceLimitError,
     SpinModel,
     TimeGrid,
-    TimeSeries,
     TrotterPlan,
     gate_sequence,
     prepare_input,
@@ -122,9 +120,9 @@ class TestPropagatorOverlap:
     def test_zero_time(self):
         model = SpinModel(3, 0.4, 1.0)
         orientation = InputOrientation.uniform(3, 0.27 * math.pi)
-        [series] = run_time_series(model, TrotterPlan(1, 5), [orientation],
-                                   TimeGrid(dt=0.5, length=4))
-        assert series.p[0] == 1.0
+        [p] = run_time_series(model, TrotterPlan(1, 5), [orientation],
+                              TimeGrid(dt=0.5, length=4))
+        assert p[0] == 1.0
 
     def test_paths_agree(self):
         # two independent internal code paths on the documented working point
@@ -166,18 +164,29 @@ class TestRunTimeSeries:
 
     def test_exact_mode_starts_at_one(self):
         model = SpinModel(3, 0.4, 1.0)
-        [series] = run_time_series(model, TrotterPlan(1, 4),
-                                   [InputOrientation.uniform(3, 0.27 * math.pi)],
-                                   self.grid())
-        assert series.p[0] == 1.0
-        assert series.shots is None
+        [p] = run_time_series(model, TrotterPlan(1, 4),
+                              [InputOrientation.uniform(3, 0.27 * math.pi)], self.grid())
+        assert p[0] == 1.0
 
     def test_values_in_unit_interval(self):
         model = SpinModel(3, 0.4, 1.0)
-        [series] = run_time_series(model, TrotterPlan(4, 3),
-                                   [InputOrientation.uniform(3, 0.4 * math.pi)],
-                                   self.grid())
-        assert series.p.min() >= 0.0 and series.p.max() <= 1.0
+        [p] = run_time_series(model, TrotterPlan(4, 3),
+                              [InputOrientation.uniform(3, 0.4 * math.pi)], self.grid())
+        assert p.min() >= 0.0 and p.max() <= 1.0
+
+    @pytest.mark.parametrize("shots", [None, 64])
+    def test_returns_probability_array(self, shots):
+        # the engine's output is the series itself: a float (K, L) array of
+        # probabilities, which starts at P(0) = 1 exactly in exact mode
+        model = SpinModel(3, 0.4, 1.0)
+        orientations = [InputOrientation.uniform(3, a) for a in (0.1, 0.9, 2.0)]
+        probs = run_time_series(model, TrotterPlan(4, 3), orientations, self.grid(),
+                                shots=shots, seeds=[1, 2, 3])
+        assert isinstance(probs, np.ndarray) and probs.dtype == np.float64
+        assert probs.shape == (len(orientations), self.grid().length)
+        assert np.all((probs >= 0.0) & (probs <= 1.0))
+        if shots is None:
+            assert np.all(probs[:, 0] == 1.0)
 
     def test_shot_mode_deterministic(self):
         model = SpinModel(3, 0.4, 1.0)
@@ -185,7 +194,7 @@ class TestRunTimeSeries:
         runs = [run_time_series(model, TrotterPlan(1, 4), [orientation],
                                 self.grid(), shots=256, seeds=[11])[0]
                 for _ in range(2)]
-        assert np.array_equal(runs[0].p, runs[1].p)
+        assert np.array_equal(runs[0], runs[1])
 
     def test_shot_mode_seed_sensitivity(self):
         model = SpinModel(3, 0.4, 1.0)
@@ -194,7 +203,7 @@ class TestRunTimeSeries:
                               shots=256, seeds=[11])
         [b] = run_time_series(model, TrotterPlan(1, 4), [orientation], self.grid(),
                               shots=256, seeds=[12])
-        assert not np.array_equal(a.p, b.p)
+        assert not np.array_equal(a, b)
 
     def test_shot_noise_standard_error(self):
         # binomial scatter at 10^6 shots per time direction, 2 * 10^6 pooled,
@@ -206,8 +215,8 @@ class TestRunTimeSeries:
         shots = 10**6
         [noisy] = run_time_series(model, plan, [orientation], self.grid(),
                                   shots=shots, seeds=[5])
-        sigma = np.sqrt(np.maximum(exact.p * (1 - exact.p), 1e-12) / (2 * shots))
-        assert np.all(np.abs(noisy.p - exact.p) <= 3.0 * sigma + 1e-9)
+        sigma = np.sqrt(np.maximum(exact * (1 - exact), 1e-12) / (2 * shots))
+        assert np.all(np.abs(noisy - exact) <= 3.0 * sigma + 1e-9)
 
     @pytest.mark.parametrize("seed", [0, 7, 2**32 - 1])
     def test_one_binomial_draw_per_orientation(self, seed):
@@ -220,15 +229,15 @@ class TestRunTimeSeries:
         [exact] = run_time_series(model, plan, [orientation], self.grid())
         [noisy] = run_time_series(model, plan, [orientation], self.grid(),
                                   shots=256, seeds=[seed])
-        drawn = np.random.default_rng(seed).binomial(512, exact.p) / 512
-        assert np.array_equal(noisy.p, drawn)
+        drawn = np.random.default_rng(seed).binomial(512, exact) / 512
+        assert np.array_equal(noisy, drawn)
 
     def test_shot_mode_start_is_exact(self):
         model = SpinModel(3, 0.4, 1.0)
-        [series] = run_time_series(model, TrotterPlan(1, 4),
-                                   [InputOrientation.uniform(3, 0.27 * math.pi)],
-                                   self.grid(), shots=64, seeds=[3])
-        assert series.p[0] == 1.0
+        [p] = run_time_series(model, TrotterPlan(1, 4),
+                              [InputOrientation.uniform(3, 0.27 * math.pi)],
+                              self.grid(), shots=64, seeds=[3])
+        assert p[0] == 1.0
 
     def test_batch_equals_separate_runs(self):
         # the shared propagator must not couple orientations: each series of
@@ -243,8 +252,7 @@ class TestRunTimeSeries:
                 [alone] = run_time_series(
                     model, plan, [orientation], self.grid(), shots=shots,
                     seeds=None if seeds is None else [seeds[k]])
-                assert np.allclose(batch[k].p, alone.p, rtol=0, atol=1e-14)
-                assert batch[k].seed == (None if seeds is None else seeds[k])
+                assert np.allclose(batch[k], alone, rtol=0, atol=1e-14)
 
     def test_rejects_mismatched_inputs(self):
         model = SpinModel(3, 0.4, 1.0)
@@ -280,10 +288,10 @@ class TestRunTimeSeries:
 
     def test_largest_simulated_chain_runs(self):
         n = MAX_SIMULATED_SPINS
-        [series] = run_time_series(SpinModel(n, 0.4, 1.0), TrotterPlan(2, 2),
-                                   [InputOrientation.uniform(n, 0.3)],
-                                   TimeGrid(dt=0.3, length=2))
-        assert 0.0 <= series.p[1] <= 1.0
+        [p] = run_time_series(SpinModel(n, 0.4, 1.0), TrotterPlan(2, 2),
+                              [InputOrientation.uniform(n, 0.3)],
+                              TimeGrid(dt=0.3, length=2))
+        assert 0.0 <= p[1] <= 1.0
 
     def test_one_propagator_per_signed_time(self, monkeypatch):
         # the engine builds U_M(t) for each positive time only: P(-t) = P(t)
@@ -310,8 +318,8 @@ class TestRunTimeSeries:
         assert sorted(calls) == [n * grid.dt for n in steps]
         assert all(isinstance(t, float) and t > 0 for t in calls)
         want = [1.0] + [g(n * grid.dt) for n in steps]
-        for series in batch:
-            assert np.allclose(series.p, want, rtol=0, atol=1e-14)
+        for p in batch:
+            assert np.allclose(p, want, rtol=0, atol=1e-14)
 
     @pytest.mark.parametrize("order", [1, 2, 4])
     def test_matches_per_time_loop(self, order):
@@ -333,26 +341,9 @@ class TestRunTimeSeries:
             evolved = np.linalg.matrix_power(step, plan.depth) @ psi
             amp = np.einsum("ik,ik->k", psi.conj(), evolved)
             want[:, n] = np.clip(np.abs(amp) ** 2, 0.0, 1.0)
-        batch = run_time_series(model, plan, orientations, grid)
-        for series, w in zip(batch, want):
-            assert np.array_equal(series.p, w)
+        assert np.array_equal(run_time_series(model, plan, orientations, grid), want)
         # the shot half: 256 shots per time direction, one Bin(512, P) draw
         seeds = [3, 1, 4]
         sampled = run_time_series(model, plan, orientations, grid, shots=256, seeds=seeds)
-        for series, w, seed in zip(sampled, want, seeds):
-            assert np.array_equal(series.p,
-                                  np.random.default_rng(seed).binomial(512, w) / 512)
-
-    def test_series_validation(self):
-        grid = self.grid()
-        with pytest.raises(DataError):
-            TimeSeries(grid=grid, p=np.ones(5))
-        bad = np.ones(16)
-        bad[3] = 1.5
-        with pytest.raises(DataError):
-            TimeSeries(grid=grid, p=bad)
-        # an exact series starts at P(0) = 1; a sampled one need not
-        half = np.full(16, 0.5)
-        with pytest.raises(DataError):
-            TimeSeries(grid=grid, p=half)
-        assert TimeSeries(grid=grid, p=half, shots=64, seed=1).p[0] == 0.5
+        for p, w, seed in zip(sampled, want, seeds):
+            assert np.array_equal(p, np.random.default_rng(seed).binomial(512, w) / 512)

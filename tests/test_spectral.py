@@ -12,7 +12,6 @@ from gaplab import (
     ParameterError,
     SpinModel,
     TimeGrid,
-    TimeSeries,
     default_grid,
     exact_diagonalize,
     exact_spectrum_oracle,
@@ -26,18 +25,13 @@ from gaplab.spectral import MAX_GRID_LENGTH, grid_size, spectrum_to_csv
 from conftest import read_spectrum
 
 
-def series_from_values(grid, values):
-    return TimeSeries(grid=grid, p=values)
-
-
 def exact_return_series(model, orientation, grid):
-    """Time series of the exactly evolved chain, built from the eigensystem."""
+    """Return probabilities of the exactly evolved chain, from the eigensystem."""
     eig = exact_diagonalize(model)
     weights = np.abs(eig.overlaps(prepare_input(orientation))) ** 2
     phases = np.exp(-1j * np.outer(grid.times, eig.energies))
     amps = phases @ weights.astype(complex)
-    p = np.abs(amps) ** 2
-    return TimeSeries(grid=grid, p=p)
+    return np.abs(amps) ** 2
 
 
 class TestDefaultGrid:
@@ -67,7 +61,7 @@ class TestDefaultGrid:
 class TestSpectralFunction:
     def test_constant_series_concentrates_at_zero(self):
         grid = TimeGrid(dt=0.4, length=32)
-        spec = spectral_function(series_from_values(grid, np.ones(32)), Filter.none())
+        spec = spectral_function(grid, np.ones(32), Filter.none())
         assert np.argmax(spec.values) == 0
         # closed form: full weight at m = 0 minus the shared-origin correction
         expected_peak = 32 * grid.dt / math.pi - grid.dt / (2 * math.pi)
@@ -78,7 +72,7 @@ class TestSpectralFunction:
         grid = TimeGrid(dt=0.4, length=64)
         m0 = 9
         p = 0.5 * (1 + np.cos(m0 * grid.d_omega * grid.times))
-        spec = spectral_function(series_from_values(grid, p), Filter.none())
+        spec = spectral_function(grid, p, Filter.none())
         half = np.arange(1, 33)
         assert half[np.argmax(spec.values[1:33])] == m0
 
@@ -89,7 +83,7 @@ class TestSpectralFunction:
         length = 2 * math.ceil(7.0 / d_omega)
         grid = TimeGrid(dt=2 * math.pi / (length * d_omega), length=length)
         p = 0.5 * (1 + np.cos(gap * grid.times))
-        spec = spectral_function(series_from_values(grid, p), filt)
+        spec = spectral_function(grid, p, filt)
         om = spec.omegas
         window = (om > 1.0) & (om < 3.0)
         peak = np.argmax(np.where(window, spec.values, -np.inf))
@@ -107,19 +101,17 @@ class TestSpectralFunction:
         b = np.concatenate(([1.0], rng.uniform(0, 1, 23)))
         lam = 0.3
         filt = Filter.gaussian(0.4)
-        spec_a = spectral_function(series_from_values(grid, a), filt).values
-        spec_b = spectral_function(series_from_values(grid, b), filt).values
-        mixed = spectral_function(
-            series_from_values(grid, lam * a + (1 - lam) * b), filt).values
+        spec_a = spectral_function(grid, a, filt).values
+        spec_b = spectral_function(grid, b, filt).values
+        mixed = spectral_function(grid, lam * a + (1 - lam) * b, filt).values
         assert np.allclose(mixed, lam * spec_a + (1 - lam) * spec_b, atol=1e-13)
 
     def test_mirror_symmetry_for_even_series(self):
         model = SpinModel(3, 0.4, 1.0)
         filt = Filter.gaussian(0.3)
         grid = default_grid(filt)
-        spec = spectral_function(
-            exact_return_series(model, InputOrientation.uniform(3, 0.27 * math.pi),
-                                grid), filt)
+        spec = spectral_function(grid, exact_return_series(
+            model, InputOrientation.uniform(3, 0.27 * math.pi), grid), filt)
         assert np.allclose(spec.values[1:], spec.values[1:][::-1], atol=1e-12)
 
 
@@ -174,7 +166,7 @@ class TestOracle:
         filt = Filter(family, 0.3)
         grid = default_grid(filt)
         spec = spectral_function(
-            exact_return_series(self.model, self.orientation, grid), filt)
+            grid, exact_return_series(self.model, self.orientation, grid), filt)
         oracle = exact_spectrum_oracle(self.eig, self.orientation, filt, grid)
         num = np.sqrt(np.sum((spec.values - oracle.values) ** 2))
         den = np.sqrt(np.sum((spec.values - spec.values.mean()) ** 2))
@@ -183,7 +175,7 @@ class TestOracle:
     def test_unfiltered_spectrum_peaks_at_dominant_gap(self):
         grid = TimeGrid(dt=0.25, length=512)
         spec = spectral_function(
-            exact_return_series(self.model, self.orientation, grid), Filter.none())
+            grid, exact_return_series(self.model, self.orientation, grid), Filter.none())
         gap = self.eig.energies[1] - self.eig.energies[0]
         om = spec.omegas
         window = (om > 0.5) & (om < om[len(om) // 2])
@@ -208,8 +200,7 @@ def test_read_back_spectrum_keeps_its_fold(tmp_path):
     # of 7.7 must widen down to the physical peak, not stop at the mirror
     filt = Filter.gaussian(0.3)
     grid = default_grid(filt)
-    spec = spectral_function(
-        series_from_values(grid, 0.5 * (1 + np.cos(6.5 * grid.times))), filt)
+    spec = spectral_function(grid, 0.5 * (1 + np.cos(6.5 * grid.times)), filt)
     path = tmp_path / "spec.csv"
     spectrum_to_csv(spec, path)
     back, _ = read_spectrum(path)

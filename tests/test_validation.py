@@ -6,17 +6,10 @@ test finiteness and integrality explicitly.
 
 import math
 
-import numpy as np
 import pytest
 
 from gaplab import (DataError, Filter, GapSearchConfig, InputOrientation,
-                    ParameterError, SpinModel, TimeGrid, TimeSeries, TrotterPlan)
-
-
-def shot_series_with_nan():
-    p = np.full(4, 0.5)
-    p[2] = math.nan
-    return TimeSeries(grid=TimeGrid(dt=0.5, length=4), p=p, shots=64, seed=1)
+                    ParameterError, SpinModel, TimeGrid, TrotterPlan)
 
 
 @pytest.mark.parametrize("build", [
@@ -31,7 +24,6 @@ def shot_series_with_nan():
     pytest.param(lambda: TimeGrid(0.5, 4.0), id="length-float"),
     pytest.param(lambda: Filter.gaussian(math.nan), id="eta-nan"),
     pytest.param(lambda: Filter.lorentzian(math.inf), id="eta-inf"),
-    pytest.param(shot_series_with_nan, id="shot-series-nan"),
     pytest.param(lambda: InputOrientation((math.nan, 0.1)), id="angle-nan"),
     pytest.param(lambda: InputOrientation((0.1, -math.inf)), id="angle-inf"),
     pytest.param(lambda: InputOrientation.uniform(3, math.inf), id="theta-inf"),
