@@ -11,8 +11,8 @@ from .model import (BoundSet, EigenDecomposition, SpinModel, build_hamiltonians,
 from .scaling import Extrapolation, extrapolate
 from .simulator import (Gate, InputOrientation, TimeGrid, gate_sequence,
                         prepare_input, run_time_series)
-from .spectral import (Spectrum, default_grid, exact_spectrum_oracle,
-                       filter_fourier, spectral_function)
+from .spectral import (default_grid, exact_spectrum_oracle, filter_fourier,
+                       spectral_function)
 from .toymodel import TwoPeakModel, peak_shift
 from .trotter import (KAPPA4, Filter, TrotterPlan, depth_cutoff, filter_value,
                       gate_count, trotter_propagator, truncation_error_bound)

@@ -189,11 +189,14 @@ def cmd_depth_bound(cfg, out) -> int:
         raise ParameterError("depth-bound needs finite --t-max and --fixed-ht")
     filters = [Filter.none(), Filter.lorentzian(cfg["eta_over_h"]),
                Filter.gaussian(cfg["eta_over_h"])]
-    n_grid = np.unique(np.round(np.logspace(
-        math.log10(2), math.log10(cfg["n_max"]), cfg["n_points"])).astype(int))
+    with np.errstate(over="ignore"):    # past the float range: inf, refused below
+        n_grid = np.round(np.logspace(math.log10(2), math.log10(cfg["n_max"]),
+                                      cfg["n_points"]))
+    if not n_grid.max() < 2**63:
+        raise ParameterError(f"--n-max {cfg['n_max']} gives chain lengths beyond int64")
     # (scan, chain lengths, times): the time scan, then the size scan at one time
     scans = (("t", [cfg["n"]], np.linspace(0.0, cfg["t_max"], cfg["t_points"])),
-             ("n", n_grid, np.array([cfg["fixed_ht"]])))
+             ("n", np.unique(n_grid.astype(int)), np.array([cfg["fixed_ht"]])))
     rows = []
     for scan, sizes, ts in scans:
         for p in (1, 2, 4):
@@ -225,8 +228,8 @@ def cmd_spectrum(cfg, out) -> int:
     extra = {}
     if cfg["oracle"]:
         eig = exact_diagonalize(model)
-        extra["A_oracle"] = exact_spectrum_oracle(eig, orientation, filt, grid).values
-    spectral.spectrum_to_csv(spec, out, metadata=_meta("spectrum", cfg),
+        extra["A_oracle"] = exact_spectrum_oracle(eig, orientation, filt, grid)
+    spectral.spectrum_to_csv(grid, spec, filt, out, metadata=_meta("spectrum", cfg),
                              extra_columns=extra)
     return 0
 
@@ -240,11 +243,11 @@ def cmd_gap(cfg, out) -> int:
     result = {"delta0": search.initial_guess,
               "delta_exact_ed": float(eig.energies[1] - eig.energies[0])}
     try:
-        est = find_gap(spec, search)
+        est = find_gap(grid, spec, filt, search)
     except GapSearchError as exc:
         result.update({"gap": None, "failure": str(exc)})
     else:
-        eps_gap, eps_spect = gapfinder.score(est.gap, spec, eig, orientation, grid)
+        eps_gap, eps_spect = gapfinder.score(est.gap, spec, eig, orientation, filt, grid)
         result.update({
             "gap": est.gap, "peak_height": est.peak_height,
             "window_used": est.window_used, "eps_gap": eps_gap, "eps_spect": eps_spect,

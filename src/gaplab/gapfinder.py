@@ -22,8 +22,7 @@ from .errors import (DataError, GapSearchError, NumericError, ParameterError,
 from .model import (EigenDecomposition, SpinModel, commutator_norm_bounds,
                     exact_diagonalize)
 from .simulator import InputOrientation, TimeGrid, run_time_series
-from .spectral import (Spectrum, exact_spectrum_oracle, local_maxima,
-                       spectral_function, transform)
+from .spectral import exact_spectrum_oracle, local_maxima, spectral_function, transform
 from .trotter import Filter, TrotterPlan, gate_count
 
 #: Gap-error level marking the unfavored orientation zone.
@@ -66,23 +65,23 @@ def _windows(config: GapSearchConfig, eta: float):
     return out
 
 
-def find_gap(spectrum: Spectrum, config: GapSearchConfig) -> GapEstimate:
-    """Windowed peak search with progressive widening.
+def find_gap(grid: TimeGrid, a: np.ndarray, filt: Filter,
+             config: GapSearchConfig) -> GapEstimate:
+    """Windowed peak search with progressive widening over the spectrum `a` at
+    grid.omegas, on the physical side of the fold (indices up to L/2).
 
     Raises GapSearchError when no strict local maximum appears inside the
     capped window; the caller restarts with a different guess.
     """
-    om, av = spectrum.omegas, spectrum.values
-    fold = spectrum.omega_max_physical
-    peaks = local_maxima(av)
-    peaks = peaks[(om[peaks] > 0) & (om[peaks] <= (np.inf if fold is None else fold))]
-    for width in _windows(config, spectrum.filter.eta):
+    om, peaks = grid.omegas, local_maxima(a)
+    peaks = peaks[peaks <= grid.length // 2]
+    for width in _windows(config, filt.eta):
         lo = max(config.initial_guess - width / 2.0, 0.0)
         hi = config.initial_guess + width / 2.0
         inside = peaks[(om[peaks] >= lo) & (om[peaks] <= hi)]
         if len(inside):
-            m = inside[np.argmax(av[inside])]   # the first of tied maxima
-            return GapEstimate(gap=float(om[m]), peak_height=float(av[m]),
+            m = inside[np.argmax(a[inside])]   # the first of tied maxima
+            return GapEstimate(gap=float(om[m]), peak_height=float(a[m]),
                                window_used=width)
     raise GapSearchError(
         f"no local maximum within +-{width / 2:.4g} of {config.initial_guess:.4g}")
@@ -103,11 +102,11 @@ def _error_ratio(residual: np.ndarray, values: np.ndarray) -> float:
     return float(np.sqrt(np.sum(residual**2) / denom))
 
 
-def spectral_error(sim: Spectrum, exact: Spectrum) -> float:
+def spectral_error(sim: np.ndarray, exact: np.ndarray) -> float:
     """Root of the residual-to-variance ratio between two spectra on one grid."""
-    if sim.values.shape != exact.values.shape or sim.d_omega != exact.d_omega:
+    if sim.shape != exact.shape:
         raise DataError("spectra live on different grids")
-    return _error_ratio(sim.values - exact.values, sim.values)
+    return _error_ratio(sim - exact, sim)
 
 
 def spectral_error_bound(model: SpinModel, plan: TrotterPlan, filt: Filter,
@@ -125,13 +124,14 @@ def spectral_error_bound(model: SpinModel, plan: TrotterPlan, filt: Filter,
     return _error_ratio(d_a, a_exact + d_a)
 
 
-def score(gap: float, spectrum: Spectrum, eig: EigenDecomposition,
-          orientation: InputOrientation, grid: TimeGrid) -> tuple[float, float]:
-    """(eps_gap, eps_spect) of a gap found in `spectrum`: its error against the
-    exact gap E1 - E0, and the spectrum's against the line-shape oracle."""
-    oracle = exact_spectrum_oracle(eig, orientation, spectrum.filter, grid)
+def score(gap: float, a: np.ndarray, eig: EigenDecomposition,
+          orientation: InputOrientation, filt: Filter,
+          grid: TimeGrid) -> tuple[float, float]:
+    """(eps_gap, eps_spect) of a gap found in the spectrum `a`: its error against
+    the exact gap E1 - E0, and the spectrum's against the line-shape oracle."""
+    oracle = exact_spectrum_oracle(eig, orientation, filt, grid)
     return (gap_error(gap, float(eig.energies[1] - eig.energies[0])),
-            spectral_error(spectrum, oracle))
+            spectral_error(a, oracle))
 
 
 # --------------------------------------------------------------------------
@@ -203,7 +203,7 @@ def search_sweep(model: SpinModel, plan: TrotterPlan, filt: Filter, grid: TimeGr
             seed=seed if shots is not None else None,
             gap=None, peak_height=None, eps_gap=None, eps_spect=None, eps_bound=None)
         try:
-            est = find_gap(spectra[-1], search)
+            est = find_gap(grid, spectra[-1], filt, search)
             record.gap, record.peak_height = est.gap, est.peak_height
         except GapSearchError as exc:
             record.failure = str(exc)
@@ -227,7 +227,7 @@ def theta_sweep(model: SpinModel, plan: TrotterPlan, filt: Filter,
         if record.failure is None:
             record.eps_gap, record.eps_spect = score(
                 record.gap, spec, eig,
-                InputOrientation.uniform(model.n_spins, record.theta), grid)
+                InputOrientation.uniform(model.n_spins, record.theta), filt, grid)
     return result
 
 

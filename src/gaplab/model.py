@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import functools
 import math
+import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -50,6 +51,8 @@ class SpinModel:
     def __post_init__(self):
         if not is_count(self.n_spins, 2):
             raise ParameterError(f"need an integer >= 2 spins, got {self.n_spins}")
+        if self.n_spins > sys.float_info.max:   # the bounds and the guess take float(N)
+            raise ParameterError(f"{self.n_spins} spins are beyond the float range")
         if not math.isfinite(self.coupling):
             raise ParameterError(f"coupling must be finite, got {self.coupling}")
         if not (self.field > 0 and math.isfinite(self.field)):

@@ -82,6 +82,11 @@ class TimeGrid:
         """Conjugate frequency step: d_omega * dt = 2 pi / L."""
         return 2.0 * math.pi / (self.length * self.dt)
 
+    @property
+    def omegas(self) -> np.ndarray:
+        """DFT frequencies omega_m = m d_omega; m > L/2 stands for (m - L) d_omega."""
+        return np.arange(self.length) * self.d_omega
+
 
 def prepare_input(orientation: InputOrientation) -> np.ndarray:
     """Product state prod_j [cos(theta_j/2)|0> + sin(theta_j/2)|1>], by kron_product."""

@@ -1,7 +1,7 @@
 """Filtered discrete Fourier transform of the time series and exact references.
 
 The spectral function of a series P_n = P(t_n), one row of the (K, L) array
-run_time_series returns, on the frequency grid omega_m = m * d_omega is
+run_time_series returns, on the grid omega_m = m * d_omega (TimeGrid.omegas) is
 
     A(omega_m) = (dt / 2 pi) Re sum_{s=+-} sum_n e^{i omega_m t_sn} F_n P_sn,
 
@@ -12,45 +12,21 @@ to the line-shape decomposition
 
     A(omega) = sum_{u,v} |c_u|^2 |c_v|^2 Ftilde(omega - (E_u - E_v)),
 
-which exact_spectrum_oracle evaluates directly from the eigensystem.
+which exact_spectrum_oracle evaluates directly from the eigensystem.  A spectrum
+is the float (L,) array of A_m; indices m > L/2 mirror negative frequencies.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
 from ._textio import write_table
-from .errors import DataError, ParameterError, is_count
+from .errors import ParameterError, is_count
 from .model import EigenDecomposition
 from .simulator import InputOrientation, TimeGrid, prepare_input
 from .trotter import Filter, filter_value
-
-
-@dataclass
-class Spectrum:
-    """Real spectral values on a frequency grid, with their filter.
-
-    For DFT-produced spectra the grid covers a full period and the upper half
-    mirrors negative frequencies; `omega_max_physical` marks the fold point
-    so peak searches stay on the physical side.  Line-shape spectra built on
-    arbitrary grids leave it None.
-    """
-
-    omegas: np.ndarray
-    values: np.ndarray
-    d_omega: float
-    filter: Filter
-    omega_max_physical: float | None = None
-
-    def __post_init__(self):
-        self.omegas = np.asarray(self.omegas, dtype=float)
-        self.values = np.asarray(self.values, dtype=float)
-        if self.omegas.shape != self.values.shape:
-            raise DataError("frequency grid and values differ in length")
-
 
 #: Longest time grid; the longest any workload uses is L = 2800 (eta/h = 0.02).
 MAX_GRID_LENGTH = 2**17
@@ -98,22 +74,15 @@ def transform(grid: TimeGrid, p: np.ndarray, filt: Filter) -> np.ndarray:
     return np.fft.fft(weights).real * (grid.dt / (2.0 * math.pi))
 
 
-def _on_grid(grid: TimeGrid, values: np.ndarray, filt: Filter) -> Spectrum:
-    """Values on the DFT frequency grid omega_m = m d_omega, folded at L/2."""
-    return Spectrum(omegas=np.arange(grid.length) * grid.d_omega, values=values,
-                    d_omega=grid.d_omega, filter=filt,
-                    omega_max_physical=grid.length // 2 * grid.d_omega)
-
-
 def local_maxima(values) -> np.ndarray:
     """Indices of the strict interior local maxima, in increasing order."""
     v = np.asarray(values)
     return np.flatnonzero((v[1:-1] > v[:-2]) & (v[1:-1] > v[2:])) + 1
 
 
-def spectral_function(grid: TimeGrid, p: np.ndarray, filt: Filter) -> Spectrum:
-    """Filtered spectrum of a measured (or exact) series P on the grid."""
-    return _on_grid(grid, transform(grid, p, filt), filt)
+def spectral_function(grid: TimeGrid, p: np.ndarray, filt: Filter) -> np.ndarray:
+    """Filtered spectrum A_m of a measured (or exact) series P at grid.omegas."""
+    return transform(grid, p, filt)
 
 
 def filter_fourier(filt: Filter, omega):
@@ -130,14 +99,14 @@ def filter_fourier(filt: Filter, omega):
 
 
 def exact_spectrum_oracle(eig: EigenDecomposition, orientation: InputOrientation,
-                          filt: Filter, grid: TimeGrid) -> Spectrum:
-    """Line-shape spectrum from the eigensystem, on the DFT frequency grid.
+                          filt: Filter, grid: TimeGrid) -> np.ndarray:
+    """Line-shape spectrum from the eigensystem at grid.omegas.
 
     Sums |c_u|^2 |c_v|^2 Ftilde(omega - Delta_uv) over all ordered pairs,
     which carries both the positive- and negative-frequency image of every
-    gap.  Grid points are taken at their signed (folded) frequency, and the
-    line shapes are periodized over one grid period on each side: the
-    discrete transform of a sampled series sees that aliased sum.
+    gap.  Grid points are taken at their signed frequency, folded above
+    index L/2, and the line shapes are periodized over one grid period on
+    each side: the discrete transform of a sampled series sees that aliased sum.
     """
     weights = np.abs(eig.overlaps(prepare_input(orientation))) ** 2
     gaps = np.subtract.outer(eig.energies, eig.energies).ravel()
@@ -145,23 +114,22 @@ def exact_spectrum_oracle(eig: EigenDecomposition, orientation: InputOrientation
     keep = pair_w > 1e-14 * pair_w.max()
     gaps, pair_w = gaps[keep], pair_w[keep]
 
-    spectrum = _on_grid(grid, np.zeros(grid.length), filt)
-    omegas, period = spectrum.omegas, grid.length * grid.d_omega
-    signed = np.where(omegas <= spectrum.omega_max_physical, omegas, omegas - period)
+    omegas, period = grid.omegas, grid.length * grid.d_omega
+    signed = np.where(np.arange(grid.length) <= grid.length // 2, omegas, omegas - period)
+    values = np.zeros(grid.length)
     for k in (-1, 0, 1):
         shifted = signed[:, None] + k * period - gaps[None, :]
-        spectrum.values += filter_fourier(filt, shifted) @ pair_w
-    return spectrum
+        values += filter_fourier(filt, shifted) @ pair_w
+    return values
 
 
-def spectrum_to_csv(spectrum: Spectrum, path, metadata: dict | None = None,
-                    extra_columns: dict | None = None):
+def spectrum_to_csv(grid: TimeGrid, values: np.ndarray, filt: Filter, path,
+                    metadata: dict | None = None, extra_columns: dict | None = None):
     meta = dict(metadata or {})
-    meta.update({"d_omega": spectrum.d_omega,
-                 "filter": spectrum.filter.family, "eta": spectrum.filter.eta,
-                 "omega_max_physical": spectrum.omega_max_physical})
+    meta.update({"d_omega": grid.d_omega, "filter": filt.family, "eta": filt.eta,
+                 "omega_max_physical": grid.length // 2 * grid.d_omega})
     columns = ["m", "omega_m", "A_m"] + list(extra_columns or {})
     extras = [np.asarray(v, dtype=float) for v in (extra_columns or {}).values()]
-    rows = ((m, spectrum.omegas[m], spectrum.values[m], *(e[m] for e in extras))
-            for m in range(len(spectrum.omegas)))
+    rows = ((m, om, values[m], *(e[m] for e in extras))
+            for m, om in enumerate(grid.omegas))
     write_table(path, meta, columns, rows)

@@ -14,6 +14,7 @@ table) read at a XOR b.  2-D products use ndarray.dot: `@`'s zgemm, less dispatc
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -52,6 +53,8 @@ class TrotterPlan:
             raise ParameterError(f"order must be 1, 2 or 4, got {self.order}")
         if not is_count(self.depth, 1):
             raise ParameterError(f"depth must be an integer >= 1, got {self.depth}")
+        if self.depth ** self.order > sys.float_info.max:   # M^p divides floats
+            raise ParameterError(f"M^p = {self.depth}^{self.order} is not a finite float")
 
 
 @dataclass(frozen=True)

@@ -1,7 +1,10 @@
-"""Shared helpers: independent dense constructions used as test oracles.
+"""Shared helpers: independent dense constructions used as test oracles, and
+readers of the files gaplab writes.
 
-These rebuild operators from scratch with naive kron sums so that package
-results are checked against a second code path, not against themselves.
+The constructions rebuild operators from scratch with naive kron sums so that
+package results are checked against a second code path, not against themselves.
+The readers give back plain arrays and dicts: a spectrum file reads as its
+omega_m and A_m columns, its filter and its header.
 """
 
 import dataclasses
@@ -15,7 +18,6 @@ import pytest
 from hypothesis import settings
 
 from gaplab.simulator import apply_gates, gate_sequence, prepare_input
-from gaplab.spectral import Spectrum
 from gaplab.trotter import Filter, TrotterPlan, trotter_propagator
 
 # Property tests draw a fixed example sequence, so every run checks the
@@ -224,12 +226,11 @@ def read_table(path):
 
 
 def read_spectrum(path):
-    """(Spectrum, metadata) of a spectrum_to_csv file, its fold point kept."""
+    """(omegas, values, filter, metadata) of a spectrum_to_csv file: its omega_m
+    and A_m columns as float arrays, and the header, its fold point kept."""
     meta, _, rows = read_table(path)
-    return Spectrum(omegas=[float(r[1]) for r in rows],
-                    values=[float(r[2]) for r in rows], d_omega=meta["d_omega"],
-                    filter=Filter(meta["filter"], meta["eta"]),
-                    omega_max_physical=meta["omega_max_physical"]), meta
+    return (np.array([float(r[1]) for r in rows]), np.array([float(r[2]) for r in rows]),
+            Filter(meta["filter"], meta["eta"]), meta)
 
 
 def read_phase_diagram(path):

@@ -1,11 +1,11 @@
 """The exact-mode replay corpus: gaplab commands whose output depends on no draw.
 
 `exact_corpus.json` beside this file holds, for each command in COMMANDS, its
-exit code, what it printed and the files it wrote, parsed.  test_exact_corpus.py
-replays every command in-process and compares by the benchmark's rule
-(perfbench/checks.py `_close`): floats within 1e-12 relative, keys, strings and
-integers exact.  The rule, not byte equality, lets one corpus serve every numpy
-release the package supports.
+exit code (or the exception that escaped it), what it printed and the files it
+wrote, parsed.  test_exact_corpus.py replays every command in-process and
+compares by the benchmark's rule (perfbench/checks.py `_close`): floats within
+1e-12 relative, keys, strings and integers exact.  The rule, not byte equality,
+lets one corpus serve every numpy release the package supports.
 
 Regenerate the corpus only with this script, in a change that says why its
 numbers moved:
@@ -27,7 +27,9 @@ CORPUS = Path(__file__).with_name("exact_corpus.json")
 # Every subcommand; p = 1, 2 and 4; --oracle and --filter none; a search that
 # finds nothing (exit 2); scaling exiting 0, 3 (windows too narrow for some
 # cells) and 2 (a chain above the simulation cap, nothing written).  Output
-# paths are relative, since the scaling header records --samples-out.
+# paths are relative, since the scaling header records --samples-out.  The last
+# five are refused: integers a float cannot hold (M^p, N) or int64 cannot (the
+# depth-bound size grid).
 COMMANDS = (
     ("spectrum", "--exact", "--oracle", "--out", "spectrum.csv"),
     ("spectrum", "--exact", "--p", "2", "--out", "spectrum.csv"),
@@ -55,6 +57,11 @@ COMMANDS = (
     ("scaling", "--exact", "--n-list", "2,3,9", "--out", "diagram.csv"),
     ("depth-bound", "--out", "depth.csv"),
     ("toy", "--out", "toy.csv"),
+    ("gap", "--exact", "--m", str(10**400), "--out", "gap.json"),
+    ("gap", "--exact", "--p", "4", "--m", str(10**80), "--out", "gap.json"),
+    ("gap", "--exact", "--n", str(10**400), "--out", "gap.json"),
+    ("depth-bound", "--n", str(10**400), "--out", "depth.csv"),
+    ("depth-bound", "--n-max", str(10**19), "--out", "depth.csv"),
 )
 
 
@@ -82,12 +89,16 @@ def parse(path: Path):
 
 def capture(argv, workdir: Path, read=parse) -> dict:
     """Run one command in `workdir` (empty) through gaplab.cli.main; its exit
-    code, stdout, stderr and every file it wrote, each passed through `read`."""
+    code, stdout, stderr and every file it wrote, each passed through `read`.
+    An exception that escapes main is recorded, as "<type>: <message>", in
+    place of the exit code, so a crash is one more outcome to compare."""
     stdout, stderr, cwd = io.StringIO(), io.StringIO(), os.getcwd()
     os.chdir(workdir)
     try:
         with contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(stderr):
             code = main(list(argv))
+    except Exception as exc:
+        code = f"{type(exc).__name__}: {exc}"
     finally:
         os.chdir(cwd)
     return {"argv": list(argv), "exit": code, "stdout": stdout.getvalue(),

@@ -6,7 +6,8 @@ Shot-mode output depends on numpy's binomial stream, so it stays out of the
 Tier-1 corpus; this script shows what a change did to it.  Both revisions are
 checked out in temporary git worktrees and run the same command list, the one
 beside this script.  Per command it prints `identical`, or the first
-difference: the exit code, a printed line or a line of an output file.  It
+difference: the exit code (or the exception a crashing command raised), a
+printed line or a line of an output file.  It
 exits 1 if any command differs, else 0.
 
     python tests/replay.py REVISION

@@ -122,7 +122,7 @@ def test_criterion_04_gap_recovery():
     config = GapSearchConfig(initial_guess=perturbative_gap_guess(model))
 
     [p] = run_time_series(model, plan, [orientation], grid)
-    est = find_gap(spectral_function(grid, p, filt), config)
+    est = find_gap(grid, spectral_function(grid, p, filt), filt, config)
     exact_dev = abs(est.gap - exact_gap)
     assert exact_dev <= filt.eta
 
@@ -130,7 +130,7 @@ def test_criterion_04_gap_recovery():
     for seed in range(10):
         [p] = run_time_series(model, plan, [orientation], grid,
                               shots=1024, seeds=[seed])
-        est = find_gap(spectral_function(grid, p, filt), config)
+        est = find_gap(grid, spectral_function(grid, p, filt), filt, config)
         hits += abs(est.gap - exact_gap) <= filt.eta
     assert hits >= 9
     elapsed = time.time() - start

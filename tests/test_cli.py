@@ -109,7 +109,7 @@ class TestSpectrum:
             gaplab.exact_diagonalize(model),
             gaplab.InputOrientation.uniform(4, 0.27 * math.pi), filt, grid)
         got = np.array([float(r[3]) for r in rows])
-        assert np.array_equal(got, oracle.values)
+        assert np.array_equal(got, oracle)
 
     def test_narrow_broadening_parameter_set(self, tmp_path):
         # the eta/h = 0.02 working point: fine grid, long series
@@ -395,12 +395,19 @@ class TestEmptyScans:
         ["depth-bound", "--n-points", "0"],
         ["depth-bound", "--n-points", "-1"],
         ["depth-bound", "--n-max", "-1"],
-        ["sweep-theta", "--theta-list", ""]])
+        ["sweep-theta", "--theta-list", ""],
+        # integers beyond a float (M^p, N) or beyond int64 (the size grid)
+        ["gap", "--exact", "--m", str(10**400)],
+        ["gap", "--exact", "--p", "4", "--m", str(10**80)],
+        ["gap", "--exact", "--n", str(10**400)],
+        ["depth-bound", "--n", str(10**400)],
+        ["depth-bound", "--n-max", str(10**19)]])
     def test_refused(self, tmp_path, no_simulation, capsys, argv):
         out = tmp_path / "x.out"
         assert run(argv + ["--out", str(out)]) == 1
         assert not out.exists()
-        assert capsys.readouterr().err.startswith("gaplab:")
+        err = capsys.readouterr().err
+        assert err.startswith("gaplab:") and err.count("\n") == 1
 
 
 class TestNegativeSeed:

@@ -29,7 +29,7 @@ from gaplab import (
     theta_sweep,
 )
 from gaplab import gapfinder
-from gaplab.spectral import Spectrum, transform
+from gaplab.spectral import transform
 
 
 def empirical_depth_cutoff(depths, gap_errors, rel_tol: float = 0.1) -> float:
@@ -51,58 +51,59 @@ def empirical_depth_cutoff(depths, gap_errors, rel_tol: float = 0.1) -> float:
 
 
 def lineshape_spectrum(center, filt, d_omega=0.01, width=6.0):
-    omegas = np.arange(1, int(width / d_omega)) * d_omega
-    return Spectrum(omegas=omegas, values=filter_fourier(filt, omegas - center),
-                    d_omega=d_omega, filter=filt)
+    """(grid, values): one line shape at `center` over the physical half
+    [0, width] of an even-length grid of step d_omega."""
+    length = 2 * round(width / d_omega)
+    grid = TimeGrid(dt=2 * math.pi / (length * d_omega), length=length)
+    return grid, filter_fourier(filt, grid.omegas - center)
 
 
 class TestFindGap:
     def test_isolated_peak(self):
         filt = Filter.lorentzian(0.25)
-        spec = lineshape_spectrum(1.2, filt)
-        est = find_gap(spec, GapSearchConfig(initial_guess=1.3))
-        assert abs(est.gap - 1.2) <= spec.d_omega / 2 + 1e-12
+        grid, spec = lineshape_spectrum(1.2, filt)
+        est = find_gap(grid, spec, filt, GapSearchConfig(initial_guess=1.3))
+        assert abs(est.gap - 1.2) <= grid.d_omega / 2 + 1e-12
         assert est.window_used == pytest.approx(0.5)
 
     def test_widening_reaches_displaced_peak(self):
         filt = Filter.lorentzian(0.1)
-        spec = lineshape_spectrum(2.0, filt)
-        est = find_gap(spec, GapSearchConfig(initial_guess=1.7))
-        assert abs(est.gap - 2.0) <= spec.d_omega
+        grid, spec = lineshape_spectrum(2.0, filt)
+        est = find_gap(grid, spec, filt, GapSearchConfig(initial_guess=1.7))
+        assert abs(est.gap - 2.0) <= grid.d_omega
         assert est.window_used > 0.2
 
     def test_flat_tail_fails_after_widening(self):
         filt = Filter.lorentzian(0.1)
-        spec = lineshape_spectrum(1.0, filt)
+        grid, spec = lineshape_spectrum(1.0, filt)
         with pytest.raises(GapSearchError):
-            find_gap(spec, GapSearchConfig(initial_guess=4.0))
+            find_gap(grid, spec, filt, GapSearchConfig(initial_guess=4.0))
 
     def test_never_returns_zero_frequency(self):
         filt = Filter.lorentzian(0.3)
-        omegas = np.arange(0, 400) * 0.01
-        spec = Spectrum(omegas=omegas, values=filter_fourier(filt, omegas),
-                        d_omega=0.01, filter=filt)
+        grid, spec = lineshape_spectrum(0.0, filt, width=4.0)
+        assert np.argmax(spec) == 0
         with pytest.raises(GapSearchError):
-            find_gap(spec, GapSearchConfig(initial_guess=0.05,
-                                           initial_window=0.2, max_window=0.4))
+            find_gap(grid, spec, filt, GapSearchConfig(
+                initial_guess=0.05, initial_window=0.2, max_window=0.4))
 
     def test_validation(self):
         with pytest.raises(ParameterError):
             GapSearchConfig(initial_guess=-1.0)
         filt = Filter.lorentzian(0.1)
-        spec = lineshape_spectrum(1.0, filt)
+        grid, spec = lineshape_spectrum(1.0, filt)
         with pytest.raises(ParameterError):
-            find_gap(spec, GapSearchConfig(initial_guess=1.0, initial_window=2.0,
-                                           max_window=1.0))
+            find_gap(grid, spec, filt, GapSearchConfig(
+                initial_guess=1.0, initial_window=2.0, max_window=1.0))
 
     def test_oracle_spectrum_recovers_ed_gap(self):
         model = SpinModel(4, 0.4, 1.0)
         eig = exact_diagonalize(model)
         filt = Filter.gaussian(0.3)
+        grid = default_grid(filt)
         oracle = exact_spectrum_oracle(
-            eig, InputOrientation.uniform(4, 0.27 * math.pi), filt,
-            default_grid(filt))
-        est = find_gap(oracle, GapSearchConfig(initial_guess=1.4))
+            eig, InputOrientation.uniform(4, 0.27 * math.pi), filt, grid)
+        est = find_gap(grid, oracle, filt, GapSearchConfig(initial_guess=1.4))
         assert abs(est.gap - (eig.energies[1] - eig.energies[0])) <= filt.eta
 
 
@@ -115,32 +116,26 @@ class TestErrorMeasures:
 
     def test_spectral_error_identical(self):
         filt = Filter.lorentzian(0.2)
-        spec = lineshape_spectrum(1.0, filt)
+        _, spec = lineshape_spectrum(1.0, filt)
         assert spectral_error(spec, spec) == 0.0
 
     def test_spectral_error_constant_offset_identity(self):
         filt = Filter.lorentzian(0.2)
-        spec = lineshape_spectrum(1.0, filt)
+        _, spec = lineshape_spectrum(1.0, filt)
         offset = 0.05
-        shifted = Spectrum(omegas=spec.omegas, values=spec.values + offset,
-                           d_omega=spec.d_omega, filter=filt)
-        got = spectral_error(spec, shifted)
-        n_pts = len(spec.values)
+        got = spectral_error(spec, spec + offset)
+        n_pts = len(spec)
         ref = math.sqrt(n_pts * offset**2
-                        / np.sum((spec.values - spec.values.mean()) ** 2))
+                        / np.sum((spec - spec.mean()) ** 2))
         assert got == pytest.approx(ref, rel=1e-12)
 
     def test_spectral_error_guards(self):
         filt = Filter.lorentzian(0.2)
-        spec = lineshape_spectrum(1.0, filt)
-        flat = Spectrum(omegas=spec.omegas, values=np.ones_like(spec.values),
-                        d_omega=spec.d_omega, filter=filt)
+        _, spec = lineshape_spectrum(1.0, filt)
         with pytest.raises(NumericError):
-            spectral_error(flat, spec)
-        short = Spectrum(omegas=spec.omegas[:-1], values=spec.values[:-1],
-                         d_omega=spec.d_omega, filter=filt)
+            spectral_error(np.ones_like(spec), spec)
         with pytest.raises(DataError):
-            spectral_error(short, spec)
+            spectral_error(spec[:-1], spec)
 
 
 class TestSpectralErrorBound:
@@ -207,7 +202,7 @@ class TestEmpiricalCutoff:
             for m in depths:
                 [p] = run_time_series(model, TrotterPlan(1, m), [orientation], grid)
                 spec = spectral_function(grid, p, filt)
-                est = find_gap(spec, GapSearchConfig(initial_guess=1.4))
+                est = find_gap(grid, spec, filt, GapSearchConfig(initial_guess=1.4))
                 errs.append(gap_error(est.gap, exact_gap))
             cutoffs[family] = empirical_depth_cutoff(
                 [4 * m for m in depths], errs)
@@ -288,7 +283,7 @@ class TestResolutionFloor:
         exact_gap = eig.energies[1] - eig.energies[0]
         [p] = run_time_series(model, TrotterPlan(1, 150), [orientation], grid)
         spec = spectral_function(grid, p, filt)
-        est = find_gap(spec, GapSearchConfig(initial_guess=1.4))
+        est = find_gap(grid, spec, filt, GapSearchConfig(initial_guess=1.4))
         assert gap_error(est.gap, exact_gap) <= 2 * eta / exact_gap
 
 
@@ -306,7 +301,7 @@ class TestUnfilteredInvariance:
             amps = np.exp(-1j * np.outer(grid.times, eig.energies)) \
                 @ weights.astype(complex)
             spec = spectral_function(grid, np.abs(amps) ** 2, Filter.none())
-            est = find_gap(spec, GapSearchConfig(
+            est = find_gap(grid, spec, Filter.none(), GapSearchConfig(
                 initial_guess=perturbative_gap_guess(model),
                 initial_window=0.5, max_window=0.5))
             found.add(round(est.gap, 12))

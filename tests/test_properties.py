@@ -31,7 +31,7 @@ from gaplab.cli import main
 from gaplab.gapfinder import _derived_seed, _windows
 from gaplab.scaling import Extrapolation, phase_diagram_to_csv
 from gaplab.simulator import prepare_input
-from gaplab.spectral import Spectrum, spectrum_to_csv, transform
+from gaplab.spectral import spectrum_to_csv, transform
 from gaplab.trotter import _step, _x_rotation_power
 
 from conftest import overlap_by_path, read_phase_diagram, read_spectrum
@@ -188,16 +188,18 @@ def test_fft_matches_cosine_sum(series, filt):
     assert np.max(np.abs(got - ref)) <= 32 * grid.length * (EPS * scale + tiny)
 
 
-def find_gap_by_scan(spectrum, config):
+def find_gap_by_scan(grid, av, filt, config):
     """Reference: every window tests each grid index for a strict local maximum
-    in [lo, hi] with omega > 0, and keeps the tallest, the first of ties."""
-    om, av = spectrum.omegas, spectrum.values
-    ceiling = spectrum.omega_max_physical
-    for width in _windows(config, spectrum.filter.eta):
+    in [lo, hi] with 0 < omega <= the fold frequency L/2 d_omega, and keeps the
+    tallest, the first of ties."""
+    om = np.arange(grid.length) * grid.d_omega
+    ceiling = grid.length // 2 * grid.d_omega
+    # the frequency rule agrees with find_gap's index rule m <= L/2
+    assert [m for m in range(len(om)) if om[m] <= ceiling] == \
+        list(range(grid.length // 2 + 1))
+    for width in _windows(config, filt.eta):
         lo = max(config.initial_guess - width / 2.0, 0.0)
-        hi = config.initial_guess + width / 2.0
-        if ceiling is not None:
-            hi = min(hi, ceiling)
+        hi = min(config.initial_guess + width / 2.0, ceiling)
         candidates = [
             m for m in range(1, len(om) - 1)
             if lo <= om[m] <= hi and om[m] > 0
@@ -208,31 +210,30 @@ def find_gap_by_scan(spectrum, config):
             return GapEstimate(gap=float(om[m]), peak_height=float(av[m]),
                                window_used=width)
     raise GapSearchError(
-        f"no local maximum within +-{max(_windows(config, spectrum.filter.eta)) / 2:.4g} "
+        f"no local maximum within +-{max(_windows(config, filt.eta)) / 2:.4g} "
         f"of {config.initial_guess:.4g}")
 
 
 @st.composite
 def peak_searches(draw):
-    """(spectrum, config): values from a small integer set, so ties and
-    plateaus occur, on a DFT grid with or without its fold."""
-    length = draw(st.integers(3, 40))
+    """(grid, values, filter, config): values from a small integer set, so ties
+    and plateaus occur, on an even-length DFT grid."""
+    length = 2 * draw(st.integers(1, 20))
     d_omega = draw(st.sampled_from((0.05, 0.1, 0.25)))
+    grid = TimeGrid(dt=2 * math.pi / (length * d_omega), length=length)
     values = draw(arrays(float, length, elements=st.sampled_from((0.0, 1.0, 2.0, 3.0))))
-    fold = draw(st.sampled_from((None, length // 2 * d_omega)))
-    spectrum = Spectrum(omegas=np.arange(length) * d_omega, values=values,
-                        d_omega=d_omega, filter=Filter.gaussian(draw(st.floats(0.1, 2.0))),
-                        omega_max_physical=fold)
+    filt = Filter.gaussian(draw(st.floats(0.1, 2.0)))
     window = draw(st.one_of(st.none(), st.floats(0.1, 4.0)))
     cap = None if window is None else draw(st.one_of(
         st.none(), st.floats(1.0, 8.0).map(lambda f: f * window)))
     guess = draw(st.floats(0.01, 0.6 * length * d_omega))
-    return spectrum, GapSearchConfig(guess, initial_window=window, max_window=cap)
+    return grid, values, filt, GapSearchConfig(guess, initial_window=window,
+                                               max_window=cap)
 
 
-def _outcome(search, spectrum, config):
+def _outcome(search, grid, values, filt, config):
     try:
-        return search(spectrum, config)
+        return search(grid, values, filt, config)
     except (GapSearchError, ParameterError) as exc:
         return type(exc), str(exc)
 
@@ -244,25 +245,24 @@ def test_find_gap_matches_per_index_scan(case):
 
 @st.composite
 def spectra(draw):
-    length = draw(st.integers(2, 40))
-    return Spectrum(omegas=draw(arrays(float, length, elements=finite)),
-                    values=draw(arrays(float, length, elements=finite)),
-                    d_omega=draw(st.floats(1e-6, 10.0)),
-                    filter=draw(filters),
-                    omega_max_physical=draw(st.one_of(st.none(), finite)))
+    """(grid, values, filter): a drawn even-length grid and finite values on it."""
+    grid = TimeGrid(dt=draw(st.floats(1e-6, 10.0)), length=2 * draw(st.integers(1, 20)))
+    return grid, draw(arrays(float, grid.length, elements=finite)), draw(filters)
 
 
 @given(spectra())
-def test_spectrum_csv_round_trip(spec):
+def test_spectrum_csv_round_trip(case):
+    grid, values, filt = case
     with tempfile.TemporaryDirectory() as tmp:
         path = Path(tmp) / "spec.csv"
-        spectrum_to_csv(spec, path)
-        back, _ = read_spectrum(path)
-    assert np.array_equal(back.omegas, spec.omegas)
-    assert np.array_equal(back.values, spec.values)
-    assert back.d_omega == spec.d_omega
-    assert back.filter == spec.filter
-    assert back.omega_max_physical == spec.omega_max_physical
+        spectrum_to_csv(grid, values, filt, path)
+        omegas, back, back_filt, meta = read_spectrum(path)
+    assert np.array_equal(omegas, grid.omegas)
+    assert np.array_equal(back, values)
+    assert meta["d_omega"] == grid.d_omega
+    assert back_filt == filt
+    fold = grid.length // 2
+    assert meta["omega_max_physical"] == fold * grid.d_omega == omegas[fold]
 
 
 @given(st.dictionaries(finite, st.builds(Extrapolation, finite, finite,

@@ -62,11 +62,12 @@ class TestSpectralFunction:
     def test_constant_series_concentrates_at_zero(self):
         grid = TimeGrid(dt=0.4, length=32)
         spec = spectral_function(grid, np.ones(32), Filter.none())
-        assert np.argmax(spec.values) == 0
+        assert spec.shape == (32,) and spec.dtype == float
+        assert np.argmax(spec) == 0
         # closed form: full weight at m = 0 minus the shared-origin correction
         expected_peak = 32 * grid.dt / math.pi - grid.dt / (2 * math.pi)
-        assert spec.values[0] == pytest.approx(expected_peak, rel=1e-12)
-        assert np.allclose(spec.values[1:], -grid.dt / (2 * math.pi), atol=1e-12)
+        assert spec[0] == pytest.approx(expected_peak, rel=1e-12)
+        assert np.allclose(spec[1:], -grid.dt / (2 * math.pi), atol=1e-12)
 
     def test_on_grid_cosine_peaks_at_its_bin(self):
         grid = TimeGrid(dt=0.4, length=64)
@@ -74,7 +75,7 @@ class TestSpectralFunction:
         p = 0.5 * (1 + np.cos(m0 * grid.d_omega * grid.times))
         spec = spectral_function(grid, p, Filter.none())
         half = np.arange(1, 33)
-        assert half[np.argmax(spec.values[1:33])] == m0
+        assert half[np.argmax(spec[1:33])] == m0
 
     def test_filtered_peak_position_and_width(self):
         gap, eta = 2.0, 0.15
@@ -84,13 +85,13 @@ class TestSpectralFunction:
         grid = TimeGrid(dt=2 * math.pi / (length * d_omega), length=length)
         p = 0.5 * (1 + np.cos(gap * grid.times))
         spec = spectral_function(grid, p, filt)
-        om = spec.omegas
+        om = grid.omegas
         window = (om > 1.0) & (om < 3.0)
-        peak = np.argmax(np.where(window, spec.values, -np.inf))
+        peak = np.argmax(np.where(window, spec, -np.inf))
         assert abs(om[peak] - gap) <= grid.d_omega
         # full width at half maximum of the peak tracks 2 eta
-        half_height = spec.values[peak] / 2
-        above = window & (spec.values >= half_height)
+        half_height = spec[peak] / 2
+        above = window & (spec >= half_height)
         width = om[above].max() - om[above].min()
         assert width == pytest.approx(2 * eta, abs=3 * grid.d_omega)
 
@@ -101,9 +102,9 @@ class TestSpectralFunction:
         b = np.concatenate(([1.0], rng.uniform(0, 1, 23)))
         lam = 0.3
         filt = Filter.gaussian(0.4)
-        spec_a = spectral_function(grid, a, filt).values
-        spec_b = spectral_function(grid, b, filt).values
-        mixed = spectral_function(grid, lam * a + (1 - lam) * b, filt).values
+        spec_a = spectral_function(grid, a, filt)
+        spec_b = spectral_function(grid, b, filt)
+        mixed = spectral_function(grid, lam * a + (1 - lam) * b, filt)
         assert np.allclose(mixed, lam * spec_a + (1 - lam) * spec_b, atol=1e-13)
 
     def test_mirror_symmetry_for_even_series(self):
@@ -112,7 +113,7 @@ class TestSpectralFunction:
         grid = default_grid(filt)
         spec = spectral_function(grid, exact_return_series(
             model, InputOrientation.uniform(3, 0.27 * math.pi), grid), filt)
-        assert np.allclose(spec.values[1:], spec.values[1:][::-1], atol=1e-12)
+        assert np.allclose(spec[1:], spec[1:][::-1], atol=1e-12)
 
 
 class TestFilterFourier:
@@ -154,9 +155,10 @@ class TestOracle:
 
     def test_total_weight_near_one(self):
         filt = Filter.gaussian(0.3)
-        oracle = exact_spectrum_oracle(self.eig, self.orientation, filt,
-                                       default_grid(filt))
-        assert oracle.d_omega * oracle.values.sum() == pytest.approx(1.0, abs=0.02)
+        grid = default_grid(filt)
+        oracle = exact_spectrum_oracle(self.eig, self.orientation, filt, grid)
+        assert oracle.shape == (grid.length,) and oracle.dtype == float
+        assert grid.d_omega * oracle.sum() == pytest.approx(1.0, abs=0.02)
 
     @pytest.mark.parametrize("family,floor", [("gaussian", 1e-3), ("lorentzian", 2e-2)])
     def test_matches_exactly_evolved_series(self, family, floor):
@@ -168,8 +170,8 @@ class TestOracle:
         spec = spectral_function(
             grid, exact_return_series(self.model, self.orientation, grid), filt)
         oracle = exact_spectrum_oracle(self.eig, self.orientation, filt, grid)
-        num = np.sqrt(np.sum((spec.values - oracle.values) ** 2))
-        den = np.sqrt(np.sum((spec.values - spec.values.mean()) ** 2))
+        num = np.sqrt(np.sum((spec - oracle) ** 2))
+        den = np.sqrt(np.sum((spec - spec.mean()) ** 2))
         assert num / den < floor
 
     def test_unfiltered_spectrum_peaks_at_dominant_gap(self):
@@ -177,9 +179,9 @@ class TestOracle:
         spec = spectral_function(
             grid, exact_return_series(self.model, self.orientation, grid), Filter.none())
         gap = self.eig.energies[1] - self.eig.energies[0]
-        om = spec.omegas
+        om = grid.omegas
         window = (om > 0.5) & (om < om[len(om) // 2])
-        peak = np.argmax(np.where(window, spec.values, -np.inf))
+        peak = np.argmax(np.where(window, spec, -np.inf))
         assert abs(om[peak] - gap) <= grid.d_omega
 
     def test_csv_round_trip(self, tmp_path):
@@ -187,11 +189,11 @@ class TestOracle:
         grid = default_grid(filt)
         oracle = exact_spectrum_oracle(self.eig, self.orientation, filt, grid)
         path = tmp_path / "spec.csv"
-        spectrum_to_csv(oracle, path, metadata={"label": "oracle"})
-        back, meta = read_spectrum(path)
-        assert np.array_equal(back.values, oracle.values)
-        assert back.d_omega == oracle.d_omega
-        assert back.filter.family == "gaussian"
+        spectrum_to_csv(grid, oracle, filt, path, metadata={"label": "oracle"})
+        _, values, back_filt, meta = read_spectrum(path)
+        assert np.array_equal(values, oracle)
+        assert meta["d_omega"] == grid.d_omega
+        assert back_filt.family == "gaussian"
         assert meta["label"] == "oracle"
 
 
@@ -202,9 +204,13 @@ def test_read_back_spectrum_keeps_its_fold(tmp_path):
     grid = default_grid(filt)
     spec = spectral_function(grid, 0.5 * (1 + np.cos(6.5 * grid.times)), filt)
     path = tmp_path / "spec.csv"
-    spectrum_to_csv(spec, path)
-    back, _ = read_spectrum(path)
-    assert back.omega_max_physical == spec.omega_max_physical == 7.05
+    spectrum_to_csv(grid, spec, filt, path)
+    omegas, values, back_filt, meta = read_spectrum(path)
+    # the header's fold is the row at index L/2, and the grid rebuilt from the
+    # file's d_omega and row count puts it there
+    back = default_grid(back_filt, meta["d_omega"], len(values))
+    assert meta["omega_max_physical"] == omegas[len(omegas) // 2] == 7.05
+    assert np.array_equal(back.omegas, omegas)
     search = GapSearchConfig(initial_guess=7.7, initial_window=0.4, max_window=2.6)
-    assert find_gap(back, search) == find_gap(spec, search)
-    assert abs(find_gap(spec, search).gap - 6.5) <= grid.d_omega
+    assert find_gap(back, values, back_filt, search) == find_gap(grid, spec, filt, search)
+    assert abs(find_gap(grid, spec, filt, search).gap - 6.5) <= grid.d_omega

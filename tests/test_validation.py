@@ -20,6 +20,10 @@ from gaplab import (DataError, Filter, GapSearchConfig, InputOrientation,
     pytest.param(lambda: TrotterPlan(2.0, 3), id="order-float"),
     pytest.param(lambda: TrotterPlan(True, 3), id="order-bool"),
     pytest.param(lambda: TrotterPlan(1, True), id="depth-bool"),
+    # integers Python holds but a float cannot: M^p and N enter float arithmetic
+    pytest.param(lambda: TrotterPlan(1, 10**400), id="depth-beyond-float"),
+    pytest.param(lambda: TrotterPlan(4, 10**80), id="depth-power-beyond-float"),
+    pytest.param(lambda: SpinModel(10**400, 0.4, 1.0), id="spins-beyond-float"),
     pytest.param(lambda: TimeGrid(math.nan, 4), id="dt-nan"),
     pytest.param(lambda: TimeGrid(0.5, 4.0), id="length-float"),
     pytest.param(lambda: Filter.gaussian(math.nan), id="eta-nan"),
