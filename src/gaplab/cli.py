@@ -181,6 +181,13 @@ def _meta(subcommand, cfg):
 # --------------------------------------------------------------------------
 
 
+def _scan(flag, spacing, *args):
+    try:
+        return spacing(*args)
+    except (ValueError, MemoryError):    # numpy's size limit, or no such memory
+        raise ParameterError(f"{flag} {args[-1]}: too many points for numpy") from None
+
+
 def cmd_depth_bound(cfg, out) -> int:
     if min(cfg["t_points"], cfg["n_points"]) < 1 or cfg["n_max"] < 2:
         raise ParameterError("depth-bound needs --t-points and --n-points >= 1 "
@@ -190,12 +197,13 @@ def cmd_depth_bound(cfg, out) -> int:
     filters = [Filter.none(), Filter.lorentzian(cfg["eta_over_h"]),
                Filter.gaussian(cfg["eta_over_h"])]
     with np.errstate(over="ignore"):    # past the float range: inf, refused below
-        n_grid = np.round(np.logspace(math.log10(2), math.log10(cfg["n_max"]),
-                                      cfg["n_points"]))
+        n_grid = np.round(_scan("--n-points", np.logspace, math.log10(2),
+                                math.log10(cfg["n_max"]), cfg["n_points"]))
     if not n_grid.max() < 2**63:
         raise ParameterError(f"--n-max {cfg['n_max']} gives chain lengths beyond int64")
     # (scan, chain lengths, times): the time scan, then the size scan at one time
-    scans = (("t", [cfg["n"]], np.linspace(0.0, cfg["t_max"], cfg["t_points"])),
+    scans = (("t", [cfg["n"]],
+              _scan("--t-points", np.linspace, 0.0, cfg["t_max"], cfg["t_points"])),
              ("n", np.unique(n_grid.astype(int)), np.array([cfg["fixed_ht"]])))
     rows = []
     for scan, sizes, ts in scans:
@@ -228,7 +236,7 @@ def cmd_spectrum(cfg, out) -> int:
     extra = {}
     if cfg["oracle"]:
         eig = exact_diagonalize(model)
-        extra["A_oracle"] = exact_spectrum_oracle(eig, orientation, filt, grid)
+        [extra["A_oracle"]] = exact_spectrum_oracle(eig, [orientation], filt, grid)
     spectral.spectrum_to_csv(grid, spec, filt, out, metadata=_meta("spectrum", cfg),
                              extra_columns=extra)
     return 0
@@ -247,7 +255,8 @@ def cmd_gap(cfg, out) -> int:
     except GapSearchError as exc:
         result.update({"gap": None, "failure": str(exc)})
     else:
-        eps_gap, eps_spect = gapfinder.score(est.gap, spec, eig, orientation, filt, grid)
+        [(eps_gap, eps_spect)] = gapfinder.score([est.gap], [spec], eig, [orientation],
+                                                 filt, grid)
         result.update({
             "gap": est.gap, "peak_height": est.peak_height,
             "window_used": est.window_used, "eps_gap": eps_gap, "eps_spect": eps_spect,

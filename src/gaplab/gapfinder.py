@@ -124,14 +124,15 @@ def spectral_error_bound(model: SpinModel, plan: TrotterPlan, filt: Filter,
     return _error_ratio(d_a, a_exact + d_a)
 
 
-def score(gap: float, a: np.ndarray, eig: EigenDecomposition,
-          orientation: InputOrientation, filt: Filter,
-          grid: TimeGrid) -> tuple[float, float]:
-    """(eps_gap, eps_spect) of a gap found in the spectrum `a`: its error against
-    the exact gap E1 - E0, and the spectrum's against the line-shape oracle."""
-    oracle = exact_spectrum_oracle(eig, orientation, filt, grid)
-    return (gap_error(gap, float(eig.energies[1] - eig.energies[0])),
-            spectral_error(a, oracle))
+def score(gaps, spectra, eig: EigenDecomposition, orientations, filt: Filter,
+          grid: TimeGrid) -> list:
+    """(eps_gap, eps_spect) of each gap found in its spectrum, one orientation each:
+    its error against the exact gap E1 - E0, and the spectrum's against the
+    line-shape oracle, evaluated once for all orientations."""
+    exact_gap = float(eig.energies[1] - eig.energies[0])
+    oracles = exact_spectrum_oracle(eig, orientations, filt, grid)
+    return [(gap_error(gap, exact_gap), spectral_error(a, oracle))
+            for gap, a, oracle in zip(gaps, spectra, oracles)]
 
 
 # --------------------------------------------------------------------------
@@ -215,19 +216,21 @@ def theta_sweep(model: SpinModel, plan: TrotterPlan, filt: Filter,
                 grid: TimeGrid, thetas, search: GapSearchConfig,
                 shots: int | None = None, seed: int = 0) -> SweepResult:
     """Gap pipeline over uniform input orientations: search_sweep, then eps_bound
-    for every record and `score` against the exact diagonalization for each gap
-    found; `sweep-theta` records these scores, `scaling` skips them.
+    for every record and one `score` pass, against the exact diagonalization,
+    over the gaps found; `sweep-theta` records these scores, `scaling` skips them.
     Search failures do not abort the sweep.  The chain is simulated before it is
     diagonalized, so a chain above the simulation cap fails before the eigensolver."""
     eps_bound = spectral_error_bound(model, plan, filt, grid)
     result, spectra = search_sweep(model, plan, filt, grid, thetas, search, shots, seed)
     eig = exact_diagonalize(model)
-    for record, spec in zip(result.records, spectra):
+    found = [(r, spec) for r, spec in zip(result.records, spectra) if r.failure is None]
+    scores = score([r.gap for r, _ in found], [spec for _, spec in found], eig,
+                   [InputOrientation.uniform(model.n_spins, r.theta) for r, _ in found],
+                   filt, grid)
+    for (record, _), scored in zip(found, scores):
+        record.eps_gap, record.eps_spect = scored
+    for record in result.records:
         record.eps_bound = eps_bound
-        if record.failure is None:
-            record.eps_gap, record.eps_spect = score(
-                record.gap, spec, eig,
-                InputOrientation.uniform(model.n_spins, record.theta), filt, grid)
     return result
 
 

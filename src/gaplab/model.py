@@ -90,15 +90,6 @@ def kron_product(factors: np.ndarray) -> np.ndarray:
 
 
 @functools.lru_cache(maxsize=None)
-def ising_bond_parity(n_spins: int) -> np.ndarray:
-    """Diagonal of sum_b Z_b Z_{b+1} over computational basis states (read-only)."""
-    z = 1 - 2 * basis_bits(n_spins)
-    out = np.sum(z[:, :-1] * z[:, 1:], axis=1).astype(float)
-    out.flags.writeable = False
-    return out
-
-
-@functools.lru_cache(maxsize=None)
 def basis_xor_table(n_spins: int) -> np.ndarray:
     """Basis-index XOR a ^ b over all pairs (a, b) (read-only)."""
     idx = np.arange(2 ** n_spins)
@@ -108,8 +99,9 @@ def basis_xor_table(n_spins: int) -> np.ndarray:
 
 
 def h1_diagonal(model: SpinModel) -> np.ndarray:
-    """Diagonal of H1 (H1 is diagonal in the z basis)."""
-    return -model.coupling * ising_bond_parity(model.n_spins)
+    """Diagonal of H1 = -J sum_b Z_b Z_{b+1}, which is diagonal in the z basis."""
+    z = 1 - 2 * basis_bits(model.n_spins)
+    return -model.coupling * np.sum(z[:, :-1] * z[:, 1:], axis=1).astype(float)
 
 
 def build_hamiltonians(model: SpinModel) -> tuple[np.ndarray, np.ndarray]:

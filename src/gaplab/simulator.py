@@ -13,10 +13,10 @@ draw over the single all-zeros event: `shots` per direction, pooled into one
 Bin(2 shots, P) draw, the law of the two directions' draws summed.
 
 One engine, `run_time_series`, produces every series: it builds the dense
-U_M(t) once per positive time, applies it to all K input orientations together
-and returns the float (K, L) array of P.  The gate list (`gate_sequence`,
-`apply_gates`) describes the circuit a device would run; only the tests
-execute it, as an independent oracle for the dense propagator.
+U_M(t) once per positive time, applies each chunk of them to all K input
+orientations in one contraction and returns the float (K, L) array of P.  The
+gate list (`gate_sequence`, `apply_gates`) describes the circuit a device would
+run; only the tests execute it, as an independent oracle for the dense propagator.
 """
 
 from __future__ import annotations
@@ -34,6 +34,10 @@ from .trotter import ITERATION_LAYERS, TrotterPlan, trotter_propagator
 #: second one) powers a dense 2^N x 2^N step, about 0.02 s at N = 8 but 1.0-1.1 s at
 #: N = 10 (p = 2, M = 35, one BLAS thread), nearly all of it matrix products.
 MAX_SIMULATED_SPINS = 8
+
+#: Bytes of propagators stacked per contraction: 16 times at N = 4, 4 at N = 5, one
+#: from N = 6 up.  Sized by memory: a 4 MB cap ran no faster and raised the peak RSS.
+_CHUNK_BYTES = 2**16
 
 
 def _check_simulated(n_spins: int):
@@ -165,15 +169,14 @@ def run_time_series(model: SpinModel, plan: TrotterPlan, orientations,
     """The float (K, L) array of P on the grid, one row per orientation, exact
     or sampled: P(0) = 1 exactly in exact mode and every value in [0, 1].
 
-    U_M(t) does not depend on the input state, so each of the L - 1 positive
-    times builds one propagator and applies it to all K input states at once.
-    Their K amplitudes fill one (K, L) array, squared and clipped once at the
-    end; memory is O(dim^2 + dim K + K L).  In shot mode one draw per
-    orientation, default_rng(seed).binomial(2 shots, p) / (2 shots), covers its
-    whole series: `shots` counts shots per time direction (below 2^62, so the
-    pooled count fits numpy's int64), and the two directions share one P.  A
-    series depends on its own seed alone, not on its batch; `seeds` holds one
-    seed >= 0 per orientation (default 0 for each).
+    Each of the L - 1 positive times builds one U_M(t); each chunk of them
+    (_CHUNK_BYTES) is stacked and applied to all K input states in one
+    contraction, and the amplitudes are squared and clipped once at the end, so
+    memory is O(chunk dim^2 + dim K + K L).  Shot mode draws, per orientation,
+    default_rng(seed).binomial(2 shots, p) / (2 shots) over its whole series:
+    `shots` per time direction (below 2^62, so the pooled count fits int64).  A
+    series depends on its own seed alone; `seeds` holds one seed >= 0 per
+    orientation (default 0 for each).
     """
     _check_simulated(model.n_spins)
     orientations = list(orientations)
@@ -189,9 +192,12 @@ def run_time_series(model: SpinModel, plan: TrotterPlan, orientations,
     psi = np.stack([prepare_input(o) for o in orientations], axis=1)
     bra = psi.conj()
     amp = np.ones((len(orientations), grid.length), dtype=complex)
-    for n, t in enumerate(grid.times[1:], start=1):
-        evolved = trotter_propagator(model, plan, t).dot(psi)
-        amp[:, n] = np.einsum("ik,ik->k", bra, evolved)
+    chunk, times = max(1, _CHUNK_BYTES // (16 * model.dim**2)), grid.times
+    for start in range(1, grid.length, chunk):
+        props = [trotter_propagator(model, plan, t) for t in times[start:start + chunk]]
+        stack = np.array(props) if len(props) > 1 else props[0][None]   # one: no copy
+        amp[:, start:start + len(props)] = np.einsum("ik,tik->kt", bra,
+                                                     np.matmul(stack, psi))
     probs = np.clip(np.abs(amp) ** 2, 0.0, 1.0)
     if shots is not None:
         pooled = 2 * shots       # shots per time direction, both directions pooled

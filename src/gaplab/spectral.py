@@ -98,28 +98,36 @@ def filter_fourier(filt: Filter, omega):
     return out if out.ndim else float(out)
 
 
-def exact_spectrum_oracle(eig: EigenDecomposition, orientation: InputOrientation,
-                          filt: Filter, grid: TimeGrid) -> np.ndarray:
-    """Line-shape spectrum from the eigensystem at grid.omegas.
+def exact_spectrum_oracle(eig: EigenDecomposition, orientations, filt: Filter,
+                          grid: TimeGrid) -> np.ndarray:
+    """Line-shape spectra from the eigensystem at grid.omegas, one row per orientation.
 
     Sums |c_u|^2 |c_v|^2 Ftilde(omega - Delta_uv) over all ordered pairs,
     which carries both the positive- and negative-frequency image of every
     gap.  Grid points are taken at their signed frequency, folded above
     index L/2, and the line shapes are periodized over one grid period on
     each side: the discrete transform of a sampled series sees that aliased sum.
+    Each image is evaluated once over the union of the rows' kept pairs, P of
+    them, and freed before the next (memory O(L P)); each row keeps the bits of
+    a one-orientation call, from its own overlaps and its own columns.
     """
-    weights = np.abs(eig.overlaps(prepare_input(orientation))) ** 2
-    gaps = np.subtract.outer(eig.energies, eig.energies).ravel()
-    pair_w = np.outer(weights, weights).ravel()
-    keep = pair_w > 1e-14 * pair_w.max()
-    gaps, pair_w = gaps[keep], pair_w[keep]
+    weights = [np.abs(eig.overlaps(prepare_input(o))) ** 2 for o in orientations]
+    n_pairs = eig.energies.size ** 2
+    pair_w = np.reshape([np.outer(w, w).ravel() for w in weights], (-1, n_pairs))
+    keep = pair_w > 1e-14 * pair_w.max(axis=1, keepdims=True)
+    union = keep.any(axis=0)
+    gaps = np.subtract.outer(eig.energies, eig.energies).ravel()[union]
 
     omegas, period = grid.omegas, grid.length * grid.d_omega
     signed = np.where(np.arange(grid.length) <= grid.length // 2, omegas, omegas - period)
-    values = np.zeros(grid.length)
+    values = np.zeros((len(weights), grid.length))
     for k in (-1, 0, 1):
-        shifted = signed[:, None] + k * period - gaps[None, :]
-        values += filter_fourier(filt, shifted) @ pair_w
+        shapes = filter_fourier(filt, signed[:, None] + k * period - gaps[None, :])
+        for row, row_keep, row_w in zip(values, keep, pair_w):
+            own = row_keep[union]     # a gathered matrix must be contiguous to round alike
+            cols = shapes if own.all() else np.ascontiguousarray(shapes[:, own])
+            row += cols @ row_w[row_keep]
+        shapes = cols = None     # free this image before building the next
     return values
 
 

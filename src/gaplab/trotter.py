@@ -13,6 +13,7 @@ table) read at a XOR b.  2-D products use ndarray.dot: `@`'s zgemm, less dispatc
 
 from __future__ import annotations
 
+import functools
 import math
 import sys
 from dataclasses import dataclass
@@ -130,10 +131,20 @@ def _x_rotation_power(model: SpinModel, dt: float) -> np.ndarray:
     return row[basis_xor_table(model.n_spins)]
 
 
+@functools.lru_cache(maxsize=64)    # the parts of a step that do not depend on t
+def _h1_phase(model: SpinModel) -> np.ndarray:
+    return -1j * h1_diagonal(model)
+
+
+@functools.lru_cache(maxsize=64)
+def _depth_bits(depth: int) -> tuple:
+    return tuple(bit == "1" for bit in reversed(f"{depth:b}"))
+
+
 def _step(model: SpinModel, order: int, dt: float) -> np.ndarray:
     """One product-formula step over time dt (negative dt reverses all angles)."""
     if order < 4:   # order 2 splits the H1 phase in halves around the x layer
-        d = np.exp(-1j * h1_diagonal(model) * (dt / order))
+        d = np.exp(_h1_phase(model) * (dt / order))
         step = d[:, None] * _x_rotation_power(model, dt)
         return step if order == 1 else step * d[None, :]
     u_k = _step(model, 2, KAPPA4 * dt)
@@ -146,9 +157,9 @@ def trotter_propagator(model: SpinModel, plan: TrotterPlan, t: float) -> np.ndar
     """U_M(t) = [U(t/M)]^M by square-and-multiply, lowest bit of M first: the
     products of np.linalg.matrix_power, except U (U U) for its (U U) U at M = 3."""
     power, out = _step(model, plan.order, t / plan.depth), None
-    for k, bit in enumerate(reversed(f"{plan.depth:b}")):
+    for k, bit in enumerate(_depth_bits(plan.depth)):
         power = power.dot(power) if k else power
-        if bit == "1":
+        if bit:
             out = power if out is None else out.dot(power)
     return out
 

@@ -28,8 +28,8 @@ CORPUS = Path(__file__).with_name("exact_corpus.json")
 # finds nothing (exit 2); scaling exiting 0, 3 (windows too narrow for some
 # cells) and 2 (a chain above the simulation cap, nothing written).  Output
 # paths are relative, since the scaling header records --samples-out.  The last
-# five are refused: integers a float cannot hold (M^p, N) or int64 cannot (the
-# depth-bound size grid).
+# nine are refused: integers a float cannot hold (M^p, N) or int64 cannot (the
+# depth-bound size grid), and depth-bound scan counts numpy cannot allocate.
 COMMANDS = (
     ("spectrum", "--exact", "--oracle", "--out", "spectrum.csv"),
     ("spectrum", "--exact", "--p", "2", "--out", "spectrum.csv"),
@@ -62,6 +62,10 @@ COMMANDS = (
     ("gap", "--exact", "--n", str(10**400), "--out", "gap.json"),
     ("depth-bound", "--n", str(10**400), "--out", "depth.csv"),
     ("depth-bound", "--n-max", str(10**19), "--out", "depth.csv"),
+    ("depth-bound", "--t-points", str(10**20), "--out", "depth.csv"),
+    ("depth-bound", "--n-points", str(10**20), "--out", "depth.csv"),
+    ("depth-bound", "--t-points", str(10**18), "--out", "depth.csv"),
+    ("depth-bound", "--n-points", str(10**18), "--out", "depth.csv"),
 )
 
 

@@ -145,8 +145,8 @@ def test_criterion_05_spectral_convergence():
     filt = Filter.gaussian(0.3)
     grid = default_grid(filt)
     orientation = InputOrientation.uniform(4, 0.27 * math.pi)
-    oracle = exact_spectrum_oracle(exact_diagonalize(model), orientation,
-                                   filt, grid)
+    [oracle] = exact_spectrum_oracle(exact_diagonalize(model), [orientation],
+                                     filt, grid)
     depths = (5, 10, 15, 20, 25, 35, 50, 75, 100, 150)
     eps_s, eps_b = [], []
     for m_depth in depths:

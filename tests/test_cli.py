@@ -105,9 +105,9 @@ class TestSpectrum:
         model = SpinModel(4, 0.4, 1.0)
         filt = Filter.gaussian(0.3)
         grid = gaplab.default_grid(filt)
-        oracle = gaplab.exact_spectrum_oracle(
+        [oracle] = gaplab.exact_spectrum_oracle(
             gaplab.exact_diagonalize(model),
-            gaplab.InputOrientation.uniform(4, 0.27 * math.pi), filt, grid)
+            [gaplab.InputOrientation.uniform(4, 0.27 * math.pi)], filt, grid)
         got = np.array([float(r[3]) for r in rows])
         assert np.array_equal(got, oracle)
 
@@ -401,7 +401,12 @@ class TestEmptyScans:
         ["gap", "--exact", "--p", "4", "--m", str(10**80)],
         ["gap", "--exact", "--n", str(10**400)],
         ["depth-bound", "--n", str(10**400)],
-        ["depth-bound", "--n-max", str(10**19)]])
+        ["depth-bound", "--n-max", str(10**19)],
+        # scan counts numpy refuses at once: beyond its size limit, or 6.9 EiB
+        ["depth-bound", "--t-points", str(10**20)],
+        ["depth-bound", "--n-points", str(10**20)],
+        ["depth-bound", "--t-points", str(10**18)],
+        ["depth-bound", "--n-points", str(10**18)]])
     def test_refused(self, tmp_path, no_simulation, capsys, argv):
         out = tmp_path / "x.out"
         assert run(argv + ["--out", str(out)]) == 1

@@ -101,8 +101,8 @@ class TestFindGap:
         eig = exact_diagonalize(model)
         filt = Filter.gaussian(0.3)
         grid = default_grid(filt)
-        oracle = exact_spectrum_oracle(
-            eig, InputOrientation.uniform(4, 0.27 * math.pi), filt, grid)
+        [oracle] = exact_spectrum_oracle(
+            eig, [InputOrientation.uniform(4, 0.27 * math.pi)], filt, grid)
         est = find_gap(grid, oracle, filt, GapSearchConfig(initial_guess=1.4))
         assert abs(est.gap - (eig.energies[1] - eig.energies[0])) <= filt.eta
 
@@ -168,7 +168,7 @@ class TestSpectralErrorBound:
     def test_dominates_measured_spectral_error(self):
         eig = exact_diagonalize(self.model)
         orientation = InputOrientation.uniform(4, 0.27 * math.pi)
-        oracle = exact_spectrum_oracle(eig, orientation, self.filt, self.grid)
+        [oracle] = exact_spectrum_oracle(eig, [orientation], self.filt, self.grid)
         for depth in (10, 35, 100):
             plan = TrotterPlan(1, depth)
             [p] = run_time_series(self.model, plan, [orientation], self.grid)

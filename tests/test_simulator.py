@@ -1,5 +1,6 @@
 import functools
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -322,11 +323,13 @@ class TestRunTimeSeries:
             assert np.allclose(p, want, rtol=0, atol=1e-14)
 
     @pytest.mark.parametrize("order", [1, 2, 4])
-    def test_matches_per_time_loop(self, order):
+    def test_matches_per_time_loop(self, order, monkeypatch):
         # the engine keeps each time's amplitudes and squares them once; the
         # loop it replaced squared and clipped at every time, with the
-        # propagator from np.linalg.matrix_power and the state from np.kron.
-        # Criterion 6's chain and depth, every 14th time of its L = 2800 grid
+        # propagator from np.linalg.matrix_power and the state from np.kron,
+        # and applied each propagator on its own where the engine contracts a
+        # chunk of them at once.  Criterion 6's chain and depth, every 14th
+        # time of its L = 2800 grid
         model, plan = SpinModel(4, 0.4, 1.0), TrotterPlan(order, 10000)
         grid = TimeGrid(dt=14 * 2 * math.pi / (2800 * 0.005), length=200)
         orientations = [InputOrientation.uniform(4, 0.1 * math.pi),
@@ -341,9 +344,29 @@ class TestRunTimeSeries:
             evolved = np.linalg.matrix_power(step, plan.depth) @ psi
             amp = np.einsum("ik,ik->k", psi.conj(), evolved)
             want[:, n] = np.clip(np.abs(amp) ** 2, 0.0, 1.0)
-        assert np.array_equal(run_time_series(model, plan, orientations, grid), want)
-        # the shot half: 256 shots per time direction, one Bin(512, P) draw
-        seeds = [3, 1, 4]
-        sampled = run_time_series(model, plan, orientations, grid, shots=256, seeds=seeds)
-        for p, w, seed in zip(sampled, want, seeds):
-            assert np.array_equal(p, np.random.default_rng(seed).binomial(512, w) / 512)
+        # chunks of 1 time, of 7 (the last of the L - 1 = 199 times partial), of all
+        propagator_bytes = 16 * model.dim**2
+        for per_chunk in (1, 7, grid.length - 1):
+            monkeypatch.setattr(simulator, "_CHUNK_BYTES", per_chunk * propagator_bytes)
+            assert np.array_equal(run_time_series(model, plan, orientations, grid), want)
+            # the shot half: 256 shots per time direction, one Bin(512, P) draw
+            seeds = [3, 1, 4]
+            sampled = run_time_series(model, plan, orientations, grid, shots=256,
+                                      seeds=seeds)
+            for p, w, seed in zip(sampled, want, seeds):
+                assert np.array_equal(p, np.random.default_rng(seed).binomial(512, w) / 512)
+
+    def test_memory_holds_one_chunk(self):
+        # at N = 6 a chunk holds one 64 kB propagator; holding all 39 of the
+        # grid's would take 2.5 MB
+        model, plan = SpinModel(6, 0.4, 1.0), TrotterPlan(2, 35)
+        grid = TimeGrid(dt=0.2, length=40)
+        orientations = [InputOrientation.uniform(6, 0.1 * l) for l in range(5)]
+        run_time_series(model, plan, orientations, grid)      # warm the caches
+        tracemalloc.start()
+        try:
+            run_time_series(model, plan, orientations, grid)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 8 * 16 * model.dim**2

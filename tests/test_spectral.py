@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -156,8 +157,9 @@ class TestOracle:
     def test_total_weight_near_one(self):
         filt = Filter.gaussian(0.3)
         grid = default_grid(filt)
-        oracle = exact_spectrum_oracle(self.eig, self.orientation, filt, grid)
-        assert oracle.shape == (grid.length,) and oracle.dtype == float
+        oracles = exact_spectrum_oracle(self.eig, [self.orientation], filt, grid)
+        assert oracles.shape == (1, grid.length) and oracles.dtype == float
+        oracle = oracles[0]
         assert grid.d_omega * oracle.sum() == pytest.approx(1.0, abs=0.02)
 
     @pytest.mark.parametrize("family,floor", [("gaussian", 1e-3), ("lorentzian", 2e-2)])
@@ -169,7 +171,7 @@ class TestOracle:
         grid = default_grid(filt)
         spec = spectral_function(
             grid, exact_return_series(self.model, self.orientation, grid), filt)
-        oracle = exact_spectrum_oracle(self.eig, self.orientation, filt, grid)
+        [oracle] = exact_spectrum_oracle(self.eig, [self.orientation], filt, grid)
         num = np.sqrt(np.sum((spec - oracle) ** 2))
         den = np.sqrt(np.sum((spec - spec.mean()) ** 2))
         assert num / den < floor
@@ -184,10 +186,55 @@ class TestOracle:
         peak = np.argmax(np.where(window, spec, -np.inf))
         assert abs(om[peak] - gap) <= grid.d_omega
 
+    def kept_pairs(self, orientation):
+        """The oracle's rule: pairs above 1e-14 of the largest pair weight."""
+        weights = np.abs(self.eig.overlaps(prepare_input(orientation))) ** 2
+        pair_w = np.outer(weights, weights).ravel()
+        return pair_w > 1e-14 * pair_w.max()
+
+    @pytest.mark.parametrize("family", ["lorentzian", "gaussian"])
+    @pytest.mark.parametrize("general", [False, True])
+    def test_batch_rows_equal_single_calls(self, family, general):
+        # theta = 11 pi/50 keeps 99 of the 100 pairs theta = 0 keeps, so its
+        # row reads a strict subset of the batch's columns; a general input
+        # keeps more pairs, so that every uniform row reads a subset
+        orientations = [InputOrientation.uniform(4, 0.0),
+                        InputOrientation.uniform(4, 11 * math.pi / 50)]
+        if general:
+            orientations.append(InputOrientation((0.3, 1.2, 2.5, 5.9)))
+        kept = [self.kept_pairs(o).sum() for o in orientations]
+        assert kept[:2] == [100, 99]
+        filt = Filter(family, 0.3)
+        grid = default_grid(filt)
+        batch = exact_spectrum_oracle(self.eig, orientations, filt, grid)
+        assert batch.shape == (len(orientations), grid.length)
+        for row, orientation in zip(batch, orientations):
+            [single] = exact_spectrum_oracle(self.eig, [orientation], filt, grid)
+            assert np.array_equal(row, single)
+
+    def test_memory_holds_one_periodic_image(self):
+        # criterion 6's grid (L = 2800) and sweep (K = 3): each image's (L, P)
+        # line-shape matrix is built, used and freed before the next one,
+        # about 3 L P floats at the peak with the temporaries that build it;
+        # a second image alive would add L P more
+        filt = Filter.lorentzian(0.02)
+        grid = default_grid(filt)
+        orientations = [InputOrientation.uniform(4, l * math.pi / 50) for l in range(3)]
+        pairs = np.logical_or.reduce([self.kept_pairs(o) for o in orientations]).sum()
+        exact_spectrum_oracle(self.eig, orientations, filt, grid)    # warm up
+        tracemalloc.start()
+        try:
+            exact_spectrum_oracle(self.eig, orientations, filt, grid)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert grid.length == 2800
+        assert peak < 3.5 * grid.length * pairs * 8
+
     def test_csv_round_trip(self, tmp_path):
         filt = Filter.gaussian(0.3)
         grid = default_grid(filt)
-        oracle = exact_spectrum_oracle(self.eig, self.orientation, filt, grid)
+        [oracle] = exact_spectrum_oracle(self.eig, [self.orientation], filt, grid)
         path = tmp_path / "spec.csv"
         spectrum_to_csv(grid, oracle, filt, path, metadata={"label": "oracle"})
         _, values, back_filt, meta = read_spectrum(path)
