@@ -35,8 +35,8 @@ from .trotter import ITERATION_LAYERS, TrotterPlan, trotter_propagator
 #: N = 10 (p = 2, M = 35, one BLAS thread), nearly all of it matrix products.
 MAX_SIMULATED_SPINS = 8
 
-#: Bytes of propagators stacked per contraction: 16 times at N = 4, 4 at N = 5, one
-#: from N = 6 up.  Sized by memory: a 4 MB cap ran no faster and raised the peak RSS.
+#: Bytes of propagators stacked per contraction (16 times at N = 4, one from N = 6 up),
+#: and of line shapes per oracle block.  A 4 MB cap ran no faster and raised the peak RSS.
 _CHUNK_BYTES = 2**16
 
 

@@ -22,6 +22,7 @@ import math
 
 import numpy as np
 
+from . import simulator
 from ._textio import write_table
 from .errors import ParameterError, is_count
 from .model import EigenDecomposition
@@ -107,9 +108,11 @@ def exact_spectrum_oracle(eig: EigenDecomposition, orientations, filt: Filter,
     gap.  Grid points are taken at their signed frequency, folded above
     index L/2, and the line shapes are periodized over one grid period on
     each side: the discrete transform of a sampled series sees that aliased sum.
-    Each image is evaluated once over the union of the rows' kept pairs, P of
-    them, and freed before the next (memory O(L P)); each row keeps the bits of
-    a one-orientation call, from its own overlaps and its own columns.
+    The grid is walked in blocks of rows whose line shapes over the union of
+    the rows' kept pairs, P of them, fill about simulator._CHUNK_BYTES; each
+    block adds its three images in turn, so beyond the (K, L) result memory is
+    one block (at least 8 rows) and O(L).  Each row keeps the bits of a
+    one-orientation call, from its own overlaps and its own columns.
     """
     weights = [np.abs(eig.overlaps(prepare_input(o))) ** 2 for o in orientations]
     n_pairs = eig.energies.size ** 2
@@ -117,17 +120,23 @@ def exact_spectrum_oracle(eig: EigenDecomposition, orientations, filt: Filter,
     keep = pair_w > 1e-14 * pair_w.max(axis=1, keepdims=True)
     union = keep.any(axis=0)
     gaps = np.subtract.outer(eig.energies, eig.energies).ravel()[union]
+    # a gathered matrix must be contiguous to round alike; None reads them all
+    gathers = [(None if own.all() else np.flatnonzero(own), row_w[row_keep])
+               for own, row_keep, row_w in zip(keep[:, union], keep, pair_w)]
 
     omegas, period = grid.omegas, grid.length * grid.d_omega
     signed = np.where(np.arange(grid.length) <= grid.length // 2, omegas, omegas - period)
+    # BLAS matrix-vector kernels round a row by its place in a group of rows, so
+    # blocks start on multiples of 8 rows to keep the bits of a one-block call
+    rows = max(8, simulator._CHUNK_BYTES // (8 * max(gaps.size, 1)) // 8 * 8)
     values = np.zeros((len(weights), grid.length))
-    for k in (-1, 0, 1):
-        shapes = filter_fourier(filt, signed[:, None] + k * period - gaps[None, :])
-        for row, row_keep, row_w in zip(values, keep, pair_w):
-            own = row_keep[union]     # a gathered matrix must be contiguous to round alike
-            cols = shapes if own.all() else np.ascontiguousarray(shapes[:, own])
-            row += cols @ row_w[row_keep]
-        shapes = cols = None     # free this image before building the next
+    for start in range(0, grid.length, rows):
+        block = slice(start, start + rows)
+        for k in (-1, 0, 1):
+            shapes = filter_fourier(filt, signed[block, None] + k * period - gaps[None, :])
+            for row, (idx, row_w) in zip(values, gathers):
+                cols = shapes if idx is None else shapes.take(idx, axis=1)
+                row[block] += cols @ row_w
     return values
 
 

@@ -48,6 +48,10 @@ COMMANDS = (
     ("sweep-theta", "--n", "4", "--j-over-h", "0.4", "--p", "1",
      "--filter", "lorentzian", "--eta-over-h", "0.02", "--m", "10000",
      "--exact", "--theta-count", "3", "--out", "sweep.json"),
+    # 1,225 kept pairs at N = 6 put the oracle in 8-row blocks: theta = 0.1 pi
+    # keeps them all, 0.4 pi (1,126) and 0.75 pi (1,199) gather theirs
+    ("sweep-theta", "--n", "6", "--exact", "--theta-list", "0.1,0.4,0.75",
+     "--out", "sweep.json"),
     ("scaling", "--exact", "--samples-out", "samples.json", "--out", "diagram.csv"),
     ("scaling", "--exact", "--j-list", "0.4,0.6", "--n-list", "2,3,4",
      "--theta-count", "5", "--samples-out", "samples.json", "--out", "diagram.csv"),

@@ -21,6 +21,7 @@ from gaplab import (
     prepare_input,
     spectral_function,
 )
+from gaplab import simulator
 from gaplab.spectral import MAX_GRID_LENGTH, grid_size, spectrum_to_csv
 
 from conftest import read_spectrum
@@ -212,15 +213,41 @@ class TestOracle:
             [single] = exact_spectrum_oracle(self.eig, [orientation], filt, grid)
             assert np.array_equal(row, single)
 
-    def test_memory_holds_one_periodic_image(self):
-        # criterion 6's grid (L = 2800) and sweep (K = 3): each image's (L, P)
-        # line-shape matrix is built, used and freed before the next one,
-        # about 3 L P floats at the peak with the temporaries that build it;
-        # a second image alive would add L P more
+    @pytest.mark.parametrize("family", ["lorentzian", "gaussian"])
+    def test_blocks_equal_one_block(self, family, monkeypatch):
+        # the grid is walked in blocks of rows sized by the engine's chunk
+        # budget; every block size must give the bits of one block holding all
+        # rows.  theta = 0 keeps the whole union of 100 pairs, so its row reads
+        # the line shapes as built; 11 pi/50 keeps 99 and gathers its columns
+        orientations = [InputOrientation.uniform(4, 0.0),
+                        InputOrientation.uniform(4, 11 * math.pi / 50)]
+        kept = [self.kept_pairs(o) for o in orientations]
+        pairs = np.logical_or(*kept).sum()
+        assert (pairs, kept[1].sum()) == (100, 99)
+        filt = Filter(family, 0.3)
+        grid = default_grid(filt)
+        assert grid.length == 188
+        monkeypatch.setattr(simulator, "_CHUNK_BYTES", grid.length * pairs * 8)
+        whole = exact_spectrum_oracle(self.eig, orientations, filt, grid)
+        # 8-row blocks ending on a 4-row one; 40 rows (43 rounds down), ending
+        # on 28; a budget below one row still takes 8
+        for budget_rows in (8, 40, 43, 0.1):
+            monkeypatch.setattr(simulator, "_CHUNK_BYTES", int(budget_rows * pairs * 8))
+            blocked = exact_spectrum_oracle(self.eig, orientations, filt, grid)
+            assert np.array_equal(blocked, whole)
+            # no orientation: no pair is kept, and the row count must not divide by 0
+            none = exact_spectrum_oracle(self.eig, [], filt, grid)
+            assert none.shape == (0, grid.length) and none.dtype == float
+
+    def test_memory_holds_one_block(self):
+        # criterion 6's grid (L = 2800) and sweep (K = 3): the line shapes of
+        # one block of rows, about simulator._CHUNK_BYTES, and their
+        # temporaries are alive at once, beside the O(L) grid vectors and the
+        # K L result (about 0.4 MB in all); a whole (L, P) image with its
+        # temporaries would take 6.8 MB
         filt = Filter.lorentzian(0.02)
         grid = default_grid(filt)
         orientations = [InputOrientation.uniform(4, l * math.pi / 50) for l in range(3)]
-        pairs = np.logical_or.reduce([self.kept_pairs(o) for o in orientations]).sum()
         exact_spectrum_oracle(self.eig, orientations, filt, grid)    # warm up
         tracemalloc.start()
         try:
@@ -229,7 +256,7 @@ class TestOracle:
         finally:
             tracemalloc.stop()
         assert grid.length == 2800
-        assert peak < 3.5 * grid.length * pairs * 8
+        assert peak < 6 * simulator._CHUNK_BYTES + len(orientations) * grid.length * 8
 
     def test_csv_round_trip(self, tmp_path):
         filt = Filter.gaussian(0.3)
