@@ -2,7 +2,7 @@
 
 from .errors import (DataError, GapSearchError, GaplabError, NumericError,
                      ParameterError, ResourceLimitError)
-from .gapfinder import (GapEstimate, GapSearchConfig, SweepRecord, SweepResult,
+from .gapfinder import (GapEstimate, GapSearchConfig, SweepRecord, best_record,
                         find_gap, gap_error, spectral_error, spectral_error_bound,
                         theta_sweep)
 from .model import (BoundSet, EigenDecomposition, SpinModel, build_hamiltonians,
@@ -11,8 +11,7 @@ from .model import (BoundSet, EigenDecomposition, SpinModel, build_hamiltonians,
 from .scaling import Extrapolation, extrapolate
 from .simulator import (Gate, InputOrientation, TimeGrid, gate_sequence,
                         prepare_input, run_time_series)
-from .spectral import (default_grid, exact_spectrum_oracle, filter_fourier,
-                       spectral_function)
+from .spectral import default_grid, exact_spectrum_oracle, filter_fourier, transform
 from .toymodel import TwoPeakModel, peak_shift
 from .trotter import (KAPPA4, Filter, TrotterPlan, depth_cutoff, filter_value,
                       gate_count, trotter_propagator, truncation_error_bound)

@@ -25,7 +25,7 @@ from .errors import DataError, GapSearchError, GaplabError, ParameterError
 from .gapfinder import GapSearchConfig, find_gap
 from .model import SpinModel, exact_diagonalize, perturbative_gap_guess
 from .simulator import InputOrientation, _check_simulated, run_time_series
-from .spectral import exact_spectrum_oracle, spectral_function
+from .spectral import exact_spectrum_oracle
 from .trotter import Filter, TrotterPlan, depth_cutoff
 
 _USAGE_EXIT = 1
@@ -226,7 +226,7 @@ def _spectrum_pipeline(cfg, model, plan, filt, grid):
                                            cfg["theta_over_pi"] * math.pi)
     [p] = run_time_series(model, plan, [orientation], grid,
                           shots=cfg["shots"], seeds=[cfg["seed"]])
-    return orientation, spectral_function(grid, p, filt)
+    return orientation, spectral.transform(grid, p, filt)
 
 
 def cmd_spectrum(cfg, out) -> int:
@@ -281,12 +281,12 @@ def _theta_values(cfg):
 def cmd_sweep_theta(cfg, out) -> int:
     model = SpinModel(cfg["n"], cfg["j_over_h"], 1.0)
     plan, filt, grid = _setup(cfg)
-    result = gapfinder.theta_sweep(model, plan, filt, grid,
-                                   _theta_values(cfg), shots=cfg["shots"],
-                                   seed=cfg["seed"], search=_search(cfg, model))
-    gapfinder.sweep_to_json(result, out, metadata=cfg)
-    result.best_record()        # raises GapSearchError if every orientation failed
-    return _PARTIAL_EXIT if result.failed() else 0
+    records = gapfinder.theta_sweep(model, plan, filt, grid,
+                                    _theta_values(cfg), shots=cfg["shots"],
+                                    seed=cfg["seed"], search=_search(cfg, model))
+    gapfinder.sweep_to_json(records, out, metadata=cfg)
+    gapfinder.best_record(records)  # raises GapSearchError if every orientation failed
+    return _PARTIAL_EXIT if any(r.failure is not None for r in records) else 0
 
 
 def cmd_scaling(cfg, out) -> int:
@@ -309,10 +309,10 @@ def cmd_scaling(cfg, out) -> int:
         for n, model, search in zip(sizes, models[j_index], searches[j_index]):
             seed = cfg["seed"] if cfg["shots"] is None \
                 else gapfinder._derived_seed(cfg["seed"], j_index, n)
-            sweep, _ = gapfinder.search_sweep(
+            records, _ = gapfinder.search_sweep(
                 model, plan, filt, grid, thetas, search, cfg["shots"], seed)
             try:
-                best = sweep.best_record()
+                best = gapfinder.best_record(records)
             except GapSearchError:
                 continue
             points.append((n, best.gap))

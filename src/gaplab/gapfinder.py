@@ -22,7 +22,7 @@ from .errors import (DataError, GapSearchError, NumericError, ParameterError,
 from .model import (EigenDecomposition, SpinModel, commutator_norm_bounds,
                     exact_diagonalize)
 from .simulator import InputOrientation, TimeGrid, run_time_series
-from .spectral import exact_spectrum_oracle, local_maxima, spectral_function, transform
+from .spectral import exact_spectrum_oracle, local_maxima, transform
 from .trotter import Filter, TrotterPlan, gate_count
 
 #: Gap-error level marking the unfavored orientation zone.
@@ -73,6 +73,9 @@ def find_gap(grid: TimeGrid, a: np.ndarray, filt: Filter,
     Raises GapSearchError when no strict local maximum appears inside the
     capped window; the caller restarts with a different guess.
     """
+    if np.shape(a) != (grid.length,):
+        raise DataError(f"a spectrum on this grid has shape ({grid.length},), "
+                        f"not {np.shape(a)}")
     om, peaks = grid.omegas, local_maxima(a)
     peaks = peaks[peaks <= grid.length // 2]
     for width in _windows(config, filt.eta):
@@ -157,22 +160,12 @@ class SweepRecord:
     failure: str | None = None
 
 
-@dataclass
-class SweepResult:
-    records: list
-
-    def failed(self):
-        return [r for r in self.records if r.failure is not None]
-
-    def unfavored_thetas(self):
-        return [r.theta for r in self.records
-                if r.failure is None and r.eps_gap >= UNFAVORED_EPS_GAP]
-
-    def best_record(self) -> SweepRecord:
-        ok = [r for r in self.records if r.failure is None]
-        if not ok:
-            raise GapSearchError("every orientation in the sweep failed")
-        return max(ok, key=lambda r: r.peak_height)
+def best_record(records) -> SweepRecord:
+    """The sweep record with the tallest peak, the first of ties."""
+    ok = [r for r in records if r.failure is None]
+    if not ok:
+        raise GapSearchError("every orientation in the sweep failed")
+    return max(ok, key=lambda r: r.peak_height)
 
 
 def _derived_seed(*keys: int) -> int:
@@ -186,58 +179,58 @@ def search_sweep(model: SpinModel, plan: TrotterPlan, filt: Filter, grid: TimeGr
                  thetas, search: GapSearchConfig, shots: int | None, seed: int):
     """The search half of theta_sweep, and all that `scaling` runs: simulate every
     orientation in one call (shot mode draws from per-theta derived seeds and records
-    each, exact mode checks the seed itself and records None), transform each series
-    and search it for the gap.  Returns the sweep, its error measures left None,
-    and its spectra."""
+    each, exact mode checks the seed itself and records None), transform the series
+    in one call and search each spectrum for the gap.  Returns the sweep's records,
+    their error measures left None, and the (K, L) array of spectra."""
     thetas = [float(theta) for theta in thetas]
     seeds = [_derived_seed(seed, l) for l in range(len(thetas))] \
         if shots is not None else [seed] * len(thetas)
     probs = run_time_series(
         model, plan, [InputOrientation.uniform(model.n_spins, t) for t in thetas],
         grid, shots=shots, seeds=seeds)
-    records, spectra = [], []
-    for theta, series, seed in zip(thetas, probs, seeds):
-        spectra.append(spectral_function(grid, series, filt))
+    spectra = transform(grid, probs, filt)
+    records = []
+    for theta, a, seed in zip(thetas, spectra, seeds):
         record = SweepRecord(
             theta=theta, eta=filt.eta, filter=filt.family, p=plan.order, M=plan.depth,
             D=gate_count(plan.order, model.n_spins) * plan.depth,
             seed=seed if shots is not None else None,
             gap=None, peak_height=None, eps_gap=None, eps_spect=None, eps_bound=None)
         try:
-            est = find_gap(grid, spectra[-1], filt, search)
+            est = find_gap(grid, a, filt, search)
             record.gap, record.peak_height = est.gap, est.peak_height
         except GapSearchError as exc:
             record.failure = str(exc)
         records.append(record)
-    return SweepResult(records=records), spectra
+    return records, spectra
 
 
 def theta_sweep(model: SpinModel, plan: TrotterPlan, filt: Filter,
                 grid: TimeGrid, thetas, search: GapSearchConfig,
-                shots: int | None = None, seed: int = 0) -> SweepResult:
+                shots: int | None = None, seed: int = 0) -> list:
     """Gap pipeline over uniform input orientations: search_sweep, then eps_bound
     for every record and one `score` pass, against the exact diagonalization,
     over the gaps found; `sweep-theta` records these scores, `scaling` skips them.
     Search failures do not abort the sweep.  The chain is simulated before it is
     diagonalized, so a chain above the simulation cap fails before the eigensolver."""
     eps_bound = spectral_error_bound(model, plan, filt, grid)
-    result, spectra = search_sweep(model, plan, filt, grid, thetas, search, shots, seed)
+    records, spectra = search_sweep(model, plan, filt, grid, thetas, search, shots, seed)
     eig = exact_diagonalize(model)
-    found = [(r, spec) for r, spec in zip(result.records, spectra) if r.failure is None]
+    found = [(r, spec) for r, spec in zip(records, spectra) if r.failure is None]
     scores = score([r.gap for r, _ in found], [spec for _, spec in found], eig,
                    [InputOrientation.uniform(model.n_spins, r.theta) for r, _ in found],
                    filt, grid)
     for (record, _), scored in zip(found, scores):
         record.eps_gap, record.eps_spect = scored
-    for record in result.records:
+    for record in records:
         record.eps_bound = eps_bound
-    return result
+    return records
 
 
-def sweep_to_json(result: SweepResult, path, metadata: dict):
-    ok = len(result.failed()) < len(result.records)
-    summary = {"n_records": len(result.records), "n_failed": len(result.failed()),
-               "unfavored_thetas": result.unfavored_thetas(),
-               "theta_star": result.best_record().theta if ok else None}
-    write_json(path, {"config": metadata, "records": [asdict(r) for r in result.records],
+def sweep_to_json(records, path, metadata: dict):
+    ok = [r for r in records if r.failure is None]
+    summary = {"n_records": len(records), "n_failed": len(records) - len(ok),
+               "unfavored_thetas": [r.theta for r in ok if r.eps_gap >= UNFAVORED_EPS_GAP],
+               "theta_star": best_record(ok).theta if ok else None}
+    write_json(path, {"config": metadata, "records": [asdict(r) for r in records],
                       "summary": summary})

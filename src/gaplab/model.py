@@ -18,7 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import NumericError, ParameterError, ResourceLimitError, is_count
+from .errors import DataError, NumericError, ParameterError, ResourceLimitError, is_count
 
 #: Largest chain length for which dense 2^N x 2^N matrices are built.
 MAX_DENSE_SPINS = 12
@@ -72,7 +72,11 @@ class EigenDecomposition:
 
     def overlaps(self, state: np.ndarray) -> np.ndarray:
         """Coefficients c_u = <u|state> of a vector in the eigenbasis."""
-        return self.states.conj().T @ np.asarray(state, dtype=complex)
+        state = np.asarray(state, dtype=complex)
+        if state.shape != (self.energies.size,):
+            raise DataError(f"a state of shape {state.shape} has no overlaps in an "
+                            f"eigensystem of dimension {self.energies.size}")
+        return self.states.conj().T @ state
 
 
 @functools.lru_cache(maxsize=None)

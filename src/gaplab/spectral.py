@@ -24,9 +24,9 @@ import numpy as np
 
 from . import simulator
 from ._textio import write_table
-from .errors import ParameterError, is_count
+from .errors import DataError, ParameterError, is_count
 from .model import EigenDecomposition
-from .simulator import InputOrientation, TimeGrid, prepare_input
+from .simulator import TimeGrid, prepare_input
 from .trotter import Filter, filter_value
 
 #: Longest time grid; the longest any workload uses is L = 2800 (eta/h = 0.02).
@@ -64,14 +64,19 @@ def default_grid(filt: Filter, d_omega: float | None = None,
 
 
 def transform(grid: TimeGrid, p: np.ndarray, filt: Filter) -> np.ndarray:
-    """The cosine transform of P(t) = P(-t) over both time directions, weights
-    2 F_n P_n with the shared n = 0 term counted once.
+    """The spectrum A_m at grid.omegas of a series P(t) = P(-t), (L,), or of each
+    row of run_time_series's (K, L) array: the cosine transform over both time
+    directions, weights 2 F_n P_n with the shared n = 0 term counted once.
 
     On the grid omega_m t_n = 2 pi m n / L, so the cosine sum over n is the
     real part of a length-L discrete Fourier transform.  2 p is p + p exactly.
     """
-    weights = filter_value(filt, grid.times) * (2.0 * np.asarray(p, dtype=float))
-    weights[0] *= 0.5
+    p = np.asarray(p, dtype=float)
+    if p.ndim not in (1, 2) or p.shape[-1] != grid.length:
+        raise DataError(f"a series has shape (L,) or (K, L) with L = {grid.length}, "
+                        f"not {p.shape}")
+    weights = filter_value(filt, grid.times) * (2.0 * p)
+    weights[..., 0] *= 0.5
     return np.fft.fft(weights).real * (grid.dt / (2.0 * math.pi))
 
 
@@ -79,11 +84,6 @@ def local_maxima(values) -> np.ndarray:
     """Indices of the strict interior local maxima, in increasing order."""
     v = np.asarray(values)
     return np.flatnonzero((v[1:-1] > v[:-2]) & (v[1:-1] > v[2:])) + 1
-
-
-def spectral_function(grid: TimeGrid, p: np.ndarray, filt: Filter) -> np.ndarray:
-    """Filtered spectrum A_m of a measured (or exact) series P at grid.omegas."""
-    return transform(grid, p, filt)
 
 
 def filter_fourier(filt: Filter, omega):

@@ -52,6 +52,12 @@ COMMANDS = (
     # keeps them all, 0.4 pi (1,126) and 0.75 pi (1,199) gather theirs
     ("sweep-theta", "--n", "6", "--exact", "--theta-list", "0.1,0.4,0.75",
      "--out", "sweep.json"),
+    # a window cap that theta = 0 misses: one failed record (exit 3), then a
+    # sweep with no success (exit 2, theta_star null)
+    ("sweep-theta", "--exact", "--theta-list", "0,0.27", "--max-window-over-h", "0.6",
+     "--out", "sweep.json"),
+    ("sweep-theta", "--exact", "--theta-list", "0", "--max-window-over-h", "0.6",
+     "--out", "sweep.json"),
     ("scaling", "--exact", "--samples-out", "samples.json", "--out", "diagram.csv"),
     ("scaling", "--exact", "--j-list", "0.4,0.6", "--n-list", "2,3,4",
      "--theta-count", "5", "--samples-out", "samples.json", "--out", "diagram.csv"),

@@ -32,11 +32,12 @@ from gaplab import (
     run_time_series,
     spectral_error,
     spectral_error_bound,
-    spectral_function,
     theta_sweep,
+    transform,
     trotter_propagator,
     truncation_error_bound,
     TwoPeakModel,
+    best_record,
 )
 
 from conftest import (commutator_mismatch, operator_norm, overlap_by_path,
@@ -122,7 +123,7 @@ def test_criterion_04_gap_recovery():
     config = GapSearchConfig(initial_guess=perturbative_gap_guess(model))
 
     [p] = run_time_series(model, plan, [orientation], grid)
-    est = find_gap(grid, spectral_function(grid, p, filt), filt, config)
+    est = find_gap(grid, transform(grid, p, filt), filt, config)
     exact_dev = abs(est.gap - exact_gap)
     assert exact_dev <= filt.eta
 
@@ -130,7 +131,7 @@ def test_criterion_04_gap_recovery():
     for seed in range(10):
         [p] = run_time_series(model, plan, [orientation], grid,
                               shots=1024, seeds=[seed])
-        est = find_gap(grid, spectral_function(grid, p, filt), filt, config)
+        est = find_gap(grid, transform(grid, p, filt), filt, config)
         hits += abs(est.gap - exact_gap) <= filt.eta
     assert hits >= 9
     elapsed = time.time() - start
@@ -152,7 +153,7 @@ def test_criterion_05_spectral_convergence():
     for m_depth in depths:
         plan = TrotterPlan(1, m_depth)
         [p] = run_time_series(model, plan, [orientation], grid)
-        spec = spectral_function(grid, p, filt)
+        spec = transform(grid, p, filt)
         eps_s.append(spectral_error(spec, oracle))
         eps_b.append(spectral_error_bound(model, plan, filt, grid))
     for a, b in zip(eps_s, eps_s[1:]):
@@ -173,10 +174,10 @@ def test_criterion_06_theta_invariance_unfiltered_regime():
     filt = Filter.lorentzian(0.02)
     grid = default_grid(filt)
     thetas = [math.pi * l / 50 for l in range(25)]
-    result = theta_sweep(model, TrotterPlan(1, 10000), filt, grid, thetas,
-                         search=GapSearchConfig(perturbative_gap_guess(model)))
-    assert not result.failed()
-    gaps = np.array([r.gap for r in result.records])
+    records = theta_sweep(model, TrotterPlan(1, 10000), filt, grid, thetas,
+                          search=GapSearchConfig(perturbative_gap_guess(model)))
+    assert all(r.failure is None for r in records)
+    gaps = np.array([r.gap for r in records])
     spread = gaps.max() - gaps.min()
     assert spread <= 2 * grid.d_omega
     elapsed = time.time() - start
@@ -206,10 +207,10 @@ def test_criterion_07_scaling_benchmark():
         for n in (2, 3, 4, 5):
             model = SpinModel(n, coupling, 1.0)
             seed = int(np.random.SeedSequence((2026, j_index, n)).generate_state(1)[0])
-            sweep = theta_sweep(
+            records = theta_sweep(
                 model, plan, filt, grid, thetas, shots=1024, seed=seed,
                 search=GapSearchConfig(initial_guess=perturbative_gap_guess(model)))
-            points.append((n, sweep.best_record().gap))
+            points.append((n, best_record(records).gap))
         ex = extrapolate(points)
         intercepts[coupling] = ex.intercept
         assert abs(ex.intercept - 2 * (1 - coupling)) <= 2 * eta

@@ -25,11 +25,10 @@ from gaplab import (
     run_time_series,
     spectral_error,
     spectral_error_bound,
-    spectral_function,
     theta_sweep,
+    transform,
 )
-from gaplab import gapfinder
-from gaplab.spectral import transform
+from gaplab import best_record, gapfinder
 
 
 def empirical_depth_cutoff(depths, gap_errors, rel_tol: float = 0.1) -> float:
@@ -95,6 +94,20 @@ class TestFindGap:
         with pytest.raises(ParameterError):
             find_gap(grid, spec, filt, GapSearchConfig(
                 initial_guess=1.0, initial_window=2.0, max_window=1.0))
+
+    def test_refuses_a_spectrum_of_another_grid(self):
+        # the default N = 4 spectrum with every other point dropped has a
+        # peak at 1.65 on this grid, where its own grid puts the gap at 1.425
+        filt = Filter.gaussian(0.3)
+        grid = default_grid(filt)
+        [p] = run_time_series(SpinModel(4, 0.4, 1.0), TrotterPlan(1, 35),
+                              [InputOrientation.uniform(4, 0.27 * math.pi)], grid)
+        spec = transform(grid, p, filt)
+        search = GapSearchConfig(initial_guess=1.4)
+        assert find_gap(grid, spec, filt, search).gap == 1.425
+        for bad in (spec[::2], spec[:-2], spec[None], spec[:, None], spec[0]):
+            with pytest.raises(DataError, match=rf"shape \({grid.length},\)"):
+                find_gap(grid, bad, filt, search)
 
     def test_oracle_spectrum_recovers_ed_gap(self):
         model = SpinModel(4, 0.4, 1.0)
@@ -172,7 +185,7 @@ class TestSpectralErrorBound:
         for depth in (10, 35, 100):
             plan = TrotterPlan(1, depth)
             [p] = run_time_series(self.model, plan, [orientation], self.grid)
-            spec = spectral_function(self.grid, p, self.filt)
+            spec = transform(self.grid, p, self.filt)
             assert (spectral_error_bound(self.model, plan, self.filt, self.grid)
                     >= spectral_error(spec, oracle))
 
@@ -201,7 +214,7 @@ class TestEmpiricalCutoff:
             errs = []
             for m in depths:
                 [p] = run_time_series(model, TrotterPlan(1, m), [orientation], grid)
-                spec = spectral_function(grid, p, filt)
+                spec = transform(grid, p, filt)
                 est = find_gap(grid, spec, filt, GapSearchConfig(initial_guess=1.4))
                 errs.append(gap_error(est.gap, exact_gap))
             cutoffs[family] = empirical_depth_cutoff(
@@ -215,14 +228,15 @@ class TestThetaSweep:
         filt = Filter.gaussian(0.2)
         grid = default_grid(filt)
         thetas = [math.pi * l / 50 for l in range(0, 25, 4)]
-        result = theta_sweep(model, TrotterPlan(1, 100), filt, grid, thetas,
-                             search=GapSearchConfig(perturbative_gap_guess(model)))
-        assert len(result.records) == len(thetas)
-        assert not result.failed()
-        unfavored = result.unfavored_thetas()
+        records = theta_sweep(model, TrotterPlan(1, 100), filt, grid, thetas,
+                              search=GapSearchConfig(perturbative_gap_guess(model)))
+        assert len(records) == len(thetas)
+        assert all(r.failure is None for r in records)
+        unfavored = [r.theta for r in records
+                     if r.eps_gap >= gapfinder.UNFAVORED_EPS_GAP]
         assert unfavored, "small-theta zone should exceed the error threshold"
-        assert result.best_record().theta not in unfavored
-        for r in result.records:
+        assert best_record(records).theta not in unfavored
+        for r in records:
             assert r.eps_bound >= r.eps_spect
             assert r.D == 4 * 100
             assert r.seed is None       # exact mode draws nothing
@@ -234,25 +248,24 @@ class TestThetaSweep:
         filt = Filter.gaussian(0.3)
         grid = default_grid(filt)
         search = GapSearchConfig(initial_guess=1.4, max_window=0.6)
-        result = theta_sweep(model, TrotterPlan(1, 35), filt, grid,
-                             [0.0, 0.27 * math.pi], search=search)
-        assert len(result.failed()) == 1
-        assert result.failed()[0].theta == 0.0
-        assert result.best_record().theta == pytest.approx(0.27 * math.pi)
+        records = theta_sweep(model, TrotterPlan(1, 35), filt, grid,
+                              [0.0, 0.27 * math.pi], search=search)
+        assert [r.theta for r in records if r.failure is not None] == [0.0]
+        assert best_record(records).theta == pytest.approx(0.27 * math.pi)
 
         alone = theta_sweep(model, TrotterPlan(1, 35), filt, grid, [0.0],
                             search=search)
         with pytest.raises(GapSearchError):
-            alone.best_record()
+            best_record(alone)
 
     def test_shot_mode_records_derived_seeds(self):
         model = SpinModel(3, 0.4, 1.0)
         filt = Filter.gaussian(0.3)
         grid = default_grid(filt)
-        result = theta_sweep(model, TrotterPlan(1, 20), filt, grid,
-                             [0.2 * math.pi, 0.3 * math.pi], shots=512, seed=4,
-                             search=GapSearchConfig(perturbative_gap_guess(model)))
-        seeds = [r.seed for r in result.records]
+        records = theta_sweep(model, TrotterPlan(1, 20), filt, grid,
+                              [0.2 * math.pi, 0.3 * math.pi], shots=512, seed=4,
+                              search=GapSearchConfig(perturbative_gap_guess(model)))
+        seeds = [r.seed for r in records]
         assert len(set(seeds)) == 2 and all(s is not None for s in seeds)
         # each record names the seed its own series was drawn from
         assert seeds == [gapfinder._derived_seed(4, l) for l in range(2)]
@@ -264,9 +277,9 @@ class TestThetaSweep:
         filt = Filter.gaussian(0.3)
         grid = default_grid(filt)
         thetas = [math.pi * l / 50 for l in range(0, 25, 4)]
-        result = theta_sweep(model, TrotterPlan(1, 100), filt, grid, thetas,
-                             search=GapSearchConfig(perturbative_gap_guess(model)))
-        eps = [r.eps_gap for r in result.records]
+        records = theta_sweep(model, TrotterPlan(1, 100), filt, grid, thetas,
+                              search=GapSearchConfig(perturbative_gap_guess(model)))
+        eps = [r.eps_gap for r in records]
         assert all(b <= a + 1e-12 for a, b in zip(eps, eps[1:]))
         assert eps[0] >= 10 * min(eps)
 
@@ -282,7 +295,7 @@ class TestResolutionFloor:
         eig = exact_diagonalize(model)
         exact_gap = eig.energies[1] - eig.energies[0]
         [p] = run_time_series(model, TrotterPlan(1, 150), [orientation], grid)
-        spec = spectral_function(grid, p, filt)
+        spec = transform(grid, p, filt)
         est = find_gap(grid, spec, filt, GapSearchConfig(initial_guess=1.4))
         assert gap_error(est.gap, exact_gap) <= 2 * eta / exact_gap
 
@@ -300,7 +313,7 @@ class TestUnfilteredInvariance:
             weights = np.abs(eig.overlaps(prepare_input(orientation))) ** 2
             amps = np.exp(-1j * np.outer(grid.times, eig.energies)) \
                 @ weights.astype(complex)
-            spec = spectral_function(grid, np.abs(amps) ** 2, Filter.none())
+            spec = transform(grid, np.abs(amps) ** 2, Filter.none())
             est = find_gap(grid, spec, Filter.none(), GapSearchConfig(
                 initial_guess=perturbative_gap_guess(model),
                 initial_window=0.5, max_window=0.5))

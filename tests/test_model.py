@@ -2,13 +2,18 @@ import numpy as np
 import pytest
 
 from gaplab import (
+    DataError,
+    Filter,
+    InputOrientation,
     ParameterError,
     ResourceLimitError,
     SpinModel,
     build_hamiltonians,
     commutator_norm_bounds,
+    default_grid,
     exact_diagonalize,
     exact_gap_thermodynamic,
+    exact_spectrum_oracle,
     perturbative_gap_guess,
 )
 
@@ -81,6 +86,16 @@ class TestExactDiagonalization:
         plus = exact_diagonalize(SpinModel(4, 0.4, 1.0)).energies
         minus = exact_diagonalize(SpinModel(4, -0.4, 1.0)).energies
         assert np.allclose(plus, minus, atol=1e-10)
+
+    def test_overlaps_refuse_a_state_of_another_dimension(self):
+        # an orientation of a 4-spin chain against the 3-spin eigensystem
+        eig = exact_diagonalize(SpinModel(3, 0.4, 1.0))
+        filt = Filter.gaussian(0.3)
+        with pytest.raises(DataError, match=r"shape \(16,\).* dimension 8"):
+            exact_spectrum_oracle(eig, [InputOrientation.uniform(4, 0.3)], filt,
+                                  default_grid(filt))
+        with pytest.raises(DataError, match=r"shape \(8, 1\).* dimension 8"):
+            eig.overlaps(np.ones((8, 1)))
 
 
 class TestCommutators:

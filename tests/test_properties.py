@@ -1,9 +1,10 @@
 """Property tests: the batched propagation engine against the per-gate circuit
 and the decoupled closed form, the closed-form layers against np.kron and the
 square-and-multiply power against np.linalg.matrix_power, the time-reversal
-identity the engine relies on, the FFT transform against the cosine sum, the
-vectorized peak search against a per-index scan, `scaling`'s search-only pick
-against the scored sweep's best record, and file round trips.
+identity the engine relies on, the FFT transform against the cosine sum and
+a batch of rows against one call per row, the vectorized peak search against
+a per-index scan, `scaling`'s search-only pick against the scored sweep's best
+record, and file round trips.
 
 Examples are drawn under the derandomized profile loaded in conftest, so a
 run is repeatable.
@@ -18,14 +19,15 @@ import tempfile
 from pathlib import Path
 
 import numpy as np
+import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
-from gaplab import (Filter, GapEstimate, GapSearchConfig, GapSearchError,
-                    InputOrientation, ParameterError, SpinModel, TimeGrid,
-                    TrotterPlan, default_grid, filter_value, find_gap,
-                    perturbative_gap_guess, run_time_series, theta_sweep,
+from gaplab import (DataError, Filter, GapEstimate, GapSearchConfig,
+                    GapSearchError, InputOrientation, ParameterError, SpinModel,
+                    TimeGrid, TrotterPlan, best_record, default_grid, filter_value,
+                    find_gap, perturbative_gap_guess, run_time_series, theta_sweep,
                     trotter_propagator)
 from gaplab.cli import main
 from gaplab.gapfinder import _derived_seed, _windows
@@ -159,11 +161,12 @@ def cosine_transform(grid, p_plus, p_minus, filt):
 
 
 @st.composite
-def sampled_series(draw, max_half=400):
-    """(grid, p) on an even-length grid."""
+def sampled_series(draw, max_half=400, rows=None):
+    """(grid, p) on an even-length grid; p is (L,), or (K, L) for K drawn from rows."""
     length = 2 * draw(st.integers(1, max_half))
     grid = TimeGrid(dt=draw(st.floats(0.01, 2.0)), length=length)
-    return grid, draw(arrays(float, length, elements=unit))
+    shape = length if rows is None else (draw(rows), length)
+    return grid, draw(arrays(float, shape, elements=unit))
 
 
 def _criterion_6_grid():
@@ -186,6 +189,24 @@ def test_fft_matches_cosine_sum(series, filt):
     scale = grid.dt / (2 * math.pi) * np.sum(p + p)
     tiny = np.finfo(float).smallest_subnormal
     assert np.max(np.abs(got - ref)) <= 32 * grid.length * (EPS * scale + tiny)
+
+
+@given(sampled_series(rows=st.integers(1, 6)),
+       st.builds(Filter, st.sampled_from(("lorentzian", "gaussian")),
+                 st.floats(0.01, 2.0)))
+def test_rows_transform_as_single_series(series, filt):
+    # the (K, L) array of run_time_series is transformed row by row in one
+    # call, with the n = 0 term of each row (not all of row 0) halved
+    grid, p = series
+    assert np.array_equal(transform(grid, p, filt),
+                          np.stack([transform(grid, row, filt) for row in p]))
+
+
+@pytest.mark.parametrize("shape", [(), (1,), (6,), (3, 8, 1), (3, 10)])
+def test_transform_refuses_other_shapes(shape):
+    # on an L = 8 grid only (8,) and (K, 8) are series
+    with pytest.raises(DataError, match=r"\(L,\) or \(K, L\) with L = 8"):
+        transform(TimeGrid(dt=0.5, length=8), np.full(shape, 0.5), Filter.gaussian(0.3))
 
 
 def find_gap_by_scan(grid, av, filt, config):
@@ -311,13 +332,13 @@ def test_scaling_picks_the_scored_sweeps_best_record(case):
         row = []
         for n in sizes:
             model = SpinModel(n, coupling, 1.0)
-            sweep = theta_sweep(
+            records = theta_sweep(
                 model, TrotterPlan(1, m), filt, default_grid(filt),
                 [math.pi * l / 50 for l in range(theta_count)],
                 GapSearchConfig(perturbative_gap_guess(model), window, window),
                 shots=shots, seed=_derived_seed(seed, j_index, n))
             try:
-                best = sweep.best_record()
+                best = best_record(records)
             except GapSearchError:
                 continue
             row.append({"j_over_h": coupling, "n": n, "gap": best.gap,

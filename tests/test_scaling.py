@@ -100,8 +100,8 @@ class TestBandConvergence:
         # band to the 2 eta fence scale; converged ones pull it well inside
         import math
 
-        from gaplab import (Filter, GapSearchConfig, TrotterPlan, default_grid,
-                            theta_sweep)
+        from gaplab import (Filter, GapSearchConfig, TrotterPlan, best_record,
+                            default_grid, theta_sweep)
 
         eta = 0.3
         filt = Filter.gaussian(eta)
@@ -112,11 +112,11 @@ class TestBandConvergence:
             points = []
             for n in (2, 3, 4, 5):
                 model = SpinModel(n, 0.4, 1.0)
-                sweep = theta_sweep(
+                records = theta_sweep(
                     model, TrotterPlan(1, depth), filt, grid, thetas,
                     search=GapSearchConfig(
                         initial_guess=perturbative_gap_guess(model)))
-                points.append((n, sweep.best_record().gap))
+                points.append((n, best_record(records).gap))
             ex = extrapolate(points)
             widths[depth] = ex.confidence_band[1] - ex.confidence_band[0]
         assert widths[5] > 2 * widths[35]

@@ -19,7 +19,7 @@ from gaplab import (
     filter_fourier,
     find_gap,
     prepare_input,
-    spectral_function,
+    transform,
 )
 from gaplab import simulator
 from gaplab.spectral import MAX_GRID_LENGTH, grid_size, spectrum_to_csv
@@ -63,7 +63,7 @@ class TestDefaultGrid:
 class TestSpectralFunction:
     def test_constant_series_concentrates_at_zero(self):
         grid = TimeGrid(dt=0.4, length=32)
-        spec = spectral_function(grid, np.ones(32), Filter.none())
+        spec = transform(grid, np.ones(32), Filter.none())
         assert spec.shape == (32,) and spec.dtype == float
         assert np.argmax(spec) == 0
         # closed form: full weight at m = 0 minus the shared-origin correction
@@ -75,7 +75,7 @@ class TestSpectralFunction:
         grid = TimeGrid(dt=0.4, length=64)
         m0 = 9
         p = 0.5 * (1 + np.cos(m0 * grid.d_omega * grid.times))
-        spec = spectral_function(grid, p, Filter.none())
+        spec = transform(grid, p, Filter.none())
         half = np.arange(1, 33)
         assert half[np.argmax(spec[1:33])] == m0
 
@@ -86,7 +86,7 @@ class TestSpectralFunction:
         length = 2 * math.ceil(7.0 / d_omega)
         grid = TimeGrid(dt=2 * math.pi / (length * d_omega), length=length)
         p = 0.5 * (1 + np.cos(gap * grid.times))
-        spec = spectral_function(grid, p, filt)
+        spec = transform(grid, p, filt)
         om = grid.omegas
         window = (om > 1.0) & (om < 3.0)
         peak = np.argmax(np.where(window, spec, -np.inf))
@@ -104,16 +104,16 @@ class TestSpectralFunction:
         b = np.concatenate(([1.0], rng.uniform(0, 1, 23)))
         lam = 0.3
         filt = Filter.gaussian(0.4)
-        spec_a = spectral_function(grid, a, filt)
-        spec_b = spectral_function(grid, b, filt)
-        mixed = spectral_function(grid, lam * a + (1 - lam) * b, filt)
+        spec_a = transform(grid, a, filt)
+        spec_b = transform(grid, b, filt)
+        mixed = transform(grid, lam * a + (1 - lam) * b, filt)
         assert np.allclose(mixed, lam * spec_a + (1 - lam) * spec_b, atol=1e-13)
 
     def test_mirror_symmetry_for_even_series(self):
         model = SpinModel(3, 0.4, 1.0)
         filt = Filter.gaussian(0.3)
         grid = default_grid(filt)
-        spec = spectral_function(grid, exact_return_series(
+        spec = transform(grid, exact_return_series(
             model, InputOrientation.uniform(3, 0.27 * math.pi), grid), filt)
         assert np.allclose(spec[1:], spec[1:][::-1], atol=1e-12)
 
@@ -170,7 +170,7 @@ class TestOracle:
         # lorentzian carries an O(dt^2 eta) kink correction)
         filt = Filter(family, 0.3)
         grid = default_grid(filt)
-        spec = spectral_function(
+        spec = transform(
             grid, exact_return_series(self.model, self.orientation, grid), filt)
         [oracle] = exact_spectrum_oracle(self.eig, [self.orientation], filt, grid)
         num = np.sqrt(np.sum((spec - oracle) ** 2))
@@ -179,7 +179,7 @@ class TestOracle:
 
     def test_unfiltered_spectrum_peaks_at_dominant_gap(self):
         grid = TimeGrid(dt=0.25, length=512)
-        spec = spectral_function(
+        spec = transform(
             grid, exact_return_series(self.model, self.orientation, grid), Filter.none())
         gap = self.eig.energies[1] - self.eig.energies[0]
         om = grid.omegas
@@ -276,7 +276,7 @@ def test_read_back_spectrum_keeps_its_fold(tmp_path):
     # of 7.7 must widen down to the physical peak, not stop at the mirror
     filt = Filter.gaussian(0.3)
     grid = default_grid(filt)
-    spec = spectral_function(grid, 0.5 * (1 + np.cos(6.5 * grid.times)), filt)
+    spec = transform(grid, 0.5 * (1 + np.cos(6.5 * grid.times)), filt)
     path = tmp_path / "spec.csv"
     spectrum_to_csv(grid, spec, filt, path)
     omegas, values, back_filt, meta = read_spectrum(path)
