@@ -16,7 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from ._textio import write_table
-from .errors import DataError, NumericError
+from .errors import DataError, NumericError, is_count
 from .model import exact_gap_thermodynamic
 
 #: Two-sided confidence level of the band on the intercept.
@@ -52,7 +52,9 @@ def _t_quantile(dof: int) -> float:
 def extrapolate(points) -> Extrapolation:
     """OLS of Delta against 1/N over (N, Delta) pairs, with a t-quantile
     interval on the intercept."""
-    points = [(int(n), float(g)) for n, g in points]
+    points = [(n, float(g)) for n, g in points]
+    if not all(is_count(n, 2) for n, _ in points):
+        raise DataError(f"chain lengths must be integers of at least 2: {points}")
     if not all(0 < g < np.inf for _, g in points):
         raise DataError("gap estimates must be positive and finite")
     if len(points) < 3:

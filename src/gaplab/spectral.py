@@ -105,48 +105,45 @@ def exact_spectrum_oracle(eig: EigenDecomposition, orientations, filt: Filter,
 
     Sums |c_u|^2 |c_v|^2 Ftilde(omega - Delta_uv) over all ordered pairs,
     which carries both the positive- and negative-frequency image of every
-    gap.  Grid points are taken at their signed frequency, folded above
-    index L/2, and the line shapes are periodized over one grid period on
-    each side: the discrete transform of a sampled series sees that aliased sum.
-    The grid is walked in blocks of rows whose line shapes over the union of
-    the rows' kept pairs, P of them, fill about simulator._CHUNK_BYTES; each
-    block adds its three images in turn, so beyond the (K, L) result memory is
-    one block (at least 8 rows) and O(L).  Each row keeps the bits of a
-    one-orientation call, from its own overlaps and its own columns.
+    gap.  Grid points are taken at their signed frequency, folded above index
+    L/2, and the line shapes are periodized as the discrete transform of a
+    sampled series sees them, over the images k = -1, 0, 1 of the grid period
+    T = L d_omega only: the dropped |k| >= 2 tail falls as eta / (pi k^2 T^2).
+    Every row reads the union of the pairs above 1e-14 of some row's largest
+    pair weight, P of them, in blocks of rows whose line shapes fill about
+    simulator._CHUNK_BYTES, one image at a time: beyond the (K, L) result,
+    memory is one block and O(L).
     """
-    weights = [np.abs(eig.overlaps(prepare_input(o))) ** 2 for o in orientations]
-    n_pairs = eig.energies.size ** 2
-    pair_w = np.reshape([np.outer(w, w).ravel() for w in weights], (-1, n_pairs))
-    keep = pair_w > 1e-14 * pair_w.max(axis=1, keepdims=True)
-    union = keep.any(axis=0)
+    dim = eig.energies.size
+    weights = np.reshape([np.abs(eig.overlaps(prepare_input(o))) ** 2
+                          for o in orientations], (-1, dim, 1))
+    pair_w = (weights * weights.transpose(0, 2, 1)).reshape(-1, dim**2)
+    union = (pair_w > 1e-14 * pair_w.max(axis=1, keepdims=True)).any(axis=0)
     gaps = np.subtract.outer(eig.energies, eig.energies).ravel()[union]
-    # a gathered matrix must be contiguous to round alike; None reads them all
-    gathers = [(None if own.all() else np.flatnonzero(own), row_w[row_keep])
-               for own, row_keep, row_w in zip(keep[:, union], keep, pair_w)]
+    pair_w = pair_w[:, union]
 
     omegas, period = grid.omegas, grid.length * grid.d_omega
     signed = np.where(np.arange(grid.length) <= grid.length // 2, omegas, omegas - period)
-    # BLAS matrix-vector kernels round a row by its place in a group of rows, so
-    # blocks start on multiples of 8 rows to keep the bits of a one-block call
-    rows = max(8, simulator._CHUNK_BYTES // (8 * max(gaps.size, 1)) // 8 * 8)
-    values = np.zeros((len(weights), grid.length))
+    rows = max(1, simulator._CHUNK_BYTES // (8 * max(gaps.size, 1)))
+    values = np.zeros((len(pair_w), grid.length))
     for start in range(0, grid.length, rows):
         block = slice(start, start + rows)
         for k in (-1, 0, 1):
             shapes = filter_fourier(filt, signed[block, None] + k * period - gaps[None, :])
-            for row, (idx, row_w) in zip(values, gathers):
-                cols = shapes if idx is None else shapes.take(idx, axis=1)
-                row[block] += cols @ row_w
+            values[:, block] += pair_w @ shapes.T
     return values
 
 
 def spectrum_to_csv(grid: TimeGrid, values: np.ndarray, filt: Filter, path,
                     metadata: dict | None = None, extra_columns: dict | None = None):
+    """Rows m, omega_m, A_m and the extra columns, each an (L,) array, else DataError."""
+    names = ["A_m", *(extra_columns or {})]
+    arrays = [np.asarray(v, dtype=float) for v in (values, *(extra_columns or {}).values())]
+    for name, column in zip(names, arrays):
+        if column.shape != (grid.length,):
+            raise DataError(f"column {name} has shape {column.shape}, not ({grid.length},)")
     meta = dict(metadata or {})
     meta.update({"d_omega": grid.d_omega, "filter": filt.family, "eta": filt.eta,
                  "omega_max_physical": grid.length // 2 * grid.d_omega})
-    columns = ["m", "omega_m", "A_m"] + list(extra_columns or {})
-    extras = [np.asarray(v, dtype=float) for v in (extra_columns or {}).values()]
-    rows = ((m, om, values[m], *(e[m] for e in extras))
-            for m, om in enumerate(grid.omegas))
-    write_table(path, meta, columns, rows)
+    write_table(path, meta, ["m", "omega_m", *names],
+                zip(range(grid.length), grid.omegas, *arrays))

@@ -48,8 +48,8 @@ COMMANDS = (
     ("sweep-theta", "--n", "4", "--j-over-h", "0.4", "--p", "1",
      "--filter", "lorentzian", "--eta-over-h", "0.02", "--m", "10000",
      "--exact", "--theta-count", "3", "--out", "sweep.json"),
-    # 1,225 kept pairs at N = 6 put the oracle in 8-row blocks: theta = 0.1 pi
-    # keeps them all, 0.4 pi (1,126) and 0.75 pi (1,199) gather theirs
+    # N = 6: the oracle's union of kept pairs holds 1,225, so its line shapes
+    # span many blocks of rows (6 rows each, 32 blocks over L = 188)
     ("sweep-theta", "--n", "6", "--exact", "--theta-list", "0.1,0.4,0.75",
      "--out", "sweep.json"),
     # a window cap that theta = 0 misses: one failed record (exit 3), then a

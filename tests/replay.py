@@ -7,8 +7,10 @@ Tier-1 corpus; this script shows what a change did to it.  Both revisions are
 checked out in temporary git worktrees and run the same command list, the one
 beside this script.  Per command it prints `identical`, or the first
 difference: the exit code (or the exception a crashing command raised), a
-printed line or a line of an output file.  It
-exits 1 if any command differs, else 0.
+printed line or a line of an output file.  Beside a differing line it prints
+the largest relative difference between the numbers on the two lines, so a
+change in the last digits reads as such.  It exits 1 if any command differs,
+else 0.
 
     python tests/replay.py REVISION
 """
@@ -16,6 +18,7 @@ exits 1 if any command differs, else 0.
 import argparse
 import json
 import os
+import re
 import subprocess
 import sys
 import tempfile
@@ -55,17 +58,33 @@ def _run_at(revision: str, tmp: Path) -> list:
     return json.loads(child.stdout)
 
 
+_NUMBER = re.compile(r"[-+]?(?:\d+\.\d*|\.\d+|\d+)(?:[eE][-+]?\d+)?")
+
+
+def largest_relative_difference(old: str, new: str) -> float | None:
+    """max |x - y| / max(|x|, |y|) over the numbers of two lines, paired in
+    order; None if the lines hold no numbers or different counts of them."""
+    xs, ys = ([float(n) for n in _NUMBER.findall(line)] for line in (old, new))
+    if not xs or len(xs) != len(ys):
+        return None
+    return max(abs(x - y) / max(abs(x), abs(y)) if x != y else 0.0
+               for x, y in zip(xs, ys))
+
+
 def first_difference(base: dict, head: dict) -> str | None:
-    for key in ("exit", "stdout", "stderr"):
-        if base[key] != head[key]:
-            return f"{key}: {base[key]!r} -> {head[key]!r}"
+    if base["exit"] != head["exit"]:
+        return f"exit: {base['exit']!r} -> {head['exit']!r}"
     if sorted(base["outputs"]) != sorted(head["outputs"]):
         return f"files: {sorted(base['outputs'])} -> {sorted(head['outputs'])}"
-    for name, text in sorted(base["outputs"].items()):
-        old, new = text.splitlines(), head["outputs"][name].splitlines()
+    texts = [{"stdout": run["stdout"], "stderr": run["stderr"], **run["outputs"]}
+             for run in (base, head)]
+    for name in ("stdout", "stderr", *sorted(base["outputs"])):
+        old, new = (text[name].splitlines() for text in texts)
         for number, (a, b) in enumerate(zip(old, new), start=1):
             if a != b:
-                return f"{name} line {number}: {a!r} -> {b!r}"
+                rel = largest_relative_difference(a, b)
+                return f"{name} line {number}: {a!r} -> {b!r}" + (
+                    "" if rel is None else f"  (largest relative difference {rel:.1e})")
         if len(old) != len(new):
             return f"{name}: {len(old)} -> {len(new)} lines"
     return None

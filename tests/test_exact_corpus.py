@@ -26,3 +26,17 @@ def test_replay_matches_corpus(want, tmp_path, monkeypatch):
     assert sorted(got["outputs"]) == sorted(want["outputs"])
     for name, parsed in want["outputs"].items():
         assert checks._close(got["outputs"][name], parsed), name
+
+
+def test_replay_prints_the_relative_change_beside_a_line():
+    from replay import first_difference
+
+    base = {"exit": 0, "stdout": "gap 1.5\n", "stderr": "",
+            "outputs": {"gap.json": '{\n "eps": 0.25,\n "n": 4\n}\n'}}
+    head = dict(base, outputs={"gap.json": '{\n "eps": 0.2500000000001,\n "n": 4\n}\n'})
+    assert first_difference(base, base) is None
+    assert first_difference(base, head) == ("gap.json line 2: ' \"eps\": 0.25,' -> "
+                                             "' \"eps\": 0.2500000000001,'  "
+                                             "(largest relative difference 4.0e-13)")
+    assert first_difference(base, dict(base, stdout="gap\n")) == \
+        "stdout line 1: 'gap 1.5' -> 'gap'"

@@ -93,6 +93,14 @@ class TestExtrapolate:
         with pytest.raises(DataError, match="positive and finite"):
             extrapolate(((2, gap), (3, 1.0), (4, 1.1)))
 
+    @pytest.mark.parametrize("n", [2.7, 0, -2, 1, True, "3"])
+    def test_chain_length_must_be_a_count(self, n):
+        # N counts spins: a fraction, a bool, a string or N < 2 is refused, and
+        # a numpy integer is a count like any other
+        with pytest.raises(DataError, match="integers of at least 2"):
+            extrapolate(((n, 1.0), (3, 1.1), (4, 1.2)))
+        assert extrapolate(((np.int64(2), 1.3), (3, 1.3), (4, 1.3))).intercept == 1.3
+
 
 class TestBandConvergence:
     def test_band_tightens_inside_error_fence_with_depth(self):

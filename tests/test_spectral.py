@@ -1,4 +1,5 @@
 import math
+import re
 import tracemalloc
 
 import numpy as np
@@ -7,6 +8,7 @@ from scipy.integrate import quad
 from scipy.optimize import brentq
 
 from gaplab import (
+    DataError,
     Filter,
     GapSearchConfig,
     InputOrientation,
@@ -167,7 +169,9 @@ class TestOracle:
     def test_matches_exactly_evolved_series(self, family, floor):
         # pins the transform conventions: the spectrum of the exact series
         # must land on the line-shape sum (gaussian far below the 1e-3 target;
-        # lorentzian carries an O(dt^2 eta) kink correction)
+        # the oracle sums only the periodic images k = -1, 0, 1, and the
+        # lorentzian's dropped |k| >= 2 tail, falling as eta / (pi k^2 T^2)
+        # with T = L d_omega, is 6.1e-3 relative here)
         filt = Filter(family, 0.3)
         grid = default_grid(filt)
         spec = transform(
@@ -195,46 +199,37 @@ class TestOracle:
 
     @pytest.mark.parametrize("family", ["lorentzian", "gaussian"])
     @pytest.mark.parametrize("general", [False, True])
-    def test_batch_rows_equal_single_calls(self, family, general):
-        # theta = 11 pi/50 keeps 99 of the 100 pairs theta = 0 keeps, so its
-        # row reads a strict subset of the batch's columns; a general input
-        # keeps more pairs, so that every uniform row reads a subset
+    def test_batch_rows_equal_single_calls(self, family, general, monkeypatch):
+        # every row reads the union of the rows' kept pairs: theta = 11 pi/50
+        # keeps 99 of the 100 pairs theta = 0 keeps, and a general input keeps
+        # more, so that every uniform row also reads pairs it drops on its own.
+        # Rows must equal one-orientation calls, and every block of rows the
+        # chunk budget allows must equal one block of the whole grid, within
+        # 1e-12 of each row's largest value
         orientations = [InputOrientation.uniform(4, 0.0),
                         InputOrientation.uniform(4, 11 * math.pi / 50)]
         if general:
             orientations.append(InputOrientation((0.3, 1.2, 2.5, 5.9)))
-        kept = [self.kept_pairs(o).sum() for o in orientations]
-        assert kept[:2] == [100, 99]
-        filt = Filter(family, 0.3)
-        grid = default_grid(filt)
-        batch = exact_spectrum_oracle(self.eig, orientations, filt, grid)
-        assert batch.shape == (len(orientations), grid.length)
-        for row, orientation in zip(batch, orientations):
-            [single] = exact_spectrum_oracle(self.eig, [orientation], filt, grid)
-            assert np.array_equal(row, single)
-
-    @pytest.mark.parametrize("family", ["lorentzian", "gaussian"])
-    def test_blocks_equal_one_block(self, family, monkeypatch):
-        # the grid is walked in blocks of rows sized by the engine's chunk
-        # budget; every block size must give the bits of one block holding all
-        # rows.  theta = 0 keeps the whole union of 100 pairs, so its row reads
-        # the line shapes as built; 11 pi/50 keeps 99 and gathers its columns
-        orientations = [InputOrientation.uniform(4, 0.0),
-                        InputOrientation.uniform(4, 11 * math.pi / 50)]
         kept = [self.kept_pairs(o) for o in orientations]
-        pairs = np.logical_or(*kept).sum()
-        assert (pairs, kept[1].sum()) == (100, 99)
+        assert [k.sum() for k in kept[:2]] == [100, 99]
+        pairs = np.logical_or.reduce(kept).sum()
+        assert pairs > 100 if general else pairs == 100
         filt = Filter(family, 0.3)
         grid = default_grid(filt)
         assert grid.length == 188
         monkeypatch.setattr(simulator, "_CHUNK_BYTES", grid.length * pairs * 8)
         whole = exact_spectrum_oracle(self.eig, orientations, filt, grid)
-        # 8-row blocks ending on a 4-row one; 40 rows (43 rounds down), ending
-        # on 28; a budget below one row still takes 8
+        assert whole.shape == (len(orientations), grid.length)
+        tolerance = 1e-12 * np.abs(whole).max(axis=1, keepdims=True)
+        singles = np.concatenate(
+            [exact_spectrum_oracle(self.eig, [o], filt, grid) for o in orientations])
+        assert np.all(np.abs(singles - whole) <= tolerance)
+        # 8-row blocks ending on a 4-row one; 40 rows ending on 28; 43 ending
+        # on 16; a budget below one row takes one row at a time
         for budget_rows in (8, 40, 43, 0.1):
             monkeypatch.setattr(simulator, "_CHUNK_BYTES", int(budget_rows * pairs * 8))
             blocked = exact_spectrum_oracle(self.eig, orientations, filt, grid)
-            assert np.array_equal(blocked, whole)
+            assert np.all(np.abs(blocked - whole) <= tolerance)
             # no orientation: no pair is kept, and the row count must not divide by 0
             none = exact_spectrum_oracle(self.eig, [], filt, grid)
             assert none.shape == (0, grid.length) and none.dtype == float
@@ -269,6 +264,23 @@ class TestOracle:
         assert meta["d_omega"] == grid.d_omega
         assert back_filt.family == "gaussian"
         assert meta["label"] == "oracle"
+
+
+@pytest.mark.parametrize("column", ["A_m", "A_oracle"])
+@pytest.mark.parametrize("extent", [3, -3, None])
+def test_csv_refuses_a_column_of_another_shape(tmp_path, column, extent):
+    # every column must be (L,): a longer, a shorter or a (1, L) one is refused
+    # before the file opens, so no partial file is left behind
+    filt = Filter.gaussian(0.3)
+    grid = default_grid(filt)
+    bad = np.ones((1, grid.length) if extent is None else grid.length + extent)
+    good = np.ones(grid.length)
+    values, extra = (bad, good) if column == "A_m" else (good, bad)
+    path = tmp_path / "spec.csv"
+    message = re.escape(f"column {column} has shape {bad.shape}")
+    with pytest.raises(DataError, match=message):
+        spectrum_to_csv(grid, values, filt, path, extra_columns={"A_oracle": extra})
+    assert not path.exists()
 
 
 def test_read_back_spectrum_keeps_its_fold(tmp_path):
