@@ -197,15 +197,12 @@ class TestOracle:
         pair_w = np.outer(weights, weights).ravel()
         return pair_w > 1e-14 * pair_w.max()
 
-    @pytest.mark.parametrize("family", ["lorentzian", "gaussian"])
-    @pytest.mark.parametrize("general", [False, True])
-    def test_batch_rows_equal_single_calls(self, family, general, monkeypatch):
-        # every row reads the union of the rows' kept pairs: theta = 11 pi/50
-        # keeps 99 of the 100 pairs theta = 0 keeps, and a general input keeps
-        # more, so that every uniform row also reads pairs it drops on its own.
-        # Rows must equal one-orientation calls, and every block of rows the
-        # chunk budget allows must equal one block of the whole grid, within
-        # 1e-12 of each row's largest value
+    def union_of_pairs(self, general):
+        """Orientations whose rows read pairs they drop on their own, and the union size.
+
+        theta = 11 pi/50 keeps 99 of the 100 pairs theta = 0 keeps; a general
+        input keeps more, so that every uniform row reads pairs it drops.
+        """
         orientations = [InputOrientation.uniform(4, 0.0),
                         InputOrientation.uniform(4, 11 * math.pi / 50)]
         if general:
@@ -214,16 +211,36 @@ class TestOracle:
         assert [k.sum() for k in kept[:2]] == [100, 99]
         pairs = np.logical_or.reduce(kept).sum()
         assert pairs > 100 if general else pairs == 100
+        return orientations, pairs
+
+    @pytest.mark.parametrize("family", ["lorentzian", "gaussian"])
+    @pytest.mark.parametrize("general", [False, True])
+    def test_batch_rows_equal_single_calls(self, family, general):
+        # every row reads the union of the rows' kept pairs; rows must equal
+        # one-orientation calls within 1e-12 of each row's largest value
+        orientations, _ = self.union_of_pairs(general)
+        filt = Filter(family, 0.3)
+        grid = default_grid(filt)
+        batch = exact_spectrum_oracle(self.eig, orientations, filt, grid)
+        assert batch.shape == (len(orientations), grid.length)
+        tolerance = 1e-12 * np.abs(batch).max(axis=1, keepdims=True)
+        singles = np.concatenate(
+            [exact_spectrum_oracle(self.eig, [o], filt, grid) for o in orientations])
+        assert np.all(np.abs(singles - batch) <= tolerance)
+
+    @pytest.mark.parametrize("family", ["lorentzian", "gaussian"])
+    def test_blocks_equal_one_block(self, family, monkeypatch):
+        # the grid is walked in blocks of rows sized by the engine's chunk
+        # budget; every block size must give one block of the whole grid
+        # within 1e-12 of each row's largest value (a one-row block is a
+        # matrix-vector product, whose bits differ in the last place)
+        orientations, pairs = self.union_of_pairs(general=True)
         filt = Filter(family, 0.3)
         grid = default_grid(filt)
         assert grid.length == 188
         monkeypatch.setattr(simulator, "_CHUNK_BYTES", grid.length * pairs * 8)
         whole = exact_spectrum_oracle(self.eig, orientations, filt, grid)
-        assert whole.shape == (len(orientations), grid.length)
         tolerance = 1e-12 * np.abs(whole).max(axis=1, keepdims=True)
-        singles = np.concatenate(
-            [exact_spectrum_oracle(self.eig, [o], filt, grid) for o in orientations])
-        assert np.all(np.abs(singles - whole) <= tolerance)
         # 8-row blocks ending on a 4-row one; 40 rows ending on 28; 43 ending
         # on 16; a budget below one row takes one row at a time
         for budget_rows in (8, 40, 43, 0.1):
