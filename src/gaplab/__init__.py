@@ -9,8 +9,7 @@ from .model import (BoundSet, EigenDecomposition, SpinModel, build_hamiltonians,
                     commutator_norm_bounds, exact_diagonalize,
                     exact_gap_thermodynamic, perturbative_gap_guess)
 from .scaling import Extrapolation, extrapolate
-from .simulator import (Gate, InputOrientation, TimeGrid, gate_sequence,
-                        prepare_input, run_time_series)
+from .simulator import Gate, TimeGrid, gate_sequence, prepare_input, run_time_series
 from .spectral import default_grid, exact_spectrum_oracle, filter_fourier, transform
 from .toymodel import TwoPeakModel, peak_shift
 from .trotter import (KAPPA4, Filter, TrotterPlan, depth_cutoff, filter_value,

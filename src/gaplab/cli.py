@@ -24,7 +24,7 @@ from ._textio import write_json, write_table
 from .errors import DataError, GapSearchError, GaplabError, ParameterError
 from .gapfinder import GapSearchConfig, find_gap
 from .model import SpinModel, exact_diagonalize, perturbative_gap_guess
-from .simulator import InputOrientation, _check_simulated, run_time_series
+from .simulator import _check_simulated, run_time_series
 from .spectral import exact_spectrum_oracle
 from .trotter import Filter, TrotterPlan, depth_cutoff
 
@@ -222,21 +222,20 @@ def cmd_depth_bound(cfg, out) -> int:
 
 
 def _spectrum_pipeline(cfg, model, plan, filt, grid):
-    orientation = InputOrientation.uniform(model.n_spins,
-                                           cfg["theta_over_pi"] * math.pi)
-    [p] = run_time_series(model, plan, [orientation], grid,
-                          shots=cfg["shots"], seeds=[cfg["seed"]])
-    return orientation, spectral.transform(grid, p, filt)
+    thetas = _theta_values(cfg)
+    [p] = run_time_series(model, plan, thetas, grid, shots=cfg["shots"],
+                          seeds=[cfg["seed"]])
+    return thetas, spectral.transform(grid, p, filt)
 
 
 def cmd_spectrum(cfg, out) -> int:
     model = SpinModel(cfg["n"], cfg["j_over_h"], 1.0)
     plan, filt, grid = _setup(cfg, searched=cfg["oracle"])
-    orientation, spec = _spectrum_pipeline(cfg, model, plan, filt, grid)
+    thetas, spec = _spectrum_pipeline(cfg, model, plan, filt, grid)
     extra = {}
     if cfg["oracle"]:
         eig = exact_diagonalize(model)
-        [extra["A_oracle"]] = exact_spectrum_oracle(eig, [orientation], filt, grid)
+        [extra["A_oracle"]] = exact_spectrum_oracle(eig, thetas, filt, grid)
     spectral.spectrum_to_csv(grid, spec, filt, out, metadata=_meta("spectrum", cfg),
                              extra_columns=extra)
     return 0
@@ -246,7 +245,7 @@ def cmd_gap(cfg, out) -> int:
     model = SpinModel(cfg["n"], cfg["j_over_h"], 1.0)
     plan, filt, grid = _setup(cfg)
     search = _search(cfg, model)
-    orientation, spec = _spectrum_pipeline(cfg, model, plan, filt, grid)
+    thetas, spec = _spectrum_pipeline(cfg, model, plan, filt, grid)
     eig = exact_diagonalize(model)
     result = {"delta0": search.initial_guess,
               "delta_exact_ed": float(eig.energies[1] - eig.energies[0])}
@@ -255,7 +254,7 @@ def cmd_gap(cfg, out) -> int:
     except GapSearchError as exc:
         result.update({"gap": None, "failure": str(exc)})
     else:
-        [(eps_gap, eps_spect)] = gapfinder.score([est.gap], [spec], eig, [orientation],
+        [(eps_gap, eps_spect)] = gapfinder.score([est.gap], [spec], eig, thetas,
                                                  filt, grid)
         result.update({
             "gap": est.gap, "peak_height": est.peak_height,
@@ -269,12 +268,19 @@ def cmd_gap(cfg, out) -> int:
 
 
 def _theta_values(cfg):
-    if cfg.get("theta_list") is not None:
+    """The run's angles, pi --theta-over-pi, --theta-list in units of pi or pi l / 50
+    for l < --theta-count; refused before any run if none, or any is not finite."""
+    if "theta_count" not in cfg:
+        thetas = [cfg["theta_over_pi"] * math.pi]
+    elif cfg.get("theta_list") is not None:
         thetas = [float(v) * math.pi for v in cfg["theta_list"]]
+    elif cfg["theta_count"] > 100:
+        raise ParameterError(f"--theta-count {cfg['theta_count']} is above 100, "
+                             "the period of pi l / 50 in l")
     else:
         thetas = [math.pi * l / 50 for l in range(cfg["theta_count"])]
-    if not thetas:
-        raise ParameterError("the sweep needs at least one orientation")
+    if not thetas or not all(map(math.isfinite, thetas)):
+        raise ParameterError(f"a run needs one or more finite angles, not {thetas}")
     return thetas
 
 

@@ -21,7 +21,7 @@ from .errors import (DataError, GapSearchError, NumericError, ParameterError,
                      is_count)
 from .model import (EigenDecomposition, SpinModel, commutator_norm_bounds,
                     exact_diagonalize)
-from .simulator import InputOrientation, TimeGrid, run_time_series
+from .simulator import TimeGrid, run_time_series
 from .spectral import exact_spectrum_oracle, local_maxima, transform
 from .trotter import Filter, TrotterPlan, gate_count
 
@@ -127,13 +127,13 @@ def spectral_error_bound(model: SpinModel, plan: TrotterPlan, filt: Filter,
     return _error_ratio(d_a, a_exact + d_a)
 
 
-def score(gaps, spectra, eig: EigenDecomposition, orientations, filt: Filter,
+def score(gaps, spectra, eig: EigenDecomposition, thetas, filt: Filter,
           grid: TimeGrid) -> list:
-    """(eps_gap, eps_spect) of each gap found in its spectrum, one orientation each:
+    """(eps_gap, eps_spect) of each gap found in its spectrum, one angle theta each:
     its error against the exact gap E1 - E0, and the spectrum's against the
-    line-shape oracle, evaluated once for all orientations."""
+    line-shape oracle, evaluated once for all angles."""
     exact_gap = float(eig.energies[1] - eig.energies[0])
-    oracles = exact_spectrum_oracle(eig, orientations, filt, grid)
+    oracles = exact_spectrum_oracle(eig, thetas, filt, grid)
     return [(gap_error(gap, exact_gap), spectral_error(a, oracle))
             for gap, a, oracle in zip(gaps, spectra, oracles)]
 
@@ -185,9 +185,7 @@ def search_sweep(model: SpinModel, plan: TrotterPlan, filt: Filter, grid: TimeGr
     thetas = [float(theta) for theta in thetas]
     seeds = [_derived_seed(seed, l) for l in range(len(thetas))] \
         if shots is not None else [seed] * len(thetas)
-    probs = run_time_series(
-        model, plan, [InputOrientation.uniform(model.n_spins, t) for t in thetas],
-        grid, shots=shots, seeds=seeds)
+    probs = run_time_series(model, plan, thetas, grid, shots=shots, seeds=seeds)
     spectra = transform(grid, probs, filt)
     records = []
     for theta, a, seed in zip(thetas, spectra, seeds):
@@ -218,8 +216,7 @@ def theta_sweep(model: SpinModel, plan: TrotterPlan, filt: Filter,
     eig = exact_diagonalize(model)
     found = [(r, spec) for r, spec in zip(records, spectra) if r.failure is None]
     scores = score([r.gap for r, _ in found], [spec for _, spec in found], eig,
-                   [InputOrientation.uniform(model.n_spins, r.theta) for r, _ in found],
-                   filt, grid)
+                   [r.theta for r, _ in found], filt, grid)
     for (record, _), scored in zip(found, scores):
         record.eps_gap, record.eps_spect = scored
     for record in records:

@@ -87,12 +87,6 @@ def basis_bits(n_spins: int) -> np.ndarray:
     return out
 
 
-def kron_product(factors: np.ndarray) -> np.ndarray:
-    """np.kron of the rows of an (N, 2) array, by the same products in the same order."""
-    n = len(factors)
-    return np.multiply.reduce(factors[np.arange(n), basis_bits(n)], axis=1)
-
-
 @functools.lru_cache(maxsize=None)
 def basis_xor_table(n_spins: int) -> np.ndarray:
     """Basis-index XOR a ^ b over all pairs (a, b) (read-only)."""
@@ -157,8 +151,8 @@ class BoundSet:
 
 def commutator_norm_bounds(model: SpinModel, order: int) -> BoundSet:
     """Norm bounds for the chain and the error prefactor C^(p) built from them."""
-    if order not in (1, 2, 4):
-        raise ParameterError(f"order must be 1, 2 or 4, got {order}")
+    if not is_count(order, 1) or order not in (1, 2, 4):
+        raise ParameterError(f"order must be 1, 2 or 4, got {order!r}")
     n = model.n_spins
     J, h = abs(model.coupling), abs(model.field)
     comm = 4.0 * (n - 1)

@@ -1,6 +1,6 @@
 """Statevector execution of the gap-estimation circuit.
 
-A run prepares the product state |psi> = prod_j Ry(theta_j)|0>, evolves it by
+A run prepares the product state |psi> = Ry(theta)^(x)N |0>, evolves it by
 the depth-M product formula, rotates back, and records the probability of the
 all-zeros outcome,
 
@@ -27,7 +27,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ParameterError, ResourceLimitError, is_count
-from .model import SpinModel, kron_product
+from .model import SpinModel, basis_bits
 from .trotter import ITERATION_LAYERS, TrotterPlan, trotter_propagator
 
 #: Largest chain the engine simulates: each positive time (P(-t) = P(t) needs no
@@ -45,23 +45,6 @@ def _check_simulated(n_spins: int):
         raise ResourceLimitError(
             f"simulation limited to MAX_SIMULATED_SPINS = {MAX_SIMULATED_SPINS} "
             f"spins, got {n_spins}")
-
-
-@dataclass(frozen=True)
-class InputOrientation:
-    """Per-site y-rotation angles theta_j defining the input product state."""
-
-    angles: tuple
-
-    def __post_init__(self):
-        angles = tuple(float(a) for a in self.angles)
-        if not all(map(math.isfinite, angles)):
-            raise ParameterError(f"orientation angles must be finite, got {angles}")
-        object.__setattr__(self, "angles", tuple(a % (2.0 * math.pi) for a in angles))
-
-    @classmethod
-    def uniform(cls, n_spins: int, theta: float) -> "InputOrientation":
-        return cls(angles=(theta,) * n_spins)
 
 
 @dataclass(frozen=True)
@@ -92,10 +75,16 @@ class TimeGrid:
         return np.arange(self.length) * self.d_omega
 
 
-def prepare_input(orientation: InputOrientation) -> np.ndarray:
-    """Product state prod_j [cos(theta_j/2)|0> + sin(theta_j/2)|1>], by kron_product."""
-    pairs = [(math.cos(a / 2), math.sin(a / 2)) for a in orientation.angles]
-    return kron_product(np.array(pairs, dtype=complex).reshape(-1, 2))
+def prepare_input(n_spins: int, thetas) -> np.ndarray:
+    """The C-contiguous (2^N, K) columns Ry(theta_k)^(x)N |0>: one gather of the pairs
+    (cos, sin)(theta_k/2) through basis_bits, multiplied over the sites in np.kron's
+    order.  Angles are taken mod 2 pi; non-finite or non-1-D ones are refused."""
+    thetas = np.asarray(thetas, dtype=float)
+    if thetas.ndim != 1 or not np.all(np.isfinite(thetas)):
+        raise ParameterError(f"need a 1-D sequence of finite angles, got {thetas}")
+    half = [a % (2.0 * math.pi) / 2 for a in thetas.tolist()]
+    pairs = np.array([list(map(math.cos, half)), list(map(math.sin, half))], dtype=complex)
+    return np.multiply.reduce(pairs[basis_bits(n_spins)], axis=1)
 
 
 # --------------------------------------------------------------------------
@@ -163,11 +152,11 @@ def apply_gates(state: np.ndarray, gates, n_spins: int) -> np.ndarray:
 # --------------------------------------------------------------------------
 
 
-def run_time_series(model: SpinModel, plan: TrotterPlan, orientations,
+def run_time_series(model: SpinModel, plan: TrotterPlan, thetas,
                     grid: TimeGrid, shots: int | None = None,
                     seeds=None) -> np.ndarray:
-    """The float (K, L) array of P on the grid, one row per orientation, exact
-    or sampled: P(0) = 1 exactly in exact mode and every value in [0, 1].
+    """The float (K, L) array of P on the grid, one row per angle theta_k, exact or
+    sampled: P(0) = 1 exactly in exact mode and every value in [0, 1].
 
     Each of the L - 1 positive times builds one U_M(t); each chunk of them
     (_CHUNK_BYTES) is stacked and applied to all K input states in one
@@ -179,19 +168,17 @@ def run_time_series(model: SpinModel, plan: TrotterPlan, orientations,
     orientation (default 0 for each).
     """
     _check_simulated(model.n_spins)
-    orientations = list(orientations)
-    if not orientations:
+    psi = prepare_input(model.n_spins, thetas)
+    k = psi.shape[1]
+    if not k:
         raise ParameterError("need at least one input orientation")
-    if any(len(o.angles) != model.n_spins for o in orientations):
-        raise ParameterError("orientation length does not match the chain")
     if shots is not None and not (is_count(shots, 1) and 2 * shots < 2**63):
         raise ParameterError(f"shots must be an integer in [1, 2^62), got {shots!r}")
-    seeds = [0] * len(orientations) if seeds is None else list(seeds)
-    if len(seeds) != len(orientations) or not all(is_count(s, 0) for s in seeds):
+    seeds = [0] * k if seeds is None else list(seeds)
+    if len(seeds) != k or not all(is_count(s, 0) for s in seeds):
         raise ParameterError(f"need one integer seed >= 0 per orientation, got {seeds}")
-    psi = np.stack([prepare_input(o) for o in orientations], axis=1)
     bra = psi.conj()
-    amp = np.ones((len(orientations), grid.length), dtype=complex)
+    amp = np.ones((k, grid.length), dtype=complex)
     chunk, times = max(1, _CHUNK_BYTES // (16 * model.dim**2)), grid.times
     for start in range(1, grid.length, chunk):
         props = [trotter_propagator(model, plan, t) for t in times[start:start + chunk]]

@@ -99,9 +99,9 @@ def filter_fourier(filt: Filter, omega):
     return out if out.ndim else float(out)
 
 
-def exact_spectrum_oracle(eig: EigenDecomposition, orientations, filt: Filter,
+def exact_spectrum_oracle(eig: EigenDecomposition, thetas, filt: Filter,
                           grid: TimeGrid) -> np.ndarray:
-    """Line-shape spectra from the eigensystem at grid.omegas, one row per orientation.
+    """Line-shape spectra from the eigensystem at grid.omegas, one row per angle.
 
     Sums |c_u|^2 |c_v|^2 Ftilde(omega - Delta_uv) over all ordered pairs,
     which carries both the positive- and negative-frequency image of every
@@ -115,8 +115,8 @@ def exact_spectrum_oracle(eig: EigenDecomposition, orientations, filt: Filter,
     memory is one block and O(L).
     """
     dim = eig.energies.size
-    weights = np.reshape([np.abs(eig.overlaps(prepare_input(o))) ** 2
-                          for o in orientations], (-1, dim, 1))
+    psi = prepare_input(dim.bit_length() - 1, thetas)
+    weights = np.reshape([np.abs(eig.overlaps(s)) ** 2 for s in psi.T], (-1, dim, 1))
     pair_w = (weights * weights.transpose(0, 2, 1)).reshape(-1, dim**2)
     union = (pair_w > 1e-14 * pair_w.max(axis=1, keepdims=True)).any(axis=0)
     gaps = np.subtract.outer(eig.energies, eig.energies).ravel()[union]

@@ -117,8 +117,8 @@ def filter_value(filt: Filter, t):
 def gate_count(order: int, n_spins: int) -> int:
     """Circuit-depth weight of one iteration (uncompressed counting): bond
     rotations execute sequentially, a layer of parallel site rotations counts once."""
-    if order not in ITERATION_LAYERS:
-        raise ParameterError(f"order must be 1, 2 or 4, got {order}")
+    if not is_count(order, 1) or order not in ITERATION_LAYERS:
+        raise ParameterError(f"order must be 1, 2 or 4, got {order!r}")
     return sum(n_spins - 1 if kind == "zz" else 1 for kind, _ in ITERATION_LAYERS[order])
 
 

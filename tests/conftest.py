@@ -173,13 +173,13 @@ def commutator_mismatch(model):
     return out
 
 
-def overlap_by_path(model, plan, orientation, t, path):
-    """|<psi|U_M(t)|psi>|^2 through one named path, for a single state.
+def overlap_by_path(model, plan, theta, t, path):
+    """|<psi|U_M(t)|psi>|^2 through one named path, for psi = Ry(theta)^(x)N |0>.
 
     "matrix" powers the dense step, as the production engine does; "gates"
     streams the circuit, which only the tests execute.
     """
-    psi = prepare_input(orientation)
+    [psi] = prepare_input(model.n_spins, [theta]).T
     if path == "matrix":
         evolved = trotter_propagator(model, plan, t) @ psi
     else:

@@ -9,8 +9,10 @@ beside this script.  Per command it prints `identical`, or the first
 difference: the exit code (or the exception a crashing command raised), a
 printed line or a line of an output file.  Beside a differing line it prints
 the largest relative difference between the numbers on the two lines, so a
-change in the last digits reads as such.  It exits 1 if any command differs,
-else 0.
+change in the last digits reads as such.  Below the first difference it
+prints how many lines differ in all and the largest relative difference over
+all of them, since the first line need not be the worst.  It exits 1 if any
+command differs, else 0.
 
     python tests/replay.py REVISION
 """
@@ -71,15 +73,20 @@ def largest_relative_difference(old: str, new: str) -> float | None:
                for x, y in zip(xs, ys))
 
 
+def _lines(run: dict, name: str) -> list:
+    """The lines of a run's printed text ("stdout", "stderr") or output file,
+    none for a file the run did not write."""
+    return (run[name] if name in ("stdout", "stderr")
+            else run["outputs"].get(name, "")).splitlines()
+
+
 def first_difference(base: dict, head: dict) -> str | None:
     if base["exit"] != head["exit"]:
         return f"exit: {base['exit']!r} -> {head['exit']!r}"
     if sorted(base["outputs"]) != sorted(head["outputs"]):
         return f"files: {sorted(base['outputs'])} -> {sorted(head['outputs'])}"
-    texts = [{"stdout": run["stdout"], "stderr": run["stderr"], **run["outputs"]}
-             for run in (base, head)]
     for name in ("stdout", "stderr", *sorted(base["outputs"])):
-        old, new = (text[name].splitlines() for text in texts)
+        old, new = _lines(base, name), _lines(head, name)
         for number, (a, b) in enumerate(zip(old, new), start=1):
             if a != b:
                 rel = largest_relative_difference(a, b)
@@ -90,6 +97,34 @@ def first_difference(base: dict, head: dict) -> str | None:
     return None
 
 
+def line_changes(base: dict, head: dict) -> tuple[int, float | None]:
+    """How many lines differ over the printed text and every output file, paired
+    by name and number (a line only one run has counts), and the largest relative
+    difference over the differing pairs; None where no pair holds comparable numbers."""
+    count, worst = 0, None
+    for name in ("stdout", "stderr", *sorted({*base["outputs"], *head["outputs"]})):
+        old, new = _lines(base, name), _lines(head, name)
+        count += abs(len(old) - len(new))
+        for a, b in zip(old, new):
+            if a != b:
+                count += 1
+                rel = largest_relative_difference(a, b)
+                if rel is not None and (worst is None or rel > worst):
+                    worst = rel
+    return count, worst
+
+
+def report(base: dict, head: dict) -> str:
+    """`identical`, or `differs` with the first difference and the line_changes count."""
+    diff = first_difference(base, head)
+    title = f"{'identical' if diff is None else 'differs'}: {' '.join(base['argv'])}"
+    if diff is None:
+        return title
+    count, worst = line_changes(base, head)
+    return (f"{title}\n    {diff}\n    differing lines: {count}"
+            + ("" if worst is None else f", largest relative difference {worst:.1e}"))
+
+
 def main():
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("revision", help="the revision HEAD is compared with")
@@ -98,13 +133,9 @@ def main():
     for revision in (args.revision, "HEAD"):
         with tempfile.TemporaryDirectory() as tmp:
             runs.append(_run_at(revision, Path(tmp)))
-    differs = False
-    for base, head in zip(*runs):
-        diff = first_difference(base, head)
-        differs |= diff is not None
-        print(f"{'identical' if diff is None else 'differs'}: "
-              f"{' '.join(base['argv'])}" + ("" if diff is None else f"\n    {diff}"))
-    return 1 if differs else 0
+    reports = [report(base, head) for base, head in zip(*runs)]
+    print("\n".join(reports))
+    return 1 if any(r.startswith("differs") for r in reports) else 0
 
 
 if __name__ == "__main__":

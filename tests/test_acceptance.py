@@ -15,7 +15,6 @@ import gaplab
 from gaplab import (
     Filter,
     GapSearchConfig,
-    InputOrientation,
     SpinModel,
     TrotterPlan,
     commutator_norm_bounds,
@@ -57,7 +56,7 @@ def test_criterion_01_truncation_bound_satisfaction():
     for n in (2, 3, 4, 5):
         model = SpinModel(n, 0.4, 1.0)
         eig = exact_diagonalize(model)
-        psi = prepare_input(InputOrientation.uniform(n, theta))
+        [psi] = prepare_input(n, [theta]).T
         for p in (1, 2, 4):
             for ht in np.arange(0.5, 6.01, 0.5):
                 phase = np.exp(-1j * eig.energies * ht)
@@ -117,19 +116,19 @@ def test_criterion_04_gap_recovery():
     plan = TrotterPlan(1, 35)
     filt = Filter.gaussian(0.3)
     grid = default_grid(filt)
-    orientation = InputOrientation.uniform(4, 0.27 * math.pi)
+    theta = 0.27 * math.pi
     eig = exact_diagonalize(model)
     exact_gap = eig.energies[1] - eig.energies[0]
     config = GapSearchConfig(initial_guess=perturbative_gap_guess(model))
 
-    [p] = run_time_series(model, plan, [orientation], grid)
+    [p] = run_time_series(model, plan, [theta], grid)
     est = find_gap(grid, transform(grid, p, filt), filt, config)
     exact_dev = abs(est.gap - exact_gap)
     assert exact_dev <= filt.eta
 
     hits = 0
     for seed in range(10):
-        [p] = run_time_series(model, plan, [orientation], grid,
+        [p] = run_time_series(model, plan, [theta], grid,
                               shots=1024, seeds=[seed])
         est = find_gap(grid, transform(grid, p, filt), filt, config)
         hits += abs(est.gap - exact_gap) <= filt.eta
@@ -145,14 +144,13 @@ def test_criterion_05_spectral_convergence():
     model = SpinModel(4, 0.4, 1.0)
     filt = Filter.gaussian(0.3)
     grid = default_grid(filt)
-    orientation = InputOrientation.uniform(4, 0.27 * math.pi)
-    [oracle] = exact_spectrum_oracle(exact_diagonalize(model), [orientation],
-                                     filt, grid)
+    theta = 0.27 * math.pi
+    [oracle] = exact_spectrum_oracle(exact_diagonalize(model), [theta], filt, grid)
     depths = (5, 10, 15, 20, 25, 35, 50, 75, 100, 150)
     eps_s, eps_b = [], []
     for m_depth in depths:
         plan = TrotterPlan(1, m_depth)
-        [p] = run_time_series(model, plan, [orientation], grid)
+        [p] = run_time_series(model, plan, [theta], grid)
         spec = transform(grid, p, filt)
         eps_s.append(spectral_error(spec, oracle))
         eps_b.append(spectral_error_bound(model, plan, filt, grid))
@@ -295,7 +293,6 @@ def test_criterion_10_two_peak_shift():
 def test_criterion_11_decoupled_chain_closed_form():
     n, theta, field = 4, 0.27 * math.pi, 1.0
     model = SpinModel(n, 0.0, field)
-    orientation = InputOrientation.uniform(n, theta)
     worst = 0.0
     for p in (1, 2, 4):
         plan = TrotterPlan(p, 7)
@@ -303,7 +300,7 @@ def test_criterion_11_decoupled_chain_closed_form():
             ref = (math.cos(field * ht) ** 2
                    + math.sin(field * ht) ** 2 * math.sin(theta) ** 2) ** n
             for path in ("gates", "matrix"):
-                got = overlap_by_path(model, plan, orientation, ht, path)
+                got = overlap_by_path(model, plan, theta, ht, path)
                 worst = max(worst, abs(got - ref))
                 assert abs(got - ref) <= 1e-10
     _report(11, f"J=0 return probability matches the product closed form, "

@@ -106,8 +106,7 @@ class TestSpectrum:
         filt = Filter.gaussian(0.3)
         grid = gaplab.default_grid(filt)
         [oracle] = gaplab.exact_spectrum_oracle(
-            gaplab.exact_diagonalize(model),
-            [gaplab.InputOrientation.uniform(4, 0.27 * math.pi)], filt, grid)
+            gaplab.exact_diagonalize(model), [0.27 * math.pi], filt, grid)
         got = np.array([float(r[3]) for r in rows])
         assert np.array_equal(got, oracle)
 
@@ -408,13 +407,23 @@ class TestEmptyScans:
         ["depth-bound", "--t-points", str(10**20)],
         ["depth-bound", "--n-points", str(10**20)],
         ["depth-bound", "--t-points", str(10**18)],
-        ["depth-bound", "--n-points", str(10**18)]])
+        ["depth-bound", "--n-points", str(10**18)],
+        # theta = pi l / 50 repeats with period 100 in l: a count above 100
+        # only repeats orientations
+        ["sweep-theta", "--exact", "--theta-count", "101"],
+        ["scaling", "--exact", "--theta-count", "1000"]])
     def test_refused(self, tmp_path, no_simulation, capsys, argv):
         out = tmp_path / "x.out"
         assert run(argv + ["--out", str(out)]) == 1
         assert not out.exists()
         err = capsys.readouterr().err
         assert err.startswith("gaplab:") and err.count("\n") == 1
+
+    def test_theta_count_up_to_one_period(self):
+        # 100 orientations are one whole period of theta = pi l / 50
+        from gaplab.cli import _theta_values
+        thetas = _theta_values({"theta_count": 100, "theta_list": None})
+        assert len(thetas) == 100 and thetas[-1] == math.pi * 99 / 50 < 2 * math.pi
 
 
 class TestNegativeSeed:

@@ -9,7 +9,6 @@ from gaplab import (
     perturbative_gap_guess,
     GapSearchConfig,
     GapSearchError,
-    InputOrientation,
     NumericError,
     ParameterError,
     SpinModel,
@@ -101,7 +100,7 @@ class TestFindGap:
         filt = Filter.gaussian(0.3)
         grid = default_grid(filt)
         [p] = run_time_series(SpinModel(4, 0.4, 1.0), TrotterPlan(1, 35),
-                              [InputOrientation.uniform(4, 0.27 * math.pi)], grid)
+                              [0.27 * math.pi], grid)
         spec = transform(grid, p, filt)
         search = GapSearchConfig(initial_guess=1.4)
         assert find_gap(grid, spec, filt, search).gap == 1.425
@@ -114,8 +113,7 @@ class TestFindGap:
         eig = exact_diagonalize(model)
         filt = Filter.gaussian(0.3)
         grid = default_grid(filt)
-        [oracle] = exact_spectrum_oracle(
-            eig, [InputOrientation.uniform(4, 0.27 * math.pi)], filt, grid)
+        [oracle] = exact_spectrum_oracle(eig, [0.27 * math.pi], filt, grid)
         est = find_gap(grid, oracle, filt, GapSearchConfig(initial_guess=1.4))
         assert abs(est.gap - (eig.energies[1] - eig.energies[0])) <= filt.eta
 
@@ -180,11 +178,11 @@ class TestSpectralErrorBound:
 
     def test_dominates_measured_spectral_error(self):
         eig = exact_diagonalize(self.model)
-        orientation = InputOrientation.uniform(4, 0.27 * math.pi)
-        [oracle] = exact_spectrum_oracle(eig, [orientation], self.filt, self.grid)
+        theta = 0.27 * math.pi
+        [oracle] = exact_spectrum_oracle(eig, [theta], self.filt, self.grid)
         for depth in (10, 35, 100):
             plan = TrotterPlan(1, depth)
-            [p] = run_time_series(self.model, plan, [orientation], self.grid)
+            [p] = run_time_series(self.model, plan, [theta], self.grid)
             spec = transform(self.grid, p, self.filt)
             assert (spectral_error_bound(self.model, plan, self.filt, self.grid)
                     >= spectral_error(spec, oracle))
@@ -203,7 +201,7 @@ class TestEmpiricalCutoff:
     def test_gaussian_cutoff_not_above_lorentzian(self):
         # the more concentrated line shape converges at or before the wider one
         model = SpinModel(4, 0.4, 1.0)
-        orientation = InputOrientation.uniform(4, 0.27 * math.pi)
+        theta = 0.27 * math.pi
         eig = exact_diagonalize(model)
         exact_gap = eig.energies[1] - eig.energies[0]
         depths = [5, 8, 12, 18, 25, 35, 50]
@@ -213,7 +211,7 @@ class TestEmpiricalCutoff:
             grid = default_grid(filt)
             errs = []
             for m in depths:
-                [p] = run_time_series(model, TrotterPlan(1, m), [orientation], grid)
+                [p] = run_time_series(model, TrotterPlan(1, m), [theta], grid)
                 spec = transform(grid, p, filt)
                 est = find_gap(grid, spec, filt, GapSearchConfig(initial_guess=1.4))
                 errs.append(gap_error(est.gap, exact_gap))
@@ -291,10 +289,9 @@ class TestResolutionFloor:
         model = SpinModel(4, 0.4, 1.0)
         filt = Filter(family, eta)
         grid = default_grid(filt)
-        orientation = InputOrientation.uniform(4, 0.27 * math.pi)
         eig = exact_diagonalize(model)
         exact_gap = eig.energies[1] - eig.energies[0]
-        [p] = run_time_series(model, TrotterPlan(1, 150), [orientation], grid)
+        [p] = run_time_series(model, TrotterPlan(1, 150), [0.27 * math.pi], grid)
         spec = transform(grid, p, filt)
         est = find_gap(grid, spec, filt, GapSearchConfig(initial_guess=1.4))
         assert gap_error(est.gap, exact_gap) <= 2 * eta / exact_gap
@@ -309,8 +306,8 @@ class TestUnfilteredInvariance:
         grid = TimeGrid(dt=0.25, length=512)
         found = set()
         for theta in (0.1 * math.pi, 0.2 * math.pi, 0.3 * math.pi, 0.45 * math.pi):
-            orientation = InputOrientation.uniform(3, theta)
-            weights = np.abs(eig.overlaps(prepare_input(orientation))) ** 2
+            [psi] = prepare_input(3, [theta]).T
+            weights = np.abs(eig.overlaps(psi)) ** 2
             amps = np.exp(-1j * np.outer(grid.times, eig.energies)) \
                 @ weights.astype(complex)
             spec = transform(grid, np.abs(amps) ** 2, Filter.none())

@@ -3,18 +3,15 @@ import pytest
 
 from gaplab import (
     DataError,
-    Filter,
-    InputOrientation,
     ParameterError,
     ResourceLimitError,
     SpinModel,
     build_hamiltonians,
     commutator_norm_bounds,
-    default_grid,
     exact_diagonalize,
     exact_gap_thermodynamic,
-    exact_spectrum_oracle,
     perturbative_gap_guess,
+    prepare_input,
 )
 
 from conftest import (SX, S1, commutator_mismatch, embed, matrix_commutators,
@@ -88,12 +85,10 @@ class TestExactDiagonalization:
         assert np.allclose(plus, minus, atol=1e-10)
 
     def test_overlaps_refuse_a_state_of_another_dimension(self):
-        # an orientation of a 4-spin chain against the 3-spin eigensystem
+        # an input state of a 4-spin chain against the 3-spin eigensystem
         eig = exact_diagonalize(SpinModel(3, 0.4, 1.0))
-        filt = Filter.gaussian(0.3)
         with pytest.raises(DataError, match=r"shape \(16,\).* dimension 8"):
-            exact_spectrum_oracle(eig, [InputOrientation.uniform(4, 0.3)], filt,
-                                  default_grid(filt))
+            eig.overlaps(prepare_input(4, [0.3])[:, 0])
         with pytest.raises(DataError, match=r"shape \(8, 1\).* dimension 8"):
             eig.overlaps(np.ones((8, 1)))
 

@@ -25,7 +25,7 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
 from gaplab import (DataError, Filter, GapEstimate, GapSearchConfig,
-                    GapSearchError, InputOrientation, ParameterError, SpinModel,
+                    GapSearchError, ParameterError, SpinModel,
                     TimeGrid, TrotterPlan, best_record, default_grid, filter_value,
                     find_gap, perturbative_gap_guess, run_time_series, theta_sweep,
                     trotter_propagator)
@@ -49,36 +49,34 @@ filters = st.one_of(
 
 @st.composite
 def propagation_cases(draw):
-    """(model, plan, orientations, t): a small chain and several input states."""
+    """(model, plan, thetas, t): a small chain and several input angles."""
     n = draw(st.integers(2, 6))
     model = SpinModel(n, draw(st.one_of(st.just(0.0), st.floats(-1.5, 1.5))),
                       draw(st.floats(0.25, 2.0)))
     plan = TrotterPlan(draw(st.sampled_from((1, 2, 4))), draw(st.integers(1, 4)))
-    angles = st.lists(st.floats(0.0, 2 * math.pi), min_size=n, max_size=n)
-    orientations = [InputOrientation(tuple(a))
-                    for a in draw(st.lists(angles, min_size=2, max_size=4))]
-    return model, plan, orientations, draw(st.floats(0.05, 3.0))
+    thetas = draw(st.lists(st.floats(0.0, 2 * math.pi), min_size=2, max_size=4))
+    return model, plan, thetas, draw(st.floats(0.05, 3.0))
 
 
 @given(propagation_cases())
 def test_batched_engine_matches_gate_circuit(case):
     # criterion 11's tolerance; at J = 0 the chain factorizes, and each spin
-    # returns with probability cos^2(ht) + sin^2(ht) sin^2(theta_j).  The
+    # returns with probability cos^2(ht) + sin^2(ht) sin^2(theta).  The
     # engine holds P(t) alone for both time directions, so comparing it with
     # the circuit at -t as well checks P(-t) = P(t) against an independent
     # path; the identity behind it is
     # test_propagator_is_conjugate_under_time_reversal.
-    model, plan, orientations, t = case
-    probs = run_time_series(model, plan, orientations, TimeGrid(dt=t, length=2))
-    for orientation, p in zip(orientations, probs):
+    model, plan, thetas, t = case
+    probs = run_time_series(model, plan, thetas, TimeGrid(dt=t, length=2))
+    for theta, p in zip(thetas, probs):
         got = p[1]
         for signed_t in (t, -t):
-            gates = overlap_by_path(model, plan, orientation, signed_t, "gates")
+            gates = overlap_by_path(model, plan, theta, signed_t, "gates")
             assert abs(got - gates) <= 1e-10
         if model.coupling == 0.0:
             ht = model.field * t
-            closed = math.prod(math.cos(ht) ** 2 + math.sin(ht) ** 2
-                               * math.sin(a) ** 2 for a in orientation.angles)
+            closed = (math.cos(ht) ** 2
+                      + math.sin(ht) ** 2 * math.sin(theta) ** 2) ** model.n_spins
             assert abs(got - closed) <= 1e-10
 
 
@@ -107,20 +105,20 @@ def test_propagator_is_conjugate_under_time_reversal(case):
 
 
 @given(st.integers(2, 8), st.floats(-10.0, 10.0), st.floats(0.1, 2.0),
-       st.lists(st.floats(0.0, 2 * math.pi), min_size=8, max_size=8))
-def test_closed_form_layers_match_kron_products(n, dt, field, angles):
-    # the x-rotation layer reads one row at a XOR b and the input state is a
+       st.lists(st.floats(0.0, 2 * math.pi), min_size=1, max_size=4))
+def test_closed_form_layers_match_kron_products(n, dt, field, thetas):
+    # the x-rotation layer reads one row at a XOR b and each input state is a
     # row product; both multiply the same factors in the same order as np.kron
     model = SpinModel(n, 0.4, field)
     a = field * dt
     u1 = np.array([[math.cos(a), 1j * math.sin(a)], [1j * math.sin(a), math.cos(a)]])
     assert np.array_equal(_x_rotation_power(model, dt),
                           functools.reduce(np.kron, [u1] * n, np.ones((1, 1), complex)))
-    orientation = InputOrientation(tuple(angles[:n]))
-    factors = [np.array([math.cos(t / 2), math.sin(t / 2)], dtype=complex)
-               for t in orientation.angles]
-    assert np.array_equal(prepare_input(orientation),
-                          functools.reduce(np.kron, factors, np.ones(1, complex)))
+    for theta, column in zip(thetas, prepare_input(n, thetas).T):
+        half = theta % (2 * math.pi) / 2     # 2 pi itself is 0
+        pair = np.array([math.cos(half), math.sin(half)], dtype=complex)
+        assert np.array_equal(column,
+                              functools.reduce(np.kron, [pair] * n, np.ones(1, complex)))
 
 
 @st.composite

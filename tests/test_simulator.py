@@ -7,7 +7,6 @@ import pytest
 from scipy.linalg import expm
 
 from gaplab import (
-    InputOrientation,
     ParameterError,
     ResourceLimitError,
     SpinModel,
@@ -26,33 +25,46 @@ from conftest import (gate_sequence_unitary, literal_gate_count, naive_tfim,
                       operator_norm, overlap_by_path)
 
 
+def kron_state(n_spins, theta):
+    """Ry(theta)^(x)N |0> by np.kron, site 0 most significant."""
+    pair = np.array([math.cos(theta / 2), math.sin(theta / 2)], dtype=complex)
+    return functools.reduce(np.kron, [pair] * n_spins, np.ones(1, complex))
+
+
 class TestPrepareInput:
     def test_all_zeros(self):
-        psi = prepare_input(InputOrientation.uniform(3, 0.0))
+        [psi] = prepare_input(3, [0.0]).T
         ref = np.zeros(8)
         ref[0] = 1.0
         assert np.allclose(psi, ref)
 
     def test_pi_flips_every_spin(self):
-        psi = prepare_input(InputOrientation.uniform(3, math.pi))
+        [psi] = prepare_input(3, [math.pi]).T
         assert abs(psi[-1]) == pytest.approx(1.0)
         assert np.linalg.norm(psi[:-1]) < 1e-12
 
     def test_equal_superposition(self):
-        psi = prepare_input(InputOrientation((math.pi / 2, math.pi / 2)))
-        assert np.allclose(psi, 0.5)
+        assert np.allclose(prepare_input(2, [math.pi / 2]), 0.5)
 
-    @pytest.mark.parametrize("angles", [(), (0.3,)])
-    def test_fewer_than_two_sites(self, angles):
+    def test_one_contiguous_block(self):
+        # the engine multiplies its propagators into this block; each column's
+        # bits are checked against np.kron in test_properties.py
+        psi = prepare_input(4, [0.1, 0.27 * math.pi, 2.0, 5.9])
+        assert psi.shape == (16, 4) and psi.dtype == complex and psi.flags.c_contiguous
+
+    @pytest.mark.parametrize("n_spins", [0, 1])
+    def test_fewer_than_two_sites(self, n_spins):
         # np.kron's products: none is the unit state, one site its own pair
-        want = functools.reduce(np.kron, [np.array([math.cos(a / 2), math.sin(a / 2)],
-                                                   dtype=complex) for a in angles],
-                                np.ones(1, complex))
-        assert np.array_equal(prepare_input(InputOrientation(angles)), want)
+        assert np.array_equal(prepare_input(n_spins, [0.3])[:, 0], kron_state(n_spins, 0.3))
 
     def test_angles_wrap(self):
-        a = InputOrientation((2 * math.pi + 0.3,)).angles[0]
-        assert a == pytest.approx(0.3)
+        # theta and theta + 2 pi give the same bits (these sums are exact)
+        thetas = np.array([0.75, 2.5, -0.5, -3.0])
+        assert np.array_equal(prepare_input(3, thetas + 2 * math.pi),
+                              prepare_input(3, thetas))
+
+    def test_no_angles_give_no_columns(self):
+        assert prepare_input(3, []).shape == (8, 0)
 
 
 class TestTimeGrid:
@@ -120,8 +132,7 @@ class TestGateSequence:
 class TestPropagatorOverlap:
     def test_zero_time(self):
         model = SpinModel(3, 0.4, 1.0)
-        orientation = InputOrientation.uniform(3, 0.27 * math.pi)
-        [p] = run_time_series(model, TrotterPlan(1, 5), [orientation],
+        [p] = run_time_series(model, TrotterPlan(1, 5), [0.27 * math.pi],
                               TimeGrid(dt=0.5, length=4))
         assert p[0] == 1.0
 
@@ -129,9 +140,8 @@ class TestPropagatorOverlap:
         # two independent internal code paths on the documented working point
         model = SpinModel(4, 0.4, 1.0)
         plan = TrotterPlan(1, 35)
-        orientation = InputOrientation.uniform(4, 0.27 * math.pi)
-        p_gates = overlap_by_path(model, plan, orientation, 1.0, "gates")
-        p_matrix = overlap_by_path(model, plan, orientation, 1.0, "matrix")
+        p_gates = overlap_by_path(model, plan, 0.27 * math.pi, 1.0, "gates")
+        p_matrix = overlap_by_path(model, plan, 0.27 * math.pi, 1.0, "matrix")
         assert abs(p_gates - p_matrix) < 1e-10
 
     @pytest.mark.parametrize("order", [1, 2, 4])
@@ -140,19 +150,17 @@ class TestPropagatorOverlap:
         # P(t) = [cos^2(ht) + sin^2(ht) sin^2(theta)]^N for every order
         n, theta, field = 4, 0.27 * math.pi, 1.0
         model = SpinModel(n, 0.0, field)
-        orientation = InputOrientation.uniform(n, theta)
         plan = TrotterPlan(order, 6)
         for ht in (0.4, 1.1, 2.9):
             ref = (math.cos(field * ht) ** 2
                    + math.sin(field * ht) ** 2 * math.sin(theta) ** 2) ** n
             for path in ("gates", "matrix"):
-                got = overlap_by_path(model, plan, orientation, ht, path)
+                got = overlap_by_path(model, plan, theta, ht, path)
                 assert got == pytest.approx(ref, abs=1e-10)
 
     def test_exact_evolution_is_even_in_time(self):
         h1, h2 = naive_tfim(3, 0.4, 1.0)
-        orientation = InputOrientation.uniform(3, 0.27 * math.pi)
-        psi = prepare_input(orientation)
+        [psi] = prepare_input(3, [0.27 * math.pi]).T
         for t in (0.7, 2.3):
             p = [abs(psi.conj() @ expm(-1j * (h1 + h2) * s) @ psi) ** 2
                  for s in (t, -t)]
@@ -165,14 +173,12 @@ class TestRunTimeSeries:
 
     def test_exact_mode_starts_at_one(self):
         model = SpinModel(3, 0.4, 1.0)
-        [p] = run_time_series(model, TrotterPlan(1, 4),
-                              [InputOrientation.uniform(3, 0.27 * math.pi)], self.grid())
+        [p] = run_time_series(model, TrotterPlan(1, 4), [0.27 * math.pi], self.grid())
         assert p[0] == 1.0
 
     def test_values_in_unit_interval(self):
         model = SpinModel(3, 0.4, 1.0)
-        [p] = run_time_series(model, TrotterPlan(4, 3),
-                              [InputOrientation.uniform(3, 0.4 * math.pi)], self.grid())
+        [p] = run_time_series(model, TrotterPlan(4, 3), [0.4 * math.pi], self.grid())
         assert p.min() >= 0.0 and p.max() <= 1.0
 
     @pytest.mark.parametrize("shots", [None, 64])
@@ -180,29 +186,27 @@ class TestRunTimeSeries:
         # the engine's output is the series itself: a float (K, L) array of
         # probabilities, which starts at P(0) = 1 exactly in exact mode
         model = SpinModel(3, 0.4, 1.0)
-        orientations = [InputOrientation.uniform(3, a) for a in (0.1, 0.9, 2.0)]
-        probs = run_time_series(model, TrotterPlan(4, 3), orientations, self.grid(),
+        thetas = [0.1, 0.9, 2.0]
+        probs = run_time_series(model, TrotterPlan(4, 3), thetas, self.grid(),
                                 shots=shots, seeds=[1, 2, 3])
         assert isinstance(probs, np.ndarray) and probs.dtype == np.float64
-        assert probs.shape == (len(orientations), self.grid().length)
+        assert probs.shape == (len(thetas), self.grid().length)
         assert np.all((probs >= 0.0) & (probs <= 1.0))
         if shots is None:
             assert np.all(probs[:, 0] == 1.0)
 
     def test_shot_mode_deterministic(self):
         model = SpinModel(3, 0.4, 1.0)
-        orientation = InputOrientation.uniform(3, 0.27 * math.pi)
-        runs = [run_time_series(model, TrotterPlan(1, 4), [orientation],
+        runs = [run_time_series(model, TrotterPlan(1, 4), [0.27 * math.pi],
                                 self.grid(), shots=256, seeds=[11])[0]
                 for _ in range(2)]
         assert np.array_equal(runs[0], runs[1])
 
     def test_shot_mode_seed_sensitivity(self):
         model = SpinModel(3, 0.4, 1.0)
-        orientation = InputOrientation.uniform(3, 0.27 * math.pi)
-        [a] = run_time_series(model, TrotterPlan(1, 4), [orientation], self.grid(),
+        [a] = run_time_series(model, TrotterPlan(1, 4), [0.27 * math.pi], self.grid(),
                               shots=256, seeds=[11])
-        [b] = run_time_series(model, TrotterPlan(1, 4), [orientation], self.grid(),
+        [b] = run_time_series(model, TrotterPlan(1, 4), [0.27 * math.pi], self.grid(),
                               shots=256, seeds=[12])
         assert not np.array_equal(a, b)
 
@@ -210,11 +214,10 @@ class TestRunTimeSeries:
         # binomial scatter at 10^6 shots per time direction, 2 * 10^6 pooled,
         # stays within 3 sigma of the exact value
         model = SpinModel(3, 0.4, 1.0)
-        orientation = InputOrientation.uniform(3, 0.27 * math.pi)
         plan = TrotterPlan(1, 4)
-        [exact] = run_time_series(model, plan, [orientation], self.grid())
+        [exact] = run_time_series(model, plan, [0.27 * math.pi], self.grid())
         shots = 10**6
-        [noisy] = run_time_series(model, plan, [orientation], self.grid(),
+        [noisy] = run_time_series(model, plan, [0.27 * math.pi], self.grid(),
                                   shots=shots, seeds=[5])
         sigma = np.sqrt(np.maximum(exact * (1 - exact), 1e-12) / (2 * shots))
         assert np.all(np.abs(noisy - exact) <= 3.0 * sigma + 1e-9)
@@ -225,18 +228,16 @@ class TestRunTimeSeries:
         # whole series in one call, 256 shots per time direction pooled into
         # Bin(512, P), the law of the two directions' Bin(256, P) draws summed
         model = SpinModel(3, 0.4, 1.0)
-        orientation = InputOrientation.uniform(3, 0.27 * math.pi)
         plan = TrotterPlan(1, 4)
-        [exact] = run_time_series(model, plan, [orientation], self.grid())
-        [noisy] = run_time_series(model, plan, [orientation], self.grid(),
+        [exact] = run_time_series(model, plan, [0.27 * math.pi], self.grid())
+        [noisy] = run_time_series(model, plan, [0.27 * math.pi], self.grid(),
                                   shots=256, seeds=[seed])
         drawn = np.random.default_rng(seed).binomial(512, exact) / 512
         assert np.array_equal(noisy, drawn)
 
     def test_shot_mode_start_is_exact(self):
         model = SpinModel(3, 0.4, 1.0)
-        [p] = run_time_series(model, TrotterPlan(1, 4),
-                              [InputOrientation.uniform(3, 0.27 * math.pi)],
+        [p] = run_time_series(model, TrotterPlan(1, 4), [0.27 * math.pi],
                               self.grid(), shots=64, seeds=[3])
         assert p[0] == 1.0
 
@@ -245,35 +246,33 @@ class TestRunTimeSeries:
         # a batch is identical to its own single-orientation run
         model = SpinModel(3, 0.4, 1.0)
         plan = TrotterPlan(2, 4)
-        orientations = [InputOrientation.uniform(3, a) for a in (0.1, 0.9, 2.0)]
+        thetas = [0.1, 0.9, 2.0]
         for shots, seeds in ((None, None), (256, [4, 5, 6])):
-            batch = run_time_series(model, plan, orientations, self.grid(),
+            batch = run_time_series(model, plan, thetas, self.grid(),
                                     shots=shots, seeds=seeds)
-            for k, orientation in enumerate(orientations):
+            for k, theta in enumerate(thetas):
                 [alone] = run_time_series(
-                    model, plan, [orientation], self.grid(), shots=shots,
+                    model, plan, [theta], self.grid(), shots=shots,
                     seeds=None if seeds is None else [seeds[k]])
                 assert np.allclose(batch[k], alone, rtol=0, atol=1e-14)
 
     def test_rejects_mismatched_inputs(self):
         model = SpinModel(3, 0.4, 1.0)
-        orientation = InputOrientation.uniform(3, 0.3)
+        # no angle, a non-finite one, or angles not in a 1-D sequence
+        for thetas in ([], [0.3, math.nan], [[0.3]], 0.3):
+            with pytest.raises(ParameterError):
+                run_time_series(model, TrotterPlan(1, 4), thetas, self.grid())
         with pytest.raises(ParameterError):
-            run_time_series(model, TrotterPlan(1, 4), [], self.grid())
-        with pytest.raises(ParameterError):
-            run_time_series(model, TrotterPlan(1, 4),
-                            [InputOrientation.uniform(2, 0.3)], self.grid())
-        with pytest.raises(ParameterError):
-            run_time_series(model, TrotterPlan(1, 4), [orientation], self.grid(),
+            run_time_series(model, TrotterPlan(1, 4), [0.3], self.grid(),
                             shots=64, seeds=[1, 2])
         with pytest.raises(ParameterError):
-            run_time_series(model, TrotterPlan(1, 4), [orientation], self.grid(),
+            run_time_series(model, TrotterPlan(1, 4), [0.3], self.grid(),
                             shots=0)
         # 2^62 shots per direction pool to 2^63, past numpy's int64 count
         for shots, seeds in ((64, [-1]), (10.5, [1]), (True, [1]), (64, [1.5]),
                              (64, [True]), (2**62, [1])):
             with pytest.raises(ParameterError):
-                run_time_series(model, TrotterPlan(1, 4), [orientation], self.grid(),
+                run_time_series(model, TrotterPlan(1, 4), [0.3], self.grid(),
                                 shots=shots, seeds=seeds)
 
     @pytest.mark.parametrize("n_spins", [MAX_SIMULATED_SPINS + 1, 13])
@@ -285,13 +284,12 @@ class TestRunTimeSeries:
         monkeypatch.setattr(simulator, "trotter_propagator", fail)
         with pytest.raises(ResourceLimitError):
             run_time_series(SpinModel(n_spins, 0.4, 1.0), TrotterPlan(1, 4),
-                            [InputOrientation.uniform(n_spins, 0.3)], self.grid())
+                            [0.3], self.grid())
 
     def test_largest_simulated_chain_runs(self):
         n = MAX_SIMULATED_SPINS
         [p] = run_time_series(SpinModel(n, 0.4, 1.0), TrotterPlan(2, 2),
-                              [InputOrientation.uniform(n, 0.3)],
-                              TimeGrid(dt=0.3, length=2))
+                              [0.3], TimeGrid(dt=0.3, length=2))
         assert 0.0 <= p[1] <= 1.0
 
     def test_one_propagator_per_signed_time(self, monkeypatch):
@@ -311,10 +309,8 @@ class TestRunTimeSeries:
 
         monkeypatch.setattr(simulator, "trotter_propagator", fake)
         grid = TimeGrid(dt=0.3, length=6)
-        orientations = [InputOrientation.uniform(3, 0.3),
-                        InputOrientation((0.1, 0.9, 2.0))]
         batch = run_time_series(SpinModel(3, 0.4, 1.0), TrotterPlan(1, 4),
-                                orientations, grid)
+                                [0.3, 2.0], grid)
         steps = range(1, grid.length)
         assert sorted(calls) == [n * grid.dt for n in steps]
         assert all(isinstance(t, float) and t > 0 for t in calls)
@@ -332,13 +328,9 @@ class TestRunTimeSeries:
         # time of its L = 2800 grid
         model, plan = SpinModel(4, 0.4, 1.0), TrotterPlan(order, 10000)
         grid = TimeGrid(dt=14 * 2 * math.pi / (2800 * 0.005), length=200)
-        orientations = [InputOrientation.uniform(4, 0.1 * math.pi),
-                        InputOrientation.uniform(4, 0.45 * math.pi),
-                        InputOrientation((0.3, 1.2, 2.5, 5.9))]
-        psi = np.stack([functools.reduce(
-            np.kron, [np.array([math.cos(a / 2), math.sin(a / 2)], dtype=complex)
-                      for a in o.angles], np.ones(1, complex)) for o in orientations], axis=1)
-        want = np.ones((len(orientations), grid.length))
+        thetas = [0.1 * math.pi, 0.45 * math.pi, 5.9]
+        psi = np.stack([kron_state(4, theta) for theta in thetas], axis=1)
+        want = np.ones((len(thetas), grid.length))
         for n, t in enumerate(grid.times[1:], start=1):
             step = _step(model, plan.order, t / plan.depth)
             evolved = np.linalg.matrix_power(step, plan.depth) @ psi
@@ -348,10 +340,10 @@ class TestRunTimeSeries:
         propagator_bytes = 16 * model.dim**2
         for per_chunk in (1, 7, grid.length - 1):
             monkeypatch.setattr(simulator, "_CHUNK_BYTES", per_chunk * propagator_bytes)
-            assert np.array_equal(run_time_series(model, plan, orientations, grid), want)
+            assert np.array_equal(run_time_series(model, plan, thetas, grid), want)
             # the shot half: 256 shots per time direction, one Bin(512, P) draw
             seeds = [3, 1, 4]
-            sampled = run_time_series(model, plan, orientations, grid, shots=256,
+            sampled = run_time_series(model, plan, thetas, grid, shots=256,
                                       seeds=seeds)
             for p, w, seed in zip(sampled, want, seeds):
                 assert np.array_equal(p, np.random.default_rng(seed).binomial(512, w) / 512)
@@ -361,11 +353,11 @@ class TestRunTimeSeries:
         # grid's would take 2.5 MB
         model, plan = SpinModel(6, 0.4, 1.0), TrotterPlan(2, 35)
         grid = TimeGrid(dt=0.2, length=40)
-        orientations = [InputOrientation.uniform(6, 0.1 * l) for l in range(5)]
-        run_time_series(model, plan, orientations, grid)      # warm the caches
+        thetas = [0.1 * l for l in range(5)]
+        run_time_series(model, plan, thetas, grid)      # warm the caches
         tracemalloc.start()
         try:
-            run_time_series(model, plan, orientations, grid)
+            run_time_series(model, plan, thetas, grid)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()

@@ -11,7 +11,6 @@ from gaplab import (
     DataError,
     Filter,
     GapSearchConfig,
-    InputOrientation,
     ParameterError,
     SpinModel,
     TimeGrid,
@@ -29,10 +28,11 @@ from gaplab.spectral import MAX_GRID_LENGTH, grid_size, spectrum_to_csv
 from conftest import read_spectrum
 
 
-def exact_return_series(model, orientation, grid):
+def exact_return_series(model, theta, grid):
     """Return probabilities of the exactly evolved chain, from the eigensystem."""
     eig = exact_diagonalize(model)
-    weights = np.abs(eig.overlaps(prepare_input(orientation))) ** 2
+    [psi] = prepare_input(model.n_spins, [theta]).T
+    weights = np.abs(eig.overlaps(psi)) ** 2
     phases = np.exp(-1j * np.outer(grid.times, eig.energies))
     amps = phases @ weights.astype(complex)
     return np.abs(amps) ** 2
@@ -115,8 +115,7 @@ class TestSpectralFunction:
         model = SpinModel(3, 0.4, 1.0)
         filt = Filter.gaussian(0.3)
         grid = default_grid(filt)
-        spec = transform(grid, exact_return_series(
-            model, InputOrientation.uniform(3, 0.27 * math.pi), grid), filt)
+        spec = transform(grid, exact_return_series(model, 0.27 * math.pi, grid), filt)
         assert np.allclose(spec[1:], spec[1:][::-1], atol=1e-12)
 
 
@@ -151,16 +150,17 @@ class TestOracle:
     def setup_method(self):
         self.model = SpinModel(4, 0.4, 1.0)
         self.eig = exact_diagonalize(self.model)
-        self.orientation = InputOrientation.uniform(4, 0.27 * math.pi)
+        self.theta = 0.27 * math.pi
 
     def test_input_weight_is_normalized(self):
-        w = np.abs(self.eig.overlaps(prepare_input(self.orientation))) ** 2
+        [psi] = prepare_input(4, [self.theta]).T
+        w = np.abs(self.eig.overlaps(psi)) ** 2
         assert w.sum() == pytest.approx(1.0, abs=1e-12)
 
     def test_total_weight_near_one(self):
         filt = Filter.gaussian(0.3)
         grid = default_grid(filt)
-        oracles = exact_spectrum_oracle(self.eig, [self.orientation], filt, grid)
+        oracles = exact_spectrum_oracle(self.eig, [self.theta], filt, grid)
         assert oracles.shape == (1, grid.length) and oracles.dtype == float
         oracle = oracles[0]
         assert grid.d_omega * oracle.sum() == pytest.approx(1.0, abs=0.02)
@@ -175,8 +175,8 @@ class TestOracle:
         filt = Filter(family, 0.3)
         grid = default_grid(filt)
         spec = transform(
-            grid, exact_return_series(self.model, self.orientation, grid), filt)
-        [oracle] = exact_spectrum_oracle(self.eig, [self.orientation], filt, grid)
+            grid, exact_return_series(self.model, self.theta, grid), filt)
+        [oracle] = exact_spectrum_oracle(self.eig, [self.theta], filt, grid)
         num = np.sqrt(np.sum((spec - oracle) ** 2))
         den = np.sqrt(np.sum((spec - spec.mean()) ** 2))
         assert num / den < floor
@@ -184,48 +184,48 @@ class TestOracle:
     def test_unfiltered_spectrum_peaks_at_dominant_gap(self):
         grid = TimeGrid(dt=0.25, length=512)
         spec = transform(
-            grid, exact_return_series(self.model, self.orientation, grid), Filter.none())
+            grid, exact_return_series(self.model, self.theta, grid), Filter.none())
         gap = self.eig.energies[1] - self.eig.energies[0]
         om = grid.omegas
         window = (om > 0.5) & (om < om[len(om) // 2])
         peak = np.argmax(np.where(window, spec, -np.inf))
         assert abs(om[peak] - gap) <= grid.d_omega
 
-    def kept_pairs(self, orientation):
+    def kept_pairs(self, theta):
         """The oracle's rule: pairs above 1e-14 of the largest pair weight."""
-        weights = np.abs(self.eig.overlaps(prepare_input(orientation))) ** 2
+        [psi] = prepare_input(4, [theta]).T
+        weights = np.abs(self.eig.overlaps(psi)) ** 2
         pair_w = np.outer(weights, weights).ravel()
         return pair_w > 1e-14 * pair_w.max()
 
-    def union_of_pairs(self, general):
-        """Orientations whose rows read pairs they drop on their own, and the union size.
+    def union_of_pairs(self, plus_state):
+        """Angles whose rows read pairs they drop on their own, and the union size.
 
-        theta = 11 pi/50 keeps 99 of the 100 pairs theta = 0 keeps; a general
-        input keeps more, so that every uniform row reads pairs it drops.
+        theta = 11 pi/50 keeps 99 of the 100 pairs theta = 0 keeps; |+...+>
+        (theta = pi/2) keeps 36 of the 100 a theta = 0.3 row keeps.  100 is all a
+        uniform input reaches: the 10 reflection-symmetric eigenstates, squared.
         """
-        orientations = [InputOrientation.uniform(4, 0.0),
-                        InputOrientation.uniform(4, 11 * math.pi / 50)]
-        if general:
-            orientations.append(InputOrientation((0.3, 1.2, 2.5, 5.9)))
-        kept = [self.kept_pairs(o) for o in orientations]
-        assert [k.sum() for k in kept[:2]] == [100, 99]
+        thetas, counts = ([0.3, math.pi / 2], [100, 36]) if plus_state \
+            else ([0.0, 11 * math.pi / 50], [100, 99])
+        kept = [self.kept_pairs(theta) for theta in thetas]
+        assert [k.sum() for k in kept] == counts
         pairs = np.logical_or.reduce(kept).sum()
-        assert pairs > 100 if general else pairs == 100
-        return orientations, pairs
+        assert pairs == 100
+        return thetas, pairs
 
     @pytest.mark.parametrize("family", ["lorentzian", "gaussian"])
-    @pytest.mark.parametrize("general", [False, True])
-    def test_batch_rows_equal_single_calls(self, family, general):
+    @pytest.mark.parametrize("plus_state", [False, True])
+    def test_batch_rows_equal_single_calls(self, family, plus_state):
         # every row reads the union of the rows' kept pairs; rows must equal
-        # one-orientation calls within 1e-12 of each row's largest value
-        orientations, _ = self.union_of_pairs(general)
+        # one-angle calls within 1e-12 of each row's largest value
+        thetas, _ = self.union_of_pairs(plus_state)
         filt = Filter(family, 0.3)
         grid = default_grid(filt)
-        batch = exact_spectrum_oracle(self.eig, orientations, filt, grid)
-        assert batch.shape == (len(orientations), grid.length)
+        batch = exact_spectrum_oracle(self.eig, thetas, filt, grid)
+        assert batch.shape == (len(thetas), grid.length)
         tolerance = 1e-12 * np.abs(batch).max(axis=1, keepdims=True)
         singles = np.concatenate(
-            [exact_spectrum_oracle(self.eig, [o], filt, grid) for o in orientations])
+            [exact_spectrum_oracle(self.eig, [theta], filt, grid) for theta in thetas])
         assert np.all(np.abs(singles - batch) <= tolerance)
 
     @pytest.mark.parametrize("family", ["lorentzian", "gaussian"])
@@ -234,20 +234,20 @@ class TestOracle:
         # budget; every block size must give one block of the whole grid
         # within 1e-12 of each row's largest value (a one-row block is a
         # matrix-vector product, whose bits differ in the last place)
-        orientations, pairs = self.union_of_pairs(general=True)
+        thetas, pairs = self.union_of_pairs(plus_state=True)
         filt = Filter(family, 0.3)
         grid = default_grid(filt)
         assert grid.length == 188
         monkeypatch.setattr(simulator, "_CHUNK_BYTES", grid.length * pairs * 8)
-        whole = exact_spectrum_oracle(self.eig, orientations, filt, grid)
+        whole = exact_spectrum_oracle(self.eig, thetas, filt, grid)
         tolerance = 1e-12 * np.abs(whole).max(axis=1, keepdims=True)
         # 8-row blocks ending on a 4-row one; 40 rows ending on 28; 43 ending
         # on 16; a budget below one row takes one row at a time
         for budget_rows in (8, 40, 43, 0.1):
             monkeypatch.setattr(simulator, "_CHUNK_BYTES", int(budget_rows * pairs * 8))
-            blocked = exact_spectrum_oracle(self.eig, orientations, filt, grid)
+            blocked = exact_spectrum_oracle(self.eig, thetas, filt, grid)
             assert np.all(np.abs(blocked - whole) <= tolerance)
-            # no orientation: no pair is kept, and the row count must not divide by 0
+            # no angle: no pair is kept, and the row count must not divide by 0
             none = exact_spectrum_oracle(self.eig, [], filt, grid)
             assert none.shape == (0, grid.length) and none.dtype == float
 
@@ -259,21 +259,21 @@ class TestOracle:
         # temporaries would take 6.8 MB
         filt = Filter.lorentzian(0.02)
         grid = default_grid(filt)
-        orientations = [InputOrientation.uniform(4, l * math.pi / 50) for l in range(3)]
-        exact_spectrum_oracle(self.eig, orientations, filt, grid)    # warm up
+        thetas = [l * math.pi / 50 for l in range(3)]
+        exact_spectrum_oracle(self.eig, thetas, filt, grid)    # warm up
         tracemalloc.start()
         try:
-            exact_spectrum_oracle(self.eig, orientations, filt, grid)
+            exact_spectrum_oracle(self.eig, thetas, filt, grid)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
         assert grid.length == 2800
-        assert peak < 6 * simulator._CHUNK_BYTES + len(orientations) * grid.length * 8
+        assert peak < 6 * simulator._CHUNK_BYTES + len(thetas) * grid.length * 8
 
     def test_csv_round_trip(self, tmp_path):
         filt = Filter.gaussian(0.3)
         grid = default_grid(filt)
-        [oracle] = exact_spectrum_oracle(self.eig, [self.orientation], filt, grid)
+        [oracle] = exact_spectrum_oracle(self.eig, [self.theta], filt, grid)
         path = tmp_path / "spec.csv"
         spectrum_to_csv(grid, oracle, filt, path, metadata={"label": "oracle"})
         _, values, back_filt, meta = read_spectrum(path)

@@ -8,8 +8,9 @@ import math
 
 import pytest
 
-from gaplab import (DataError, Filter, GapSearchConfig, InputOrientation,
-                    ParameterError, SpinModel, TimeGrid, TrotterPlan)
+from gaplab import (DataError, Filter, GapSearchConfig, ParameterError, SpinModel,
+                    TimeGrid, TrotterPlan, commutator_norm_bounds, depth_cutoff,
+                    gate_count, prepare_input)
 
 
 @pytest.mark.parametrize("build", [
@@ -28,9 +29,11 @@ from gaplab import (DataError, Filter, GapSearchConfig, InputOrientation,
     pytest.param(lambda: TimeGrid(0.5, 4.0), id="length-float"),
     pytest.param(lambda: Filter.gaussian(math.nan), id="eta-nan"),
     pytest.param(lambda: Filter.lorentzian(math.inf), id="eta-inf"),
-    pytest.param(lambda: InputOrientation((math.nan, 0.1)), id="angle-nan"),
-    pytest.param(lambda: InputOrientation((0.1, -math.inf)), id="angle-inf"),
-    pytest.param(lambda: InputOrientation.uniform(3, math.inf), id="theta-inf"),
+    pytest.param(lambda: prepare_input(3, [math.nan, 0.1]), id="angle-nan"),
+    pytest.param(lambda: prepare_input(3, [0.1, -math.inf]), id="angle-inf"),
+    pytest.param(lambda: prepare_input(3, [math.inf]), id="theta-inf"),
+    pytest.param(lambda: prepare_input(3, 0.1), id="angles-scalar"),
+    pytest.param(lambda: prepare_input(3, [[0.1, 0.2]]), id="angles-2d"),
     pytest.param(lambda: GapSearchConfig(math.nan), id="guess-nan"),
     pytest.param(lambda: GapSearchConfig(math.inf), id="guess-inf"),
     pytest.param(lambda: GapSearchConfig(1.0, initial_window=math.nan),
@@ -45,3 +48,18 @@ from gaplab import (DataError, Filter, GapSearchConfig, InputOrientation,
 def test_rejected_at_construction(build):
     with pytest.raises((ParameterError, DataError)):
         build()
+
+
+@pytest.mark.parametrize("order", [True, 2.0, 4.0, 3, 0])
+@pytest.mark.parametrize("call", [
+    pytest.param(lambda order: commutator_norm_bounds(SpinModel(4, 0.4, 1.0), order),
+                 id="commutator_norm_bounds"),
+    pytest.param(lambda order: gate_count(order, 4), id="gate_count"),
+    pytest.param(lambda order: depth_cutoff(SpinModel(4, 0.4, 1.0), order,
+                                            Filter.gaussian(0.3), 1.0),
+                 id="depth_cutoff"),
+])
+def test_order_is_one_two_or_four(call, order):
+    # as TrotterPlan: a bool is no order, and 2.0 is no integer
+    with pytest.raises(ParameterError, match="order must be 1, 2 or 4"):
+        call(order)
