@@ -88,10 +88,12 @@ def basis_bits(n_spins: int) -> np.ndarray:
 
 
 @functools.lru_cache(maxsize=None)
-def basis_xor_table(n_spins: int) -> np.ndarray:
-    """Basis-index XOR a ^ b over all pairs (a, b) (read-only)."""
+def mirror_classes(n_spins: int) -> np.ndarray:
+    """(2, d_R) classes {r, rev r} under the site reversal j -> N-1-j (read-only): the
+    representatives r <= rev r ascending, then rev r (r itself for a palindrome)."""
     idx = np.arange(2 ** n_spins)
-    out = idx[:, None] ^ idx
+    rev = basis_bits(n_spins) @ (1 << np.arange(n_spins))   # site j read as bit j
+    out = np.stack((idx, rev))[:, idx <= rev]
     out.flags.writeable = False
     return out
 

@@ -12,11 +12,12 @@ directions.  Finite measurement statistics replace each P by a binomial
 draw over the single all-zeros event: `shots` per direction, pooled into one
 Bin(2 shots, P) draw, the law of the two directions' draws summed.
 
-One engine, `run_time_series`, produces every series: it builds the dense
-U_M(t) once per positive time, applies each chunk of them to all K input
-orientations in one contraction and returns the float (K, L) array of P.  The
-gate list (`gate_sequence`, `apply_gates`) describes the circuit a device would
-run; only the tests execute it, as an independent oracle for the dense propagator.
+One engine, `run_time_series`, produces every series: it powers the mirror-even
+block of U_M(t) (`trotter`; every uniform input is even under j -> N-1-j) once per
+positive time, applies each chunk of them to all K inputs in one contraction and
+returns the float (K, L) array of P.  The gate list (`gate_sequence`,
+`apply_gates`) describes the circuit a device would run; only the tests execute
+it, as an independent oracle for the propagator.
 """
 
 from __future__ import annotations
@@ -27,16 +28,16 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ParameterError, ResourceLimitError, is_count
-from .model import SpinModel, basis_bits
+from .model import SpinModel, basis_bits, mirror_classes
 from .trotter import ITERATION_LAYERS, TrotterPlan, trotter_propagator
 
 #: Largest chain the engine simulates: each positive time (P(-t) = P(t) needs no
-#: second one) powers a dense 2^N x 2^N step, about 0.02 s at N = 8 but 1.0-1.1 s at
-#: N = 10 (p = 2, M = 35, one BLAS thread), nearly all of it matrix products.
+#: second one) powers a d_R x d_R mirror block, about 2 ms at N = 8 but 0.11 s at N = 10
+#: (p = 2, M = 35, one BLAS thread, 2-core x86_64 VM), nearly all of it matrix products.
 MAX_SIMULATED_SPINS = 8
 
-#: Bytes of propagators stacked per contraction (16 times at N = 4, one from N = 6 up),
-#: and of line shapes per oracle block.  A 4 MB cap ran no faster and raised the peak RSS.
+#: Bytes of mirror blocks per contraction (40 times at N = 4, 10 at N = 5, 3 at N = 6, one
+#: from N = 7 up) and of line shapes per oracle block; 4 MB ran no faster, with more RSS.
 _CHUNK_BYTES = 2**16
 
 
@@ -102,7 +103,7 @@ class Gate:
 
 
 def gate_sequence(model: SpinModel, plan: TrotterPlan, t: float) -> list:
-    """Full gate list realizing trotter_propagator(model, plan, t).
+    """Full gate list realizing U_M(t), whose mirror block trotter_propagator returns.
 
     Angles are chi_n/M = -2 J t / M per bond and phi_n/M = -2 h t / M per
     site, scaled by the fractions of `trotter.ITERATION_LAYERS`; gates apply
@@ -158,18 +159,20 @@ def run_time_series(model: SpinModel, plan: TrotterPlan, thetas,
     """The float (K, L) array of P on the grid, one row per angle theta_k, exact or
     sampled: P(0) = 1 exactly in exact mode and every value in [0, 1].
 
-    Each of the L - 1 positive times builds one U_M(t); each chunk of them
-    (_CHUNK_BYTES) is stacked and applied to all K input states in one
+    Each input maps once to its mirror coordinates x_i = sqrt(s_i) psi[r_i] (bra
+    conj(x)); each of the L - 1 positive times builds one block of U_M(t), each
+    chunk of them (_CHUNK_BYTES) is stacked and applied to all K inputs in one
     contraction, and the amplitudes are squared and clipped once at the end, so
-    memory is O(chunk dim^2 + dim K + K L).  Shot mode draws, per orientation,
+    memory is O(chunk d_R^2 + 2^N K + K L).  Shot mode draws, per orientation,
     default_rng(seed).binomial(2 shots, p) / (2 shots) over its whole series:
     `shots` per time direction (below 2^62, so the pooled count fits int64).  A
     series depends on its own seed alone; `seeds` holds one seed >= 0 per
     orientation (default 0 for each).
     """
     _check_simulated(model.n_spins)
-    psi = prepare_input(model.n_spins, thetas)
-    k = psi.shape[1]
+    r, partner = mirror_classes(model.n_spins)
+    x = prepare_input(model.n_spins, thetas)[r] * np.sqrt(1.0 + (r != partner))[:, None]
+    k = x.shape[1]
     if not k:
         raise ParameterError("need at least one input orientation")
     if shots is not None and not (is_count(shots, 1) and 2 * shots < 2**63):
@@ -177,14 +180,14 @@ def run_time_series(model: SpinModel, plan: TrotterPlan, thetas,
     seeds = [0] * k if seeds is None else list(seeds)
     if len(seeds) != k or not all(is_count(s, 0) for s in seeds):
         raise ParameterError(f"need one integer seed >= 0 per orientation, got {seeds}")
-    bra = psi.conj()
+    bra = x.conj()
     amp = np.ones((k, grid.length), dtype=complex)
-    chunk, times = max(1, _CHUNK_BYTES // (16 * model.dim**2)), grid.times
+    chunk, times = max(1, _CHUNK_BYTES // (16 * r.size**2)), grid.times
     for start in range(1, grid.length, chunk):
         props = [trotter_propagator(model, plan, t) for t in times[start:start + chunk]]
         stack = np.array(props) if len(props) > 1 else props[0][None]   # one: no copy
         amp[:, start:start + len(props)] = np.einsum("ik,tik->kt", bra,
-                                                     np.matmul(stack, psi))
+                                                     np.matmul(stack, x))
     probs = np.clip(np.abs(amp) ** 2, 0.0, 1.0)
     if shots is not None:
         pooled = 2 * shots       # shots per time direction, both directions pooled

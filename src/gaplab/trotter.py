@@ -6,9 +6,11 @@ The depth-M approximant of e^{-iHt} is U_M(t) = [U(t/M)]^M with a single step
     U2(s) = e^{-iH1 s/2} e^{-iH2 s} e^{-iH1 s/2}
     U4(s) = U2(k s)^2 U2((1-4k) s) U2(k s)^2,   k = (4 - 4^(1/3))^(-1)
 
-Both sub-exponentials are closed forms: H1 is diagonal in the z basis, and entry
-(a, b) of e^{-iH2 s} is one 2^N-entry row (cos/i sin products over the site-bit
-table) read at a XOR b.  2-D products use ndarray.dot: `@`'s zgemm, less dispatch.
+Every step commutes with the site reversal j -> N-1-j, as H1 and H2 do, so steps and
+powers live on the mirror-even block, d_R = 2^(N-1) + 2^(ceil(N/2)-1) of 2^N dimensions,
+in the basis (|r_i> + |rev r_i>)/sqrt(s_i) of `model.mirror_classes` (|r_i> if s_i = 1).
+Both sub-exponentials are closed forms: H1 is diagonal in the z basis, e^{-iH2 s} one
+2^N-entry row read at a XOR b.  2-D products use ndarray.dot: `@`'s zgemm, less dispatch.
 """
 
 from __future__ import annotations
@@ -21,8 +23,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ParameterError, is_count
-from .model import (SpinModel, basis_bits, basis_xor_table, commutator_norm_bounds,
-                    h1_diagonal)
+from .model import (SpinModel, basis_bits, commutator_norm_bounds, h1_diagonal,
+                    mirror_classes)
 
 KAPPA4 = 1.0 / (4.0 - 4.0 ** (1.0 / 3.0))
 
@@ -122,18 +124,27 @@ def gate_count(order: int, n_spins: int) -> int:
     return sum(n_spins - 1 if kind == "zz" else 1 for kind, _ in ITERATION_LAYERS[order])
 
 
-def _x_rotation_power(model: SpinModel, dt: float) -> np.ndarray:
-    """e^{-iH2 dt} = prod_j [cos(h dt) + i sin(h dt) X_j]; entry (a, b) is row[a XOR b],
-    the product of cos(h dt) per equal bit and i sin(h dt) per unequal, site 0 first."""
+@functools.lru_cache(maxsize=64)    # the parts of a step that do not depend on t
+def _mirror_gathers(n_spins: int) -> tuple:
+    r, partner = mirror_classes(n_spins)
+    size = 1.0 + (r != partner)
+    return r[:, None] ^ r, r[:, None] ^ partner, np.sqrt(size[:, None] * size) / 2
+
+
+def _x_rotation_block(model: SpinModel, dt: float) -> np.ndarray:
+    """Mirror block of e^{-iH2 dt} = prod_j [cos(h dt) + i sin(h dt) X_j].  Its entry
+    (a, b) is row[a XOR b], cos(h dt) per equal bit and i sin(h dt) per unequal, site 0
+    first; block entry (i, j) is sqrt(s_i s_j)/2 (row[r_i ^ r_j] + row[r_i ^ rev r_j])."""
     a = model.field * dt
     pair = np.array([math.cos(a), 1j * math.sin(a)])
     row = np.multiply.reduce(pair[basis_bits(model.n_spins)], axis=1)
-    return row[basis_xor_table(model.n_spins)]
+    same, mirrored, weight = _mirror_gathers(model.n_spins)
+    return (row[same] + row[mirrored]) * weight
 
 
-@functools.lru_cache(maxsize=64)    # the parts of a step that do not depend on t
-def _h1_phase(model: SpinModel) -> np.ndarray:
-    return -1j * h1_diagonal(model)
+@functools.lru_cache(maxsize=64)
+def _h1_phase(model: SpinModel) -> np.ndarray:    # H1 is mirror-even: read at each r_i
+    return -1j * h1_diagonal(model)[mirror_classes(model.n_spins)[0]]
 
 
 @functools.lru_cache(maxsize=64)
@@ -142,10 +153,10 @@ def _depth_bits(depth: int) -> tuple:
 
 
 def _step(model: SpinModel, order: int, dt: float) -> np.ndarray:
-    """One product-formula step over time dt (negative dt reverses all angles)."""
+    """Mirror block of one product-formula step (negative dt reverses all angles)."""
     if order < 4:   # order 2 splits the H1 phase in halves around the x layer
         d = np.exp(_h1_phase(model) * (dt / order))
-        step = d[:, None] * _x_rotation_power(model, dt)
+        step = d[:, None] * _x_rotation_block(model, dt)
         return step if order == 1 else step * d[None, :]
     u_k = _step(model, 2, KAPPA4 * dt)
     u_m = _step(model, 2, (1.0 - 4.0 * KAPPA4) * dt)
@@ -154,8 +165,8 @@ def _step(model: SpinModel, order: int, dt: float) -> np.ndarray:
 
 
 def trotter_propagator(model: SpinModel, plan: TrotterPlan, t: float) -> np.ndarray:
-    """U_M(t) = [U(t/M)]^M by square-and-multiply, lowest bit of M first: the
-    products of np.linalg.matrix_power, except U (U U) for its (U U) U at M = 3."""
+    """Mirror block of U_M(t) = [U(t/M)]^M by square-and-multiply, lowest bit of M first:
+    the products of np.linalg.matrix_power, except U (U U) for its (U U) U at M = 3."""
     power, out = _step(model, plan.order, t / plan.depth), None
     for k, bit in enumerate(_depth_bits(plan.depth)):
         power = power.dot(power) if k else power

@@ -8,6 +8,7 @@ omega_m and A_m columns, its filter and its header.
 """
 
 import dataclasses
+import functools
 import importlib.util
 import json
 import sys
@@ -173,15 +174,47 @@ def commutator_mismatch(model):
     return out
 
 
+@functools.lru_cache(maxsize=None)
+def mirror_pairs(n):
+    """(r, rev r) as two read-only arrays: the indices r <= rev r ascending and
+    their images under the site reversal, rebuilt from reversed bit strings."""
+    rev = [int(format(a, f"0{n}b")[::-1], 2) for a in range(2**n)]
+    reps = np.array([a for a in range(2**n) if a <= rev[a]])
+    partners = np.array([rev[r] for r in reps])
+    reps.flags.writeable = partners.flags.writeable = False
+    return reps, partners
+
+
+@functools.lru_cache(maxsize=None)
+def mirror_basis(n):
+    """(2^N, d_R) isometry B onto the mirror-even subspace: column i is
+    (|r_i> + |rev r_i>)/sqrt(s_i), |r_i> alone for a palindrome (read-only)."""
+    reps, partners = mirror_pairs(n)
+    out = np.zeros((2**n, reps.size))
+    out[reps, np.arange(reps.size)] = out[partners, np.arange(reps.size)] = 1.0
+    out /= np.linalg.norm(out, axis=0)
+    out.flags.writeable = False
+    return out
+
+
+def mirror_block(a, n):
+    """B^T A B: the block of a full-space operator on the mirror-even subspace,
+    the basis in which trotter builds its steps and propagators."""
+    b = mirror_basis(n)
+    return b.T @ a @ b
+
+
 def overlap_by_path(model, plan, theta, t, path):
     """|<psi|U_M(t)|psi>|^2 through one named path, for psi = Ry(theta)^(x)N |0>.
 
-    "matrix" powers the dense step, as the production engine does; "gates"
-    streams the circuit, which only the tests execute.
+    "matrix" powers the mirror block of the step, as the production engine
+    does, and maps psi in and out through B; "gates" streams the circuit over
+    the full space, which only the tests execute.
     """
     [psi] = prepare_input(model.n_spins, [theta]).T
     if path == "matrix":
-        evolved = trotter_propagator(model, plan, t) @ psi
+        b = mirror_basis(model.n_spins)
+        evolved = b @ (trotter_propagator(model, plan, t) @ (b.T @ psi))
     else:
         evolved = apply_gates(psi, gate_sequence(model, plan, t), model.n_spins)
     return float(abs(np.vdot(psi, evolved)) ** 2)

@@ -39,8 +39,8 @@ from gaplab import (
     best_record,
 )
 
-from conftest import (commutator_mismatch, operator_norm, overlap_by_path,
-                      pauli_form_commutators, with_eta)
+from conftest import (commutator_mismatch, mirror_basis, mirror_block, operator_norm,
+                      overlap_by_path, pauli_form_commutators, with_eta)
 
 
 def _report(number, text):
@@ -57,6 +57,7 @@ def test_criterion_01_truncation_bound_satisfaction():
         model = SpinModel(n, 0.4, 1.0)
         eig = exact_diagonalize(model)
         [psi] = prepare_input(n, [theta]).T
+        b = mirror_basis(n)      # the propagators act on the mirror-even block
         for p in (1, 2, 4):
             for ht in np.arange(0.5, 6.01, 0.5):
                 phase = np.exp(-1j * eig.energies * ht)
@@ -64,7 +65,7 @@ def test_criterion_01_truncation_bound_satisfaction():
                 rho_exact = np.outer(exact_state, exact_state.conj())
                 for m_depth in (1, 2, 4, 8, 16, 32, 64):
                     plan = TrotterPlan(p, m_depth)
-                    state = trotter_propagator(model, plan, ht) @ psi
+                    state = b @ (trotter_propagator(model, plan, ht) @ (b.T @ psi))
                     rho_err = operator_norm(np.outer(state, state.conj()) - rho_exact)
                     for filt in filters:
                         measured = filter_value(filt, ht) * rho_err
@@ -86,7 +87,7 @@ def test_criterion_02_order_scaling():
     h1, h2 = gaplab.build_hamiltonians(model)
     slopes = {}
     for p, ht in ((1, 1.0), (2, 1.0), (4, 2.0)):
-        exact = expm(-1j * (h1 + h2) * ht)
+        exact = mirror_block(expm(-1j * (h1 + h2) * ht), 3)
         depths = np.array([4, 8, 16, 32])
         errs = [operator_norm(trotter_propagator(model, TrotterPlan(p, int(m)), ht)
                               - exact) for m in depths]

@@ -1,3 +1,11 @@
+"""The gaplab command line, run in process and as the benchmark runs it.
+
+Every row of an `argv` parametrization carries an explicit id, so a row
+inserted later renames no other row's test: the rows written before ids were
+given keep the positional names they had (`argv0`, `argv1`, ...), and a new
+row takes a name of its own.
+"""
+
 import argparse
 import json
 import math
@@ -61,7 +69,9 @@ class TestDepthBound:
         assert int(row[7]) == math.ceil(m_c)
 
     @pytest.mark.parametrize("argv", [
-        ["--t-max", "1e300"], ["--fixed-ht", "1e300"], ["--eps-c", "1e-320"]])
+        pytest.param(["--t-max", "1e300"], id="argv0"),
+        pytest.param(["--fixed-ht", "1e300"], id="argv1"),
+        pytest.param(["--eps-c", "1e-320"], id="argv2")])
     def test_overflowing_budget_refused(self, tmp_path, no_simulation, capsys, argv):
         out = tmp_path / "depth.csv"
         assert run(["depth-bound", *argv, "--out", str(out)]) == 1
@@ -164,9 +174,11 @@ class TestSpectrum:
 
     @pytest.mark.parametrize("command", ["gap", "spectrum", "sweep-theta", "scaling"])
     @pytest.mark.parametrize("argv", [
-        ["--d-omega-over-h", "0"], ["--l-points", "0"],
+        pytest.param(["--d-omega-over-h", "0"], id="argv0"),
+        pytest.param(["--l-points", "0"], id="argv1"),
         # grids longer than MAX_GRID_LENGTH = 2**17
-        ["--d-omega-over-h", "5e-324"], ["--l-points", "131074"]])
+        pytest.param(["--d-omega-over-h", "5e-324"], id="argv2"),
+        pytest.param(["--l-points", "131074"], id="argv3")])
     def test_impossible_grid_refused_before_simulating(self, tmp_path, no_simulation,
                                                        capsys, command, argv):
         out = tmp_path / "x.out"
@@ -287,14 +299,14 @@ class TestScaling:
         assert len(read_table(out)[2]) == 1
 
     @pytest.mark.parametrize("argv", [
-        ["--n-list", "2,3,4,1"],
-        ["--j-list", "0.4,nan"],
+        pytest.param(["--n-list", "2,3,4,1"], id="argv0"),
+        pytest.param(["--j-list", "0.4,nan"], id="argv1"),
         # too few distinct sizes to extrapolate, or a repeated cell
-        ["--n-list", "2,3"],
-        ["--n-list", "2,2,2"],
-        ["--n-list", "2,3,4,4"],
-        ["--j-list", "0.4,0.4"],
-        ["--j-list", ""]])
+        pytest.param(["--n-list", "2,3"], id="argv2"),
+        pytest.param(["--n-list", "2,2,2"], id="argv3"),
+        pytest.param(["--n-list", "2,3,4,4"], id="argv4"),
+        pytest.param(["--j-list", "0.4,0.4"], id="argv5"),
+        pytest.param(["--j-list", ""], id="argv6")])
     def test_every_cell_checked_before_simulating(self, tmp_path, no_simulation, argv):
         out = tmp_path / "d.csv"
         assert run(["scaling", "--exact", *argv, "--out", str(out)]) == 1
@@ -309,11 +321,11 @@ class TestUnfilteredRuns:
                     "0.075", "--out", str(tmp_path / "x.out")]) == 1
 
     @pytest.mark.parametrize("argv", [
-        ["gap", "--d-omega-over-h", "0.1"],
-        ["sweep-theta", "--d-omega-over-h", "0.1"],
-        ["scaling", "--d-omega-over-h", "0.1"],
-        ["spectrum", "--oracle", "--d-omega-over-h", "0.1"],
-        ["gap"]])
+        pytest.param(["gap", "--d-omega-over-h", "0.1"], id="argv0"),
+        pytest.param(["sweep-theta", "--d-omega-over-h", "0.1"], id="argv1"),
+        pytest.param(["scaling", "--d-omega-over-h", "0.1"], id="argv2"),
+        pytest.param(["spectrum", "--oracle", "--d-omega-over-h", "0.1"], id="argv3"),
+        pytest.param(["gap"], id="argv4")])
     def test_zero_broadening_refused_before_simulating(self, tmp_path, no_simulation,
                                                        capsys, argv):
         assert run(argv + ["--exact", "--eta-over-h", "0",
@@ -329,9 +341,9 @@ class TestUnfilteredRuns:
 
 class TestSimulationCap:
     @pytest.mark.parametrize("argv", [
-        ["gap", "--n", "9"],
-        ["sweep-theta", "--n", "9", "--theta-count", "2"],
-        ["scaling", "--n-list", "2,3,9", "--j-list", "0.4"]])
+        pytest.param(["gap", "--n", "9"], id="argv0"),
+        pytest.param(["sweep-theta", "--n", "9", "--theta-count", "2"], id="argv1"),
+        pytest.param(["scaling", "--n-list", "2,3,9", "--j-list", "0.4"], id="argv2")])
     def test_chains_above_the_cap_fail_before_simulating(self, tmp_path, monkeypatch,
                                                          capsys, argv):
         def no_diagonalization(*args, **kwargs):
@@ -349,9 +361,9 @@ class TestSimulationCap:
 
 class TestNonFiniteOrientation:
     @pytest.mark.parametrize("argv", [
-        ["gap", "--theta-over-pi", "nan"],
-        ["gap", "--theta-over-pi", "inf"],
-        ["sweep-theta", "--theta-list", "0.2,nan"]])
+        pytest.param(["gap", "--theta-over-pi", "nan"], id="argv0"),
+        pytest.param(["gap", "--theta-over-pi", "inf"], id="argv1"),
+        pytest.param(["sweep-theta", "--theta-list", "0.2,nan"], id="argv2")])
     def test_rejected_before_simulating(self, tmp_path, no_simulation, argv):
         out = tmp_path / "x.out"
         assert run(argv + ["--exact", "--out", str(out)]) == 1
@@ -360,25 +372,27 @@ class TestNonFiniteOrientation:
 
 class TestSearchWindow:
     @pytest.mark.parametrize("argv", [
-        ["gap", "--initial-window-over-h", "nan"],
-        ["gap", "--max-window-over-h", "nan"],
-        ["gap", "--max-window-over-h", "inf"],
-        ["gap", "--initial-window-over-h", "0.5", "--max-window-over-h", "0.2"],
-        ["sweep-theta", "--max-window-over-h", "nan"],
+        pytest.param(["gap", "--initial-window-over-h", "nan"], id="argv0"),
+        pytest.param(["gap", "--max-window-over-h", "nan"], id="argv1"),
+        pytest.param(["gap", "--max-window-over-h", "inf"], id="argv2"),
+        pytest.param(["gap", "--initial-window-over-h", "0.5",
+                      "--max-window-over-h", "0.2"], id="argv3"),
+        pytest.param(["sweep-theta", "--max-window-over-h", "nan"], id="argv4"),
         # a start above the default cap of 10 eta = 3
-        ["gap", "--initial-window-over-h", "5"],
-        ["sweep-theta", "--initial-window-over-h", "5"],
-        ["scaling", "--initial-window-over-h", "5"],
+        pytest.param(["gap", "--initial-window-over-h", "5"], id="argv5"),
+        pytest.param(["sweep-theta", "--initial-window-over-h", "5"], id="argv6"),
+        pytest.param(["scaling", "--initial-window-over-h", "5"], id="argv7"),
         # a perturbative guess 2h[1 - (1 - 1/N) J/h] <= 0: J/h >= N/(N - 1)
-        ["gap", "--j-over-h", "2"],
-        ["scaling", "--j-list", "2"]])
+        pytest.param(["gap", "--j-over-h", "2"], id="argv8"),
+        pytest.param(["scaling", "--j-list", "2"], id="argv9")])
     def test_rejected_before_simulating(self, tmp_path, no_simulation, argv):
         out = tmp_path / "x.out"
         assert run(argv + ["--exact", "--out", str(out)]) == 1
         assert not out.exists()
 
     @pytest.mark.parametrize("argv, n", [
-        (["gap", "--j-over-h", "2"], 4), (["scaling", "--j-list", "2"], 2)])
+        pytest.param(["gap", "--j-over-h", "2"], 4, id="argv0-4"),
+        pytest.param(["scaling", "--j-list", "2"], 2, id="argv1-2")])
     def test_non_positive_guess_named(self, tmp_path, no_simulation, capsys, argv, n):
         # the refusal names the guess, not the windows the user never set
         assert run(argv + ["--exact", "--out", str(tmp_path / "x.out")]) == 1
@@ -390,28 +404,28 @@ class TestSearchWindow:
 
 class TestEmptyScans:
     @pytest.mark.parametrize("argv", [
-        ["toy", "--eta-list", ""],
-        ["toy", "--lambda-list", ""],
-        ["depth-bound", "--t-points", "0", "--n-points", "0"],
-        ["depth-bound", "--n-points", "0"],
-        ["depth-bound", "--n-points", "-1"],
-        ["depth-bound", "--n-max", "-1"],
-        ["sweep-theta", "--theta-list", ""],
+        pytest.param(["toy", "--eta-list", ""], id="argv0"),
+        pytest.param(["toy", "--lambda-list", ""], id="argv1"),
+        pytest.param(["depth-bound", "--t-points", "0", "--n-points", "0"], id="argv2"),
+        pytest.param(["depth-bound", "--n-points", "0"], id="argv3"),
+        pytest.param(["depth-bound", "--n-points", "-1"], id="argv4"),
+        pytest.param(["depth-bound", "--n-max", "-1"], id="argv5"),
+        pytest.param(["sweep-theta", "--theta-list", ""], id="argv6"),
         # integers beyond a float (M^p, N) or beyond int64 (the size grid)
-        ["gap", "--exact", "--m", str(10**400)],
-        ["gap", "--exact", "--p", "4", "--m", str(10**80)],
-        ["gap", "--exact", "--n", str(10**400)],
-        ["depth-bound", "--n", str(10**400)],
-        ["depth-bound", "--n-max", str(10**19)],
+        pytest.param(["gap", "--exact", "--m", str(10**400)], id="argv7"),
+        pytest.param(["gap", "--exact", "--p", "4", "--m", str(10**80)], id="argv8"),
+        pytest.param(["gap", "--exact", "--n", str(10**400)], id="argv9"),
+        pytest.param(["depth-bound", "--n", str(10**400)], id="argv10"),
+        pytest.param(["depth-bound", "--n-max", str(10**19)], id="argv11"),
         # scan counts numpy refuses at once: beyond its size limit, or 6.9 EiB
-        ["depth-bound", "--t-points", str(10**20)],
-        ["depth-bound", "--n-points", str(10**20)],
-        ["depth-bound", "--t-points", str(10**18)],
-        ["depth-bound", "--n-points", str(10**18)],
+        pytest.param(["depth-bound", "--t-points", str(10**20)], id="argv12"),
+        pytest.param(["depth-bound", "--n-points", str(10**20)], id="argv13"),
+        pytest.param(["depth-bound", "--t-points", str(10**18)], id="argv14"),
+        pytest.param(["depth-bound", "--n-points", str(10**18)], id="argv15"),
         # theta = pi l / 50 repeats with period 100 in l: a count above 100
         # only repeats orientations
-        ["sweep-theta", "--exact", "--theta-count", "101"],
-        ["scaling", "--exact", "--theta-count", "1000"]])
+        pytest.param(["sweep-theta", "--exact", "--theta-count", "101"], id="argv16"),
+        pytest.param(["scaling", "--exact", "--theta-count", "1000"], id="argv17")])
     def test_refused(self, tmp_path, no_simulation, capsys, argv):
         out = tmp_path / "x.out"
         assert run(argv + ["--out", str(out)]) == 1
@@ -428,9 +442,13 @@ class TestEmptyScans:
 
 class TestNegativeSeed:
     @pytest.mark.parametrize("argv", [
-        ["gap"], ["spectrum"], ["sweep-theta", "--theta-count", "2"],
-        ["scaling", "--exact"], ["sweep-theta", "--exact", "--theta-count", "2"],
-        ["gap", "--exact"], ["spectrum", "--exact"]])
+        pytest.param(["gap"], id="argv0"),
+        pytest.param(["spectrum"], id="argv1"),
+        pytest.param(["sweep-theta", "--theta-count", "2"], id="argv2"),
+        pytest.param(["scaling", "--exact"], id="argv3"),
+        pytest.param(["sweep-theta", "--exact", "--theta-count", "2"], id="argv4"),
+        pytest.param(["gap", "--exact"], id="argv5"),
+        pytest.param(["spectrum", "--exact"], id="argv6")])
     def test_refused_before_any_propagator(self, tmp_path, monkeypatch, capsys, argv):
         def refuse(*args, **kwargs):
             raise AssertionError("built a propagator for a refused seed")
@@ -586,28 +604,29 @@ class TestSettings:
             assert samples.read_bytes() == first_samples
 
     @pytest.mark.parametrize("command, argv", [
-        ("depth-bound", ["--p", "1"]),
-        ("depth-bound", ["--m", "35"]),
-        ("depth-bound", ["--filter", "gaussian"]),
-        ("depth-bound", ["--theta-over-pi", "0.27"]),
-        ("depth-bound", ["--shots", "1024"]),
-        ("depth-bound", ["--exact"]),
-        ("depth-bound", ["--seed", "1"]),
-        ("depth-bound", ["--d-omega-over-h", "0.075"]),
-        ("depth-bound", ["--l-points", "188"]),
-        ("depth-bound", ["--initial-window-over-h", "0.6"]),
-        ("depth-bound", ["--max-window-over-h", "3"]),
-        ("spectrum", ["--initial-window-over-h", "0.6"]),
-        ("spectrum", ["--max-window-over-h", "3"]),
-        ("sweep-theta", ["--theta-over-pi", "0.27"]),
-        ("scaling", ["--n", "4"]),
-        ("scaling", ["--j-over-h", "0.4"]),
-        ("scaling", ["--theta-over-pi", "0.27"]),
+        pytest.param("depth-bound", ["--p", "1"], id="depth-bound-argv0"),
+        pytest.param("depth-bound", ["--m", "35"], id="depth-bound-argv1"),
+        pytest.param("depth-bound", ["--filter", "gaussian"], id="depth-bound-argv2"),
+        pytest.param("depth-bound", ["--theta-over-pi", "0.27"], id="depth-bound-argv3"),
+        pytest.param("depth-bound", ["--shots", "1024"], id="depth-bound-argv4"),
+        pytest.param("depth-bound", ["--exact"], id="depth-bound-argv5"),
+        pytest.param("depth-bound", ["--seed", "1"], id="depth-bound-argv6"),
+        pytest.param("depth-bound", ["--d-omega-over-h", "0.075"], id="depth-bound-argv7"),
+        pytest.param("depth-bound", ["--l-points", "188"], id="depth-bound-argv8"),
+        pytest.param("depth-bound", ["--initial-window-over-h", "0.6"],
+                     id="depth-bound-argv9"),
+        pytest.param("depth-bound", ["--max-window-over-h", "3"], id="depth-bound-argv10"),
+        pytest.param("spectrum", ["--initial-window-over-h", "0.6"], id="spectrum-argv11"),
+        pytest.param("spectrum", ["--max-window-over-h", "3"], id="spectrum-argv12"),
+        pytest.param("sweep-theta", ["--theta-over-pi", "0.27"], id="sweep-theta-argv13"),
+        pytest.param("scaling", ["--n", "4"], id="scaling-argv14"),
+        pytest.param("scaling", ["--j-over-h", "0.4"], id="scaling-argv15"),
+        pytest.param("scaling", ["--theta-over-pi", "0.27"], id="scaling-argv16"),
         # no abbreviations: neither the prefix of --n-list nor of --eta-over-h
-        ("scaling", ["--n", "7"]),
-        ("gap", ["--eta", "0.2"]),
+        pytest.param("scaling", ["--n", "7"], id="scaling-argv17"),
+        pytest.param("gap", ["--eta", "0.2"], id="gap-argv18"),
         # --exact and --shots set the same setting
-        ("gap", ["--shots", "64", "--exact"])])
+        pytest.param("gap", ["--shots", "64", "--exact"], id="gap-argv19")])
     def test_unread_flags_refused(self, tmp_path, no_simulation, command, argv):
         out = tmp_path / "x.out"
         with pytest.raises(SystemExit) as exc:

@@ -1,6 +1,8 @@
 """Property tests: the batched propagation engine against the per-gate circuit
-and the decoupled closed form, the closed-form layers against np.kron and the
-square-and-multiply power against np.linalg.matrix_power, the time-reversal
+and the decoupled closed form, the mirror-even block against the full-space
+circuit, the mirror classes against reversed bit strings, the closed-form
+layers against np.kron and the square-and-multiply power against
+np.linalg.matrix_power, the time-reversal
 identity the engine relies on, the FFT transform against the cosine sum and
 a batch of rows against one call per row, the vectorized peak search against
 a per-index scan, `scaling`'s search-only pick against the scored sweep's best
@@ -31,12 +33,14 @@ from gaplab import (DataError, Filter, GapEstimate, GapSearchConfig,
                     trotter_propagator)
 from gaplab.cli import main
 from gaplab.gapfinder import _derived_seed, _windows
+from gaplab.model import mirror_classes
 from gaplab.scaling import Extrapolation, phase_diagram_to_csv
 from gaplab.simulator import prepare_input
 from gaplab.spectral import spectrum_to_csv, transform
-from gaplab.trotter import _step, _x_rotation_power
+from gaplab.trotter import _step, _x_rotation_block
 
-from conftest import overlap_by_path, read_phase_diagram, read_spectrum
+from conftest import (gate_sequence_unitary, mirror_block, mirror_pairs, overlap_by_path,
+                      read_phase_diagram, read_spectrum)
 
 EPS = np.finfo(float).eps
 finite = st.floats(allow_nan=False, allow_infinity=False)
@@ -108,17 +112,74 @@ def test_propagator_is_conjugate_under_time_reversal(case):
        st.lists(st.floats(0.0, 2 * math.pi), min_size=1, max_size=4))
 def test_closed_form_layers_match_kron_products(n, dt, field, thetas):
     # the x-rotation layer reads one row at a XOR b and each input state is a
-    # row product; both multiply the same factors in the same order as np.kron
+    # row product; both multiply the same factors in the same order as np.kron.
+    # The layer's mirror block adds entry (r_i, rev r_j) of that matrix to entry
+    # (r_i, r_j) where r_j is no palindrome and weighs the sum by sqrt(s_i/s_j)
     model = SpinModel(n, 0.4, field)
     a = field * dt
     u1 = np.array([[math.cos(a), 1j * math.sin(a)], [1j * math.sin(a), math.cos(a)]])
-    assert np.array_equal(_x_rotation_power(model, dt),
-                          functools.reduce(np.kron, [u1] * n, np.ones((1, 1), complex)))
+    full = functools.reduce(np.kron, [u1] * n, np.ones((1, 1), complex))
+    reps, partners = mirror_pairs(n)
+    size = 1.0 + (reps != partners)
+    second = np.where(reps == partners, 0.0, full[np.ix_(reps, partners)])
+    assert np.array_equal(_x_rotation_block(model, dt),
+                          (full[np.ix_(reps, reps)] + second) * np.sqrt(size[:, None] / size))
     for theta, column in zip(thetas, prepare_input(n, thetas).T):
         half = theta % (2 * math.pi) / 2     # 2 pi itself is 0
         pair = np.array([math.cos(half), math.sin(half)], dtype=complex)
         assert np.array_equal(column,
                               functools.reduce(np.kron, [pair] * n, np.ones(1, complex)))
+
+
+@st.composite
+def mirror_cases(draw):
+    """(model, plan, t): N = 2..6, p in {1, 2, 4}, M <= 64 and a positive time."""
+    model = SpinModel(draw(st.integers(2, 6)), draw(st.floats(-2.0, 2.0)),
+                      draw(st.floats(0.25, 2.0)))
+    plan = TrotterPlan(draw(st.sampled_from((1, 2, 4))), draw(st.integers(1, 64)))
+    return model, plan, draw(st.floats(0.05, 5.0))
+
+
+@given(mirror_cases())
+def test_propagator_is_mirror_block_of_gate_circuit(case):
+    # the engine powers only the mirror-even block B^T U B of the circuit's
+    # full-space unitary, B the isometry of conftest.mirror_basis
+    model, plan, t = case
+    want = mirror_block(gate_sequence_unitary(model, plan, t), model.n_spins)
+    assert np.abs(trotter_propagator(model, plan, t) - want).max() <= 1e-12
+
+
+@given(mirror_cases(), st.lists(st.floats(0.0, 2 * math.pi), min_size=1, max_size=3))
+def test_engine_rows_match_gate_circuit(case, thetas):
+    # each input enters the block once, as sqrt(s_i) psi[r_i], against the
+    # circuit applied to the whole 2^N statevector
+    model, plan, t = case
+    probs = run_time_series(model, plan, thetas, TimeGrid(dt=t, length=2))
+    for theta, p in zip(thetas, probs):
+        assert p[0] == 1.0
+        assert abs(p[1] - overlap_by_path(model, plan, theta, t, "gates")) <= 1e-12
+
+
+@given(st.integers(2, 12))
+def test_mirror_classes_partition_the_basis(n):
+    reps, partners = mirror_classes(n)
+    assert np.array_equal(reps, mirror_pairs(n)[0])
+    assert np.array_equal(partners, mirror_pairs(n)[1])
+    assert np.all(np.diff(reps) > 0) and np.all(reps <= partners)
+    members = np.concatenate((reps, partners[partners != reps]))
+    assert np.array_equal(np.sort(members), np.arange(2**n))
+    assert reps.size == 2 ** (n - 1) + 2 ** (math.ceil(n / 2) - 1)
+
+
+@given(st.integers(2, 8), st.lists(st.floats(0.0, 2 * math.pi), min_size=1, max_size=4))
+def test_inputs_are_mirror_symmetric_to_rounding(n, thetas):
+    # entry rev a multiplies entry a's site factors in reverse order, so the
+    # two agree up to the N - 1 roundings of each product, not bit for bit;
+    # the engine reads the representative's entry alone
+    columns = prepare_input(n, thetas)
+    reps, partners = mirror_classes(n)
+    a, b = columns[reps], columns[partners]
+    assert np.all(np.abs(a - b) <= (n - 1) * EPS * np.maximum(np.abs(a), np.abs(b)))
 
 
 @st.composite

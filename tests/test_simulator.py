@@ -21,8 +21,8 @@ from gaplab import simulator
 from gaplab.simulator import MAX_SIMULATED_SPINS, apply_gates
 from gaplab.trotter import KAPPA4, _step
 
-from conftest import (gate_sequence_unitary, literal_gate_count, naive_tfim,
-                      operator_norm, overlap_by_path)
+from conftest import (gate_sequence_unitary, literal_gate_count, mirror_block,
+                      mirror_pairs, naive_tfim, operator_norm, overlap_by_path)
 
 
 def kron_state(n_spins, theta):
@@ -116,7 +116,7 @@ class TestGateSequence:
     def test_gate_list_reproduces_propagator(self, order, n, t):
         model = SpinModel(n, 0.4, 1.0)
         plan = TrotterPlan(order, 3)
-        u_gates = gate_sequence_unitary(model, plan, t)
+        u_gates = mirror_block(gate_sequence_unitary(model, plan, t), n)
         u_matrix = trotter_propagator(model, plan, t)
         assert operator_norm(u_gates - u_matrix) < 1e-10
 
@@ -295,7 +295,7 @@ class TestRunTimeSeries:
     def test_one_propagator_per_signed_time(self, monkeypatch):
         # the engine builds U_M(t) for each positive time only: P(-t) = P(t)
         # (U_M(-t) = conj U_M(t) for the real inputs and steps) needs no
-        # second one.  A stand-in propagator g(t)^(1/2) * I returns P = g(t),
+        # second one.  A stand-in mirror block g(t)^(1/2) * I returns P = g(t),
         # which differs between t and -t, so a shifted index, a duplicate call
         # or a call at a negative time shows
         def g(t):
@@ -305,7 +305,7 @@ class TestRunTimeSeries:
 
         def fake(model, plan, t):
             calls.append(t)
-            return math.sqrt(g(t)) * np.eye(model.dim)
+            return math.sqrt(g(t)) * np.eye(mirror_pairs(model.n_spins)[0].size)
 
         monkeypatch.setattr(simulator, "trotter_propagator", fake)
         grid = TimeGrid(dt=0.3, length=6)
@@ -324,12 +324,15 @@ class TestRunTimeSeries:
         # loop it replaced squared and clipped at every time, with the
         # propagator from np.linalg.matrix_power and the state from np.kron,
         # and applied each propagator on its own where the engine contracts a
-        # chunk of them at once.  Criterion 6's chain and depth, every 14th
-        # time of its L = 2800 grid
+        # chunk of them at once.  Both map each state into the mirror block as
+        # sqrt(s_i) psi[r_i], with the classes rebuilt from bit strings.
+        # Criterion 6's chain and depth, every 14th time of its L = 2800 grid
         model, plan = SpinModel(4, 0.4, 1.0), TrotterPlan(order, 10000)
         grid = TimeGrid(dt=14 * 2 * math.pi / (2800 * 0.005), length=200)
         thetas = [0.1 * math.pi, 0.45 * math.pi, 5.9]
-        psi = np.stack([kron_state(4, theta) for theta in thetas], axis=1)
+        reps, partners = mirror_pairs(4)
+        psi = np.stack([kron_state(4, theta) for theta in thetas], axis=1)[reps]
+        psi *= np.sqrt(1.0 + (reps != partners))[:, None]
         want = np.ones((len(thetas), grid.length))
         for n, t in enumerate(grid.times[1:], start=1):
             step = _step(model, plan.order, t / plan.depth)
@@ -337,7 +340,7 @@ class TestRunTimeSeries:
             amp = np.einsum("ik,ik->k", psi.conj(), evolved)
             want[:, n] = np.clip(np.abs(amp) ** 2, 0.0, 1.0)
         # chunks of 1 time, of 7 (the last of the L - 1 = 199 times partial), of all
-        propagator_bytes = 16 * model.dim**2
+        propagator_bytes = 16 * len(reps)**2
         for per_chunk in (1, 7, grid.length - 1):
             monkeypatch.setattr(simulator, "_CHUNK_BYTES", per_chunk * propagator_bytes)
             assert np.array_equal(run_time_series(model, plan, thetas, grid), want)
@@ -349,8 +352,8 @@ class TestRunTimeSeries:
                 assert np.array_equal(p, np.random.default_rng(seed).binomial(512, w) / 512)
 
     def test_memory_holds_one_chunk(self):
-        # at N = 6 a chunk holds one 64 kB propagator; holding all 39 of the
-        # grid's would take 2.5 MB
+        # at N = 6 a chunk holds three 20 kB mirror blocks (d_R = 36); holding
+        # all 39 of the grid's would take 0.8 MB
         model, plan = SpinModel(6, 0.4, 1.0), TrotterPlan(2, 35)
         grid = TimeGrid(dt=0.2, length=40)
         thetas = [0.1 * l for l in range(5)]
