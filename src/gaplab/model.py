@@ -189,13 +189,14 @@ def commutator_norm_bounds(model: SpinModel, order: int) -> BoundSet:
 def perturbative_gap_guess(model: SpinModel) -> float:
     """First-order guess for the lowest paramagnetic gap.
 
-    A single spin flip costs 2h - 2J in the bulk and 2h - J on the two edge
-    sites; averaging over sites gives 2h [1 - (1 - 1/N) J/h].
+    A single spin flip costs 2h - 2|J| in the bulk and 2h - |J| on the two edge
+    sites; averaging over sites gives 2h [1 - (1 - 1/N) |J|/h].  H(J) and H(-J)
+    are unitarily equivalent (X on every other site), so only |J| enters.
     """
-    J, h = model.coupling, model.field
+    J, h = abs(model.coupling), model.field
     return 2.0 * h * (1.0 - (1.0 - 1.0 / model.n_spins) * J / h)
 
 
 def exact_gap_thermodynamic(coupling: float, field: float) -> float:
-    """Band gap at k = 0 in the thermodynamic limit: 2|h - J|."""
-    return 2.0 * abs(field - coupling)
+    """Band gap at k = 0 in the thermodynamic limit: 2|h - |J||."""
+    return 2.0 * abs(field - abs(coupling))

@@ -2,10 +2,10 @@
 
 Gap estimates (N, Delta) at one coupling are regressed against 1/N by ordinary
 least squares; the infinite-chain estimate is the intercept at 1/N = 0 with a
-95% t-distribution confidence band.  The perturbative guess 2(h - J) + 2J/N is
+95% t-distribution confidence band.  The perturbative guess 2(h - |J|) + 2|J|/N is
 exactly linear in 1/N, so it pins the extrapolator: perfect inputs must return
-intercept 2(h - J) with a zero-width band.  The phase diagram is one row per
-coupling, sorted by J/h, beside the exact reference 2|1 - J/h|.
+intercept 2(h - |J|) with a zero-width band.  The phase diagram is one row per
+coupling, sorted by J/h, beside the exact reference 2|1 - |J/h||.
 """
 
 from __future__ import annotations
@@ -79,7 +79,7 @@ def extrapolate(points) -> Extrapolation:
 
 def phase_diagram_to_csv(extrapolations: dict, path, metadata: dict):
     """One row per coupling, sorted by J/h: the intercept, its band and the
-    exact reference 2|1 - J/h|."""
+    exact reference 2|1 - |J/h||."""
     write_table(path, metadata, _COLUMNS,
                 ((float(j), ex.intercept, *ex.confidence_band,
                   exact_gap_thermodynamic(j, 1.0))

@@ -23,6 +23,7 @@ it, as an independent oracle for the propagator.
 from __future__ import annotations
 
 import math
+from collections import namedtuple
 from dataclasses import dataclass
 
 import numpy as np
@@ -93,13 +94,8 @@ def prepare_input(n_spins: int, thetas) -> np.ndarray:
 # --------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class Gate:
-    """rzz(a) = exp(-i a/2 Z Z) on a bond, rx(a) = exp(-i a/2 X) on a site."""
-
-    kind: str
-    sites: tuple
-    angle: float
+#: rzz(a) = exp(-i a/2 Z Z) on a bond, rx(a) = exp(-i a/2 X) on a site.
+Gate = namedtuple("Gate", "kind sites angle")
 
 
 def gate_sequence(model: SpinModel, plan: TrotterPlan, t: float) -> list:
@@ -123,29 +119,21 @@ def gate_sequence(model: SpinModel, plan: TrotterPlan, t: float) -> list:
 
 
 def apply_gates(state: np.ndarray, gates, n_spins: int) -> np.ndarray:
-    """Apply a gate list to a statevector (site 0 = most significant qubit)."""
-    st = np.array(state, dtype=complex).reshape((2,) * n_spins)
+    """Apply a gate list to a (2^N,) state or to each column of a (2^N, K) block
+    (site 0 = most significant qubit); the result has the input's shape."""
+    state = np.array(state, dtype=complex)
+    st = state.reshape((2,) * n_spins + (-1,))
     for g in gates:
-        half = g.angle / 2.0
         if g.kind == "rx":
+            c, s = math.cos(g.angle / 2), -1j * math.sin(g.angle / 2)
             j = g.sites[0]
-            s0 = np.take(st, 0, axis=j)
-            s1 = np.take(st, 1, axis=j)
-            c, s = math.cos(half), math.sin(half)
-            new0 = c * s0 - 1j * s * s1
-            new1 = -1j * s * s0 + c * s1
-            st = np.stack((new0, new1), axis=j)
+            st = np.moveaxis(np.tensordot([[c, s], [s, c]], st, axes=(1, j)), 0, j)
         elif g.kind == "rzz":
-            j, k = g.sites
-            same, diff = np.exp(-1j * half), np.exp(1j * half)
-            idx = [slice(None)] * n_spins
-            for bj in (0, 1):
-                for bk in (0, 1):
-                    idx[j], idx[k] = bj, bk
-                    st[tuple(idx)] *= same if bj == bk else diff
+            phase = np.exp(-0.5j * g.angle * np.array([[1, -1], [-1, 1]]))
+            st = st * np.expand_dims(phase, [a for a in range(st.ndim) if a not in g.sites])
         else:
             raise ParameterError(f"unknown gate kind {g.kind!r}")
-    return st.reshape(-1)
+    return st.reshape(state.shape)
 
 
 # --------------------------------------------------------------------------

@@ -32,6 +32,15 @@ class TwoPeakModel:
             raise ParameterError("relative height must be finite and >= 0")
         if self.filter.family not in ("lorentzian", "gaussian"):
             raise ParameterError("two-peak model needs a lorentzian or gaussian shape")
+        lo, hi = self.bracket
+        if not math.isfinite(hi - lo):
+            raise ParameterError(f"the search bracket [{lo:g}, {hi:g}] is not finite")
+
+    @property
+    def bracket(self) -> tuple:
+        """[c - sep, c + 1.5 sep + 2 eta], the span searched for the tracked maximum."""
+        return (self.center - self.separation,
+                self.center + 1.5 * self.separation + 2.0 * self.filter.eta)
 
 
 def _amplitude(m: TwoPeakModel, omega):
@@ -44,9 +53,8 @@ def peak_shift(m: TwoPeakModel) -> float:
     """Relative displacement |c' - c| / c of the local maximum c' nearest the
     first peak center c; once the broadening merges the two peaks, c' is the
     merged maximum."""
-    width = m.filter.eta
-    lo, hi = m.center - m.separation, m.center + 1.5 * m.separation + 2.0 * width
-    n_pts = min(max(2001, int(40 * (hi - lo) / max(width, 1e-3))), 40001)
+    width, (lo, hi) = m.filter.eta, m.bracket
+    n_pts = int(min(max(2001, 40 * (hi - lo) / max(width, 1e-3)), 40001))
     grid = np.linspace(lo, hi, n_pts)
     interior = local_maxima(_amplitude(m, grid))
     if len(interior) == 0:

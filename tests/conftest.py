@@ -221,14 +221,8 @@ def overlap_by_path(model, plan, theta, t, path):
 
 
 def gate_sequence_unitary(model, plan, t):
-    """Dense matrix assembled by pushing basis columns through the gate list."""
-    gates = gate_sequence(model, plan, t)
-    out = np.empty((model.dim, model.dim), dtype=complex)
-    for col in range(model.dim):
-        e = np.zeros(model.dim, dtype=complex)
-        e[col] = 1.0
-        out[:, col] = apply_gates(e, gates, model.n_spins)
-    return out
+    """Dense matrix of the gate list: the identity's columns pushed through it at once."""
+    return apply_gates(np.eye(model.dim), gate_sequence(model, plan, t), model.n_spins)
 
 
 def literal_gate_count(model, plan):

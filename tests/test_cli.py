@@ -212,6 +212,14 @@ class TestGap:
         # the file is written, and the reason is printed as well
         assert capsys.readouterr().err == f"gaplab: {payload['result']['failure']}\n"
 
+    def test_negative_coupling_guesses_from_abs_coupling(self, tmp_path):
+        # the chain at J/h = -0.4 has the spectrum of J/h = 0.4
+        out = tmp_path / "gap.json"
+        run(["gap", "--exact", "--j-over-h", "-0.4", "--out", str(out)])
+        result = json.loads(out.read_text())["result"]
+        assert result["delta0"] == pytest.approx(1.4)
+        assert result["delta_exact_ed"] == pytest.approx(1.3923086086, abs=1e-9)
+
 
 class TestSweepTheta:
     def test_sweep_structure(self, tmp_path):
@@ -402,6 +410,25 @@ class TestSearchWindow:
         assert "window" not in err
 
 
+class TestOverflowingWidths:
+    # every line shape squares its width (eta, or the gaussian sigma) as a float
+    @pytest.mark.parametrize("argv", [
+        pytest.param(["gap", "--exact", "--eta-over-h", "1e308"], id="gap"),
+        pytest.param(["sweep-theta", "--exact", "--filter", "gaussian",
+                      "--eta-over-h", "1e200", "--theta-count", "2"], id="sweep-theta"),
+        pytest.param(["spectrum", "--exact", "--filter", "lorentzian",
+                      "--eta-over-h", "1e200", "--oracle"], id="spectrum"),
+        pytest.param(["toy", "--eta-list", "1e200"], id="toy"),
+        pytest.param(["depth-bound", "--eta-over-h", "1e308"], id="depth-bound")])
+    def test_refused_in_one_line(self, tmp_path, no_simulation, capsys, argv):
+        out = tmp_path / "x.out"
+        assert run(argv + ["--out", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("gaplab: broadening ") and err.count("\n") == 1
+        assert "pi eta^2 overflows" in err
+        assert not out.exists()
+
+
 class TestEmptyScans:
     @pytest.mark.parametrize("argv", [
         pytest.param(["toy", "--eta-list", ""], id="argv0"),
@@ -535,6 +562,13 @@ class TestToy:
         for family in ("lorentzian", "gaussian"):
             shifts = [float(r[3]) for r in rows if r[2] == family]
             assert shifts == sorted(shifts)
+
+    def test_unbounded_bracket_refused(self, tmp_path, capsys):
+        # c + 1.5 sep + 2 eta overflows at c = 1e308, sep = 0.6 c
+        out = tmp_path / "toy.csv"
+        assert run(["toy", "--center", "1e308", "--out", str(out)]) == 1
+        assert capsys.readouterr().err.startswith("gaplab: the search bracket ")
+        assert not out.exists()
 
     def test_missing_out_is_usage_error(self):
         with pytest.raises(SystemExit) as exc:

@@ -201,3 +201,25 @@ class TestReferenceGaps:
     def test_dispersion_gap(self):
         assert exact_gap_thermodynamic(0.4, 1.0) == pytest.approx(1.2)
         assert exact_gap_thermodynamic(1.0, 1.0) == 0.0
+
+
+class TestNegativeCoupling:
+    # H(J) and H(-J) are unitarily equivalent under X on every other site, so
+    # the spectrum, the guess and the reference all read |J|
+
+    @pytest.mark.parametrize("n", [2, 3, 4, 5])
+    def test_spectrum_even_in_coupling(self, n):
+        e_pos = exact_diagonalize(SpinModel(n, 0.4, 1.0)).energies
+        e_neg = exact_diagonalize(SpinModel(n, -0.4, 1.0)).energies
+        assert np.abs(e_pos - e_neg).max() <= 1e-13
+
+    def test_guess_reads_abs_coupling(self):
+        for n in (2, 4, 9):
+            assert (perturbative_gap_guess(SpinModel(n, -0.4, 1.0))
+                    == perturbative_gap_guess(SpinModel(n, 0.4, 1.0)))
+        assert perturbative_gap_guess(SpinModel(4, -0.4, 1.0)) == pytest.approx(1.4)
+
+    def test_reference_reads_abs_coupling(self):
+        assert exact_gap_thermodynamic(-0.4, 1.0) == pytest.approx(1.2)
+        assert exact_gap_thermodynamic(-1.0, 1.0) == 0.0
+        assert exact_gap_thermodynamic(-1.5, 1.0) == exact_gap_thermodynamic(1.5, 1.0)

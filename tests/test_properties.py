@@ -1,6 +1,7 @@
 """Property tests: the batched propagation engine against the per-gate circuit
 and the decoupled closed form, the mirror-even block against the full-space
-circuit, the mirror classes against reversed bit strings, the closed-form
+circuit, a block of states through the circuit against its columns one at a
+time, the mirror classes against reversed bit strings, the closed-form
 layers against np.kron and the square-and-multiply power against
 np.linalg.matrix_power, the time-reversal
 identity the engine relies on, the FFT transform against the cosine sum and
@@ -35,7 +36,7 @@ from gaplab.cli import main
 from gaplab.gapfinder import _derived_seed, _windows
 from gaplab.model import mirror_classes
 from gaplab.scaling import Extrapolation, phase_diagram_to_csv
-from gaplab.simulator import prepare_input
+from gaplab.simulator import apply_gates, gate_sequence, prepare_input
 from gaplab.spectral import spectrum_to_csv, transform
 from gaplab.trotter import _step, _x_rotation_block
 
@@ -147,6 +148,24 @@ def test_propagator_is_mirror_block_of_gate_circuit(case):
     model, plan, t = case
     want = mirror_block(gate_sequence_unitary(model, plan, t), model.n_spins)
     assert np.abs(trotter_propagator(model, plan, t) - want).max() <= 1e-12
+
+
+@given(st.integers(2, 5), st.integers(1, 4), st.sampled_from((1, 2, 4)), st.integers(1, 4),
+       st.floats(-2.0, 2.0), st.floats(0.05, 5.0), st.integers(0, 2**32 - 1))
+def test_gate_circuit_applies_to_each_column_of_a_block(n, k, order, depth, coupling, t,
+                                                        seed):
+    # a (2^N, K) block goes through the circuit as its K columns do one at a
+    # time, and a (2^N,) state keeps its shape
+    gates = gate_sequence(SpinModel(n, coupling, 1.0), TrotterPlan(order, depth), t)
+    rng = np.random.default_rng(seed)
+    block = rng.normal(size=(2**n, k)) + 1j * rng.normal(size=(2**n, k))
+    block /= np.linalg.norm(block, axis=0)
+    out = apply_gates(block, gates, n)
+    assert out.shape == block.shape
+    for col in range(k):
+        single = apply_gates(block[:, col], gates, n)
+        assert single.shape == (2**n,)
+        assert np.abs(out[:, col] - single).max() <= 1e-14
 
 
 @given(mirror_cases(), st.lists(st.floats(0.0, 2 * math.pi), min_size=1, max_size=3))
@@ -348,12 +367,12 @@ def test_spectrum_csv_round_trip(case):
 @given(st.dictionaries(finite, st.builds(Extrapolation, finite, finite,
                                          st.tuples(finite, finite)), max_size=10))
 def test_phase_diagram_csv_round_trip(extrapolations):
-    # one row per coupling, sorted by J/h, beside the exact reference 2|1 - J/h|
+    # one row per coupling, sorted by J/h, beside the exact reference 2|1 - |J/h||
     with tempfile.TemporaryDirectory() as tmp:
         path = Path(tmp) / "diagram.csv"
         phase_diagram_to_csv(extrapolations, path, metadata={"m": 35})
         back, meta = read_phase_diagram(path)
-    assert back == [(j, ex.intercept, *ex.confidence_band, 2 * abs(1 - j))
+    assert back == [(j, ex.intercept, *ex.confidence_band, 2 * abs(1 - abs(j)))
                     for j, ex in sorted(extrapolations.items())]
     assert meta["m"] == 35
 

@@ -142,6 +142,16 @@ class TestPhaseDiagram:
             assert exact_reference == pytest.approx(2 * (1 - coupling))
             assert gap_infinity == pytest.approx(exact_reference, abs=1e-12)
 
+    def test_reference_of_a_negative_coupling(self, tmp_path):
+        # the chain at -J is the chain at J, so the reference is 2|1 - |J/h||
+        path = tmp_path / "diag.csv"
+        phase_diagram_to_csv({-0.4: extrapolate(perturbative_sample(-0.4))}, path,
+                             metadata={})
+        [(coupling, gap_infinity, _, _, exact_reference)], _ = read_phase_diagram(path)
+        assert coupling == -0.4
+        assert exact_reference == pytest.approx(1.2)
+        assert gap_infinity == pytest.approx(exact_reference, abs=1e-12)
+
     def test_csv_round_trip(self, tmp_path):
         extrapolations = {c: extrapolate(perturbative_sample(c)) for c in (0.2, 0.4)}
         path = tmp_path / "diag.csv"

@@ -38,6 +38,15 @@ class TestTwoPeakSpectrum:
             TwoPeakModel(center=-1.0, separation=0.6, relative_height=0.5,
                          filter=Filter.lorentzian(0.1))
 
+    @pytest.mark.parametrize("center, separation", [
+        pytest.param(1e308, 0.6e308, id="bracket-end"),
+        pytest.param(1.0, 1e308, id="bracket-width")])
+    def test_unbounded_bracket_refused(self, center, separation):
+        # [c - sep, c + 1.5 sep + 2 eta], or its width, overflows
+        with pytest.raises(ParameterError, match="search bracket"):
+            TwoPeakModel(center=center, separation=separation, relative_height=0.5,
+                         filter=Filter.lorentzian(0.1))
+
 
 def scipy_peak_shift(m):
     """Reference: the same grid bracket, maximized by scipy's bounded method."""

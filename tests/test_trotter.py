@@ -1,3 +1,6 @@
+import math
+import sys
+
 import numpy as np
 import pytest
 from scipy.linalg import expm
@@ -128,6 +131,15 @@ class TestFilter:
             Filter("boxcar", 0.1)
         with pytest.raises(ParameterError):
             Filter.lorentzian(-0.1)
+
+    @pytest.mark.parametrize("family", ["lorentzian", "gaussian", "none"])
+    def test_width_whose_square_overflows_refused(self, family):
+        # the line shapes square eta, so pi eta^2 must be a finite float
+        edge = math.sqrt(sys.float_info.max / math.pi)
+        Filter(family, edge * (1 - 1e-15))
+        for eta in (edge * (1 + 1e-15), 1e200, 1e308):
+            with pytest.raises(ParameterError, match="overflows"):
+                Filter(family, eta)
 
     def test_none_means_zero_width(self):
         # a given eta is checked, then dropped: the unfiltered line is a delta
