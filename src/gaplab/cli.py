@@ -165,8 +165,8 @@ def _search(cfg, model):
     positive, its windows checked against eta before simulating."""
     guess = perturbative_gap_guess(model)
     if not guess > 0:
-        raise ParameterError(f"the gap guess 2h[1 - (1 - 1/N) J/h] = {guess:.6g} is not "
-                             f"positive at N = {model.n_spins}, J/h = {model.coupling:g}")
+        raise ParameterError(f"the gap guess 2h[1 - (1 - 1/N) |J|/h] = {guess:.6g} is not"
+                             f" positive at N = {model.n_spins}, J/h = {model.coupling:g}")
     config = GapSearchConfig(guess, cfg["initial_window_over_h"], cfg["max_window_over_h"])
     gapfinder._windows(config, cfg["eta_over_h"])
     return config
@@ -194,8 +194,8 @@ def cmd_depth_bound(cfg, out) -> int:
                              "and --n-max >= 2")
     if not all(map(math.isfinite, (cfg["t_max"], cfg["fixed_ht"]))):
         raise ParameterError("depth-bound needs finite --t-max and --fixed-ht")
-    filters = [Filter.none(), Filter.lorentzian(cfg["eta_over_h"]),
-               Filter.gaussian(cfg["eta_over_h"])]
+    filters = [Filter(family, cfg["eta_over_h"])
+               for family in ("none", "lorentzian", "gaussian")]
     with np.errstate(over="ignore"):    # past the float range: inf, refused below
         n_grid = np.round(_scan("--n-points", np.logspace, math.log10(2),
                                 math.log10(cfg["n_max"]), cfg["n_points"]))

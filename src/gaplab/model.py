@@ -18,7 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DataError, NumericError, ParameterError, ResourceLimitError, is_count
+from .errors import NumericError, ParameterError, ResourceLimitError, is_count
 
 #: Largest chain length for which dense 2^N x 2^N matrices are built.
 MAX_DENSE_SPINS = 12
@@ -69,14 +69,6 @@ class EigenDecomposition:
 
     energies: np.ndarray
     states: np.ndarray
-
-    def overlaps(self, state: np.ndarray) -> np.ndarray:
-        """Coefficients c_u = <u|state> of a vector in the eigenbasis."""
-        state = np.asarray(state, dtype=complex)
-        if state.shape != (self.energies.size,):
-            raise DataError(f"a state of shape {state.shape} has no overlaps in an "
-                            f"eigensystem of dimension {self.energies.size}")
-        return self.states.conj().T @ state
 
 
 @functools.lru_cache(maxsize=None)
@@ -142,13 +134,11 @@ class BoundSet:
     (its exact string expansion sums to strictly less by triangle inequality).
     """
 
-    order: int
     comm_norm: float            # ||[~H1, ~H2]||            <= 4(N-1)
     nested_norm: float          # ||[~Hg, [~H1, ~H2]]||     <= 16(N-1)
     mixed_four_norm: float      # inner pair {1,2}          <= 128(N-2)
     repeated_four_norm: float   # inner pair (1,1) or (2,2) <= 256(N-1)
     prefactor: float            # C^(p), units field^(p+1)
-    constants: dict
 
 
 def commutator_norm_bounds(model: SpinModel, order: int) -> BoundSet:
@@ -164,21 +154,18 @@ def commutator_norm_bounds(model: SpinModel, order: int) -> BoundSet:
 
     if order == 1:
         pref = comm * J * h
-        consts: dict = {}
     elif order == 2:
-        consts = dict(SECOND_ORDER_CONSTANTS)
+        consts = SECOND_ORDER_CONSTANTS
         pref = nested * J * h * (consts[1] * J + consts[2] * h)
     else:
-        consts = dict(FOURTH_ORDER_CONSTANTS)
         pref = 0.0
-        for (g, lam, mu), cc in consts.items():
+        for (g, lam, mu), cc in FOURTH_ORDER_CONSTANTS.items():
             n_j = 1 + [g, lam, mu].count(1)
             n_h = 1 + [g, lam, mu].count(2)
             norm_bound = mixed if lam != mu else repeated
             pref += cc * J**n_j * h**n_h * norm_bound
-    return BoundSet(order=order, comm_norm=comm, nested_norm=nested,
-                    mixed_four_norm=mixed, repeated_four_norm=repeated,
-                    prefactor=pref, constants=consts)
+    return BoundSet(comm_norm=comm, nested_norm=nested, mixed_four_norm=mixed,
+                    repeated_four_norm=repeated, prefactor=pref)
 
 
 # --------------------------------------------------------------------------

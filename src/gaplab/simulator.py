@@ -173,9 +173,8 @@ def run_time_series(model: SpinModel, plan: TrotterPlan, thetas,
     chunk, times = max(1, _CHUNK_BYTES // (16 * r.size**2)), grid.times
     for start in range(1, grid.length, chunk):
         props = [trotter_propagator(model, plan, t) for t in times[start:start + chunk]]
-        stack = np.array(props) if len(props) > 1 else props[0][None]   # one: no copy
         amp[:, start:start + len(props)] = np.einsum("ik,tik->kt", bra,
-                                                     np.matmul(stack, x))
+                                                     np.matmul(np.array(props), x))
     probs = np.clip(np.abs(amp) ** 2, 0.0, 1.0)
     if shots is not None:
         pooled = 2 * shots       # shots per time direction, both directions pooled

@@ -91,11 +91,12 @@ def filter_fourier(filt: Filter, omega):
     if not filt.broadened:
         raise ParameterError("the unfiltered line shape is a delta; need eta > 0")
     w = np.asarray(omega, dtype=float)
-    if filt.family == "lorentzian":
-        out = filt.eta / (math.pi * (w**2 + filt.eta**2))
-    else:
-        s = filt.sigma
-        out = np.exp(-w**2 / (2.0 * s**2)) / (math.sqrt(2.0 * math.pi) * s)
+    with np.errstate(over="ignore"):   # a square past the float range reads as 0
+        if filt.family == "lorentzian":
+            out = filt.eta / (math.pi * (w**2 + filt.eta**2))
+        else:
+            s = filt.sigma
+            out = np.exp(-w**2 / (2.0 * s**2)) / (math.sqrt(2.0 * math.pi) * s)
     return out if out.ndim else float(out)
 
 
@@ -115,8 +116,8 @@ def exact_spectrum_oracle(eig: EigenDecomposition, thetas, filt: Filter,
     memory is one block and O(L).
     """
     dim = eig.energies.size
-    psi = prepare_input(dim.bit_length() - 1, thetas)
-    weights = np.reshape([np.abs(eig.overlaps(s)) ** 2 for s in psi.T], (-1, dim, 1))
+    overlaps = eig.states.conj().T @ prepare_input(dim.bit_length() - 1, thetas)
+    weights = (np.abs(overlaps) ** 2).T[:, :, None]      # (K, dim, 1): |c_u|^2 per row
     pair_w = (weights * weights.transpose(0, 2, 1)).reshape(-1, dim**2)
     union = (pair_w > 1e-14 * pair_w.max(axis=1, keepdims=True)).any(axis=0)
     gaps = np.subtract.outer(eig.energies, eig.energies).ravel()[union]

@@ -93,18 +93,6 @@ class Filter:
     def sigma(self) -> float:
         return self.eta / math.sqrt(2.0 * math.log(2.0))
 
-    @classmethod
-    def lorentzian(cls, eta: float) -> "Filter":
-        return cls("lorentzian", eta)
-
-    @classmethod
-    def gaussian(cls, eta: float) -> "Filter":
-        return cls("gaussian", eta)
-
-    @classmethod
-    def none(cls) -> "Filter":
-        return cls("none", 0.0)
-
 
 def filter_value(filt: Filter, t):
     """F(t) evaluated at |t|; scalar in (0, 1] or an array of such."""

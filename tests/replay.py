@@ -80,47 +80,59 @@ def _lines(run: dict, name: str) -> list:
             else run["outputs"].get(name, "")).splitlines()
 
 
-def first_difference(base: dict, head: dict) -> str | None:
+def _differing_lines(base: dict, head: dict) -> list:
+    """One walk over the printed text and every output file, paired by name and
+    number: (name, number, old line, new line, largest relative difference) per
+    differing pair, then (name, None, old count, new count, None) for a name
+    whose line counts differ (a file only one run wrote has none in the other)."""
+    out = []
+    for name in ("stdout", "stderr", *sorted({*base["outputs"], *head["outputs"]})):
+        old, new = _lines(base, name), _lines(head, name)
+        out.extend((name, number, a, b, largest_relative_difference(a, b))
+                   for number, (a, b) in enumerate(zip(old, new), start=1) if a != b)
+        if len(old) != len(new):
+            out.append((name, None, len(old), len(new), None))
+    return out
+
+
+def first_difference(base: dict, head: dict, lines: list | None = None) -> str | None:
+    """The exit code, else the set of output files, else the first of the
+    `lines` (the pair's _differing_lines, walked here if not given)."""
     if base["exit"] != head["exit"]:
         return f"exit: {base['exit']!r} -> {head['exit']!r}"
     if sorted(base["outputs"]) != sorted(head["outputs"]):
         return f"files: {sorted(base['outputs'])} -> {sorted(head['outputs'])}"
-    for name in ("stdout", "stderr", *sorted(base["outputs"])):
-        old, new = _lines(base, name), _lines(head, name)
-        for number, (a, b) in enumerate(zip(old, new), start=1):
-            if a != b:
-                rel = largest_relative_difference(a, b)
-                return f"{name} line {number}: {a!r} -> {b!r}" + (
-                    "" if rel is None else f"  (largest relative difference {rel:.1e})")
-        if len(old) != len(new):
-            return f"{name}: {len(old)} -> {len(new)} lines"
-    return None
+    lines = _differing_lines(base, head) if lines is None else lines
+    if not lines:
+        return None
+    name, number, a, b, rel = lines[0]
+    if number is None:
+        return f"{name}: {a} -> {b} lines"
+    return f"{name} line {number}: {a!r} -> {b!r}" + (
+        "" if rel is None else f"  (largest relative difference {rel:.1e})")
 
 
-def line_changes(base: dict, head: dict) -> tuple[int, float | None]:
+def line_changes(base: dict, head: dict,
+                 lines: list | None = None) -> tuple[int, float | None]:
     """How many lines differ over the printed text and every output file, paired
     by name and number (a line only one run has counts), and the largest relative
-    difference over the differing pairs; None where no pair holds comparable numbers."""
-    count, worst = 0, None
-    for name in ("stdout", "stderr", *sorted({*base["outputs"], *head["outputs"]})):
-        old, new = _lines(base, name), _lines(head, name)
-        count += abs(len(old) - len(new))
-        for a, b in zip(old, new):
-            if a != b:
-                count += 1
-                rel = largest_relative_difference(a, b)
-                if rel is not None and (worst is None or rel > worst):
-                    worst = rel
-    return count, worst
+    difference over the differing pairs; None where no pair holds comparable numbers.
+    `lines` is the pair's _differing_lines, walked here if not given."""
+    lines = _differing_lines(base, head) if lines is None else lines
+    rels = [rel for *_, rel in lines if rel is not None]
+    return (sum(1 if number else abs(a - b) for _, number, a, b, _ in lines),
+            max(rels, default=None))
 
 
 def report(base: dict, head: dict) -> str:
-    """`identical`, or `differs` with the first difference and the line_changes count."""
-    diff = first_difference(base, head)
+    """`identical`, or `differs` with the first difference and the line_changes
+    count, both read from one walk of the two runs."""
+    lines = _differing_lines(base, head)
+    diff = first_difference(base, head, lines)
     title = f"{'identical' if diff is None else 'differs'}: {' '.join(base['argv'])}"
     if diff is None:
         return title
-    count, worst = line_changes(base, head)
+    count, worst = line_changes(base, head, lines)
     return (f"{title}\n    {diff}\n    differing lines: {count}"
             + ("" if worst is None else f", largest relative difference {worst:.1e}"))
 

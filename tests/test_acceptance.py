@@ -50,7 +50,7 @@ def _report(number, text):
 def test_criterion_01_truncation_bound_satisfaction():
     start = time.time()
     theta = 0.27 * math.pi
-    filters = (Filter.none(), Filter.lorentzian(0.3), Filter.gaussian(0.3))
+    filters = (Filter("none"), Filter("lorentzian", 0.3), Filter("gaussian", 0.3))
     checked = 0
     worst = 0.0
     for n in (2, 3, 4, 5):
@@ -102,10 +102,10 @@ def test_criterion_02_order_scaling():
 
 def test_criterion_03_depth_budget_magnitude():
     model = SpinModel(1000, 0.4, 1.0)
-    _, d_bare = depth_cutoff(model, 1, Filter.none(), 6.0, eps_c=1e-2)
+    _, d_bare = depth_cutoff(model, 1, Filter("none"), 6.0, eps_c=1e-2)
     assert d_bare >= 1e7
-    m_bare, _ = depth_cutoff(model, 1, Filter.none(), 6.0, eps_c=1e-2)
-    m_filt, _ = depth_cutoff(model, 1, Filter.lorentzian(0.3), 6.0, eps_c=1e-2)
+    m_bare, _ = depth_cutoff(model, 1, Filter("none"), 6.0, eps_c=1e-2)
+    m_filt, _ = depth_cutoff(model, 1, Filter("lorentzian", 0.3), 6.0, eps_c=1e-2)
     assert m_filt / m_bare == pytest.approx(math.exp(-1.8), rel=1e-12)
     _report(3, f"D_c(p=1, ht=6, N=1000, unfiltered) = {d_bare:.3e} >= 1e7; "
                f"lorentzian suppression exactly e^-1.8")
@@ -115,7 +115,7 @@ def test_criterion_04_gap_recovery():
     start = time.time()
     model = SpinModel(4, 0.4, 1.0)
     plan = TrotterPlan(1, 35)
-    filt = Filter.gaussian(0.3)
+    filt = Filter("gaussian", 0.3)
     grid = default_grid(filt)
     theta = 0.27 * math.pi
     eig = exact_diagonalize(model)
@@ -143,7 +143,7 @@ def test_criterion_04_gap_recovery():
 def test_criterion_05_spectral_convergence():
     start = time.time()
     model = SpinModel(4, 0.4, 1.0)
-    filt = Filter.gaussian(0.3)
+    filt = Filter("gaussian", 0.3)
     grid = default_grid(filt)
     theta = 0.27 * math.pi
     [oracle] = exact_spectrum_oracle(exact_diagonalize(model), [theta], filt, grid)
@@ -170,7 +170,7 @@ def test_criterion_05_spectral_convergence():
 def test_criterion_06_theta_invariance_unfiltered_regime():
     start = time.time()
     model = SpinModel(4, 0.4, 1.0)
-    filt = Filter.lorentzian(0.02)
+    filt = Filter("lorentzian", 0.02)
     grid = default_grid(filt)
     thetas = [math.pi * l / 50 for l in range(25)]
     records = theta_sweep(model, TrotterPlan(1, 10000), filt, grid, thetas,
@@ -196,7 +196,7 @@ def test_criterion_07_scaling_benchmark():
         assert ex.confidence_band[1] - ex.confidence_band[0] <= 1e-12
 
     eta = 0.3
-    filt = Filter.gaussian(eta)
+    filt = Filter("gaussian", eta)
     grid = default_grid(filt)
     plan = TrotterPlan(1, 35)
     thetas = [math.pi * l / 50 for l in range(25)]
@@ -276,7 +276,7 @@ def test_criterion_10_two_peak_shift():
     for eta in (0.12, 0.2):
         row = [peak_shift(TwoPeakModel(center=1.0, separation=sep,
                                        relative_height=lam,
-                                       filter=Filter.lorentzian(eta)))
+                                       filter=Filter("lorentzian", eta)))
                for lam in (0.25, 0.5, 1.0)]
         assert row[0] <= row[1] <= row[2]
     ratios = np.linspace(0.5, 1.2, 36)

@@ -63,7 +63,7 @@ class TestDepthBound:
         row = next(r for r in rows
                    if r[0] == "t" and r[1] == "1" and r[2] == "none"
                    and float(r[5]) == 2.0)
-        m_c, d_c = depth_cutoff(SpinModel(50, 0.4, 1.0), 1, Filter.none(), 2.0)
+        m_c, d_c = depth_cutoff(SpinModel(50, 0.4, 1.0), 1, Filter("none"), 2.0)
         assert float(row[6]) == pytest.approx(m_c, rel=1e-12)
         assert float(row[8]) == pytest.approx(d_c, rel=1e-12)
         assert int(row[7]) == math.ceil(m_c)
@@ -113,7 +113,7 @@ class TestSpectrum:
         assert columns == ["m", "omega_m", "A_m", "A_oracle"]
         import gaplab
         model = SpinModel(4, 0.4, 1.0)
-        filt = Filter.gaussian(0.3)
+        filt = Filter("gaussian", 0.3)
         grid = gaplab.default_grid(filt)
         [oracle] = gaplab.exact_spectrum_oracle(
             gaplab.exact_diagonalize(model), [0.27 * math.pi], filt, grid)
@@ -200,9 +200,9 @@ class TestGap:
 
     def test_search_failure_exit_code(self, tmp_path, capsys):
         out = tmp_path / "gap.json"
-        # J < 0 skews the perturbative guess to 3.0 while the two-spin
-        # spectrum keeps its peaks at |J| positions: the capped window sits
-        # on a monotone slope and the search must report failure
+        # at N = 2, J/h = -1 the perturbative guess is 1.0 and the ED gap
+        # 1.236: a window capped at +-0.075 about the guess holds no local
+        # maximum, and the search must report failure
         code = run(["gap", "--exact", "--n", "2", "--j-over-h", "-1.0",
                     "--initial-window-over-h", "0.1",
                     "--max-window-over-h", "0.15", "--out", str(out)])
@@ -390,7 +390,7 @@ class TestSearchWindow:
         pytest.param(["gap", "--initial-window-over-h", "5"], id="argv5"),
         pytest.param(["sweep-theta", "--initial-window-over-h", "5"], id="argv6"),
         pytest.param(["scaling", "--initial-window-over-h", "5"], id="argv7"),
-        # a perturbative guess 2h[1 - (1 - 1/N) J/h] <= 0: J/h >= N/(N - 1)
+        # a perturbative guess 2h[1 - (1 - 1/N) |J|/h] <= 0: |J|/h >= N/(N - 1)
         pytest.param(["gap", "--j-over-h", "2"], id="argv8"),
         pytest.param(["scaling", "--j-list", "2"], id="argv9")])
     def test_rejected_before_simulating(self, tmp_path, no_simulation, argv):
@@ -398,16 +398,18 @@ class TestSearchWindow:
         assert run(argv + ["--exact", "--out", str(out)]) == 1
         assert not out.exists()
 
-    @pytest.mark.parametrize("argv, n", [
-        pytest.param(["gap", "--j-over-h", "2"], 4, id="argv0-4"),
-        pytest.param(["scaling", "--j-list", "2"], 2, id="argv1-2")])
-    def test_non_positive_guess_named(self, tmp_path, no_simulation, capsys, argv, n):
+    @pytest.mark.parametrize("argv, n, j, guess", [
+        pytest.param(["gap", "--j-over-h", "2"], 4, "2", "-1", id="argv0-4"),
+        pytest.param(["scaling", "--j-list", "2"], 2, "2", "0", id="argv1-2"),
+        # the guess reads |J|, and so does the formula printed beside it
+        pytest.param(["gap", "--j-over-h", "-2"], 4, "-2", "-1", id="negative-coupling")])
+    def test_non_positive_guess_named(self, tmp_path, no_simulation, capsys, argv, n, j,
+                                      guess):
         # the refusal names the guess, not the windows the user never set
         assert run(argv + ["--exact", "--out", str(tmp_path / "x.out")]) == 1
-        err = capsys.readouterr().err
-        assert err.startswith("gaplab: the gap guess 2h[1 - (1 - 1/N) J/h] = ")
-        assert f"is not positive at N = {n}, J/h = 2\n" in err
-        assert "window" not in err
+        assert capsys.readouterr().err == (
+            f"gaplab: the gap guess 2h[1 - (1 - 1/N) |J|/h] = {guess} is not positive "
+            f"at N = {n}, J/h = {j}\n")
 
 
 class TestOverflowingWidths:
@@ -427,6 +429,21 @@ class TestOverflowingWidths:
         assert err.startswith("gaplab: broadening ") and err.count("\n") == 1
         assert "pi eta^2 overflows" in err
         assert not out.exists()
+
+
+class TestFarOffLineShapes:
+    # a line shape far from its center squares a frequency past the float range,
+    # where it is 0: no numpy warning reaches stderr
+    @pytest.mark.parametrize("argv, code, err", [
+        pytest.param(["toy", "--center", "1e307"], 0, "", id="toy"),
+        pytest.param(["toy", "--center", "1e306"], 1,
+                     "gaplab: no maximum found: broadening too small for the grid\n",
+                     id="toy-no-maximum"),
+        pytest.param(["spectrum", "--exact", "--filter", "lorentzian",
+                      "--eta-over-h", "7e153", "--oracle"], 0, "", id="spectrum")])
+    def test_nothing_printed_beyond_the_refusal(self, tmp_path, capsys, argv, code, err):
+        assert run(argv + ["--out", str(tmp_path / "x.out")]) == code
+        assert capsys.readouterr().err == err
 
 
 class TestEmptyScans:

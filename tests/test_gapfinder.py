@@ -58,27 +58,27 @@ def lineshape_spectrum(center, filt, d_omega=0.01, width=6.0):
 
 class TestFindGap:
     def test_isolated_peak(self):
-        filt = Filter.lorentzian(0.25)
+        filt = Filter("lorentzian", 0.25)
         grid, spec = lineshape_spectrum(1.2, filt)
         est = find_gap(grid, spec, filt, GapSearchConfig(initial_guess=1.3))
         assert abs(est.gap - 1.2) <= grid.d_omega / 2 + 1e-12
         assert est.window_used == pytest.approx(0.5)
 
     def test_widening_reaches_displaced_peak(self):
-        filt = Filter.lorentzian(0.1)
+        filt = Filter("lorentzian", 0.1)
         grid, spec = lineshape_spectrum(2.0, filt)
         est = find_gap(grid, spec, filt, GapSearchConfig(initial_guess=1.7))
         assert abs(est.gap - 2.0) <= grid.d_omega
         assert est.window_used > 0.2
 
     def test_flat_tail_fails_after_widening(self):
-        filt = Filter.lorentzian(0.1)
+        filt = Filter("lorentzian", 0.1)
         grid, spec = lineshape_spectrum(1.0, filt)
         with pytest.raises(GapSearchError):
             find_gap(grid, spec, filt, GapSearchConfig(initial_guess=4.0))
 
     def test_never_returns_zero_frequency(self):
-        filt = Filter.lorentzian(0.3)
+        filt = Filter("lorentzian", 0.3)
         grid, spec = lineshape_spectrum(0.0, filt, width=4.0)
         assert np.argmax(spec) == 0
         with pytest.raises(GapSearchError):
@@ -88,7 +88,7 @@ class TestFindGap:
     def test_validation(self):
         with pytest.raises(ParameterError):
             GapSearchConfig(initial_guess=-1.0)
-        filt = Filter.lorentzian(0.1)
+        filt = Filter("lorentzian", 0.1)
         grid, spec = lineshape_spectrum(1.0, filt)
         with pytest.raises(ParameterError):
             find_gap(grid, spec, filt, GapSearchConfig(
@@ -97,7 +97,7 @@ class TestFindGap:
     def test_refuses_a_spectrum_of_another_grid(self):
         # the default N = 4 spectrum with every other point dropped has a
         # peak at 1.65 on this grid, where its own grid puts the gap at 1.425
-        filt = Filter.gaussian(0.3)
+        filt = Filter("gaussian", 0.3)
         grid = default_grid(filt)
         [p] = run_time_series(SpinModel(4, 0.4, 1.0), TrotterPlan(1, 35),
                               [0.27 * math.pi], grid)
@@ -111,7 +111,7 @@ class TestFindGap:
     def test_oracle_spectrum_recovers_ed_gap(self):
         model = SpinModel(4, 0.4, 1.0)
         eig = exact_diagonalize(model)
-        filt = Filter.gaussian(0.3)
+        filt = Filter("gaussian", 0.3)
         grid = default_grid(filt)
         [oracle] = exact_spectrum_oracle(eig, [0.27 * math.pi], filt, grid)
         est = find_gap(grid, oracle, filt, GapSearchConfig(initial_guess=1.4))
@@ -126,12 +126,12 @@ class TestErrorMeasures:
             gap_error(1.0, 0.0)
 
     def test_spectral_error_identical(self):
-        filt = Filter.lorentzian(0.2)
+        filt = Filter("lorentzian", 0.2)
         _, spec = lineshape_spectrum(1.0, filt)
         assert spectral_error(spec, spec) == 0.0
 
     def test_spectral_error_constant_offset_identity(self):
-        filt = Filter.lorentzian(0.2)
+        filt = Filter("lorentzian", 0.2)
         _, spec = lineshape_spectrum(1.0, filt)
         offset = 0.05
         got = spectral_error(spec, spec + offset)
@@ -141,7 +141,7 @@ class TestErrorMeasures:
         assert got == pytest.approx(ref, rel=1e-12)
 
     def test_spectral_error_guards(self):
-        filt = Filter.lorentzian(0.2)
+        filt = Filter("lorentzian", 0.2)
         _, spec = lineshape_spectrum(1.0, filt)
         with pytest.raises(NumericError):
             spectral_error(np.ones_like(spec), spec)
@@ -152,7 +152,7 @@ class TestErrorMeasures:
 class TestSpectralErrorBound:
     def setup_method(self):
         self.model = SpinModel(4, 0.4, 1.0)
-        self.filt = Filter.gaussian(0.3)
+        self.filt = Filter("gaussian", 0.3)
         self.grid = default_grid(self.filt)
 
     def test_vanishes_at_large_depth(self):
@@ -223,7 +223,7 @@ class TestEmpiricalCutoff:
 class TestThetaSweep:
     def test_records_and_unfavored_zone(self):
         model = SpinModel(4, 0.4, 1.0)
-        filt = Filter.gaussian(0.2)
+        filt = Filter("gaussian", 0.2)
         grid = default_grid(filt)
         thetas = [math.pi * l / 50 for l in range(0, 25, 4)]
         records = theta_sweep(model, TrotterPlan(1, 100), filt, grid, thetas,
@@ -243,7 +243,7 @@ class TestThetaSweep:
         # at theta = 0 the neighbor peak's tail buries the target peak, so a
         # capped window finds no local maximum; theta = 0.27 pi still succeeds
         model = SpinModel(4, 0.4, 1.0)
-        filt = Filter.gaussian(0.3)
+        filt = Filter("gaussian", 0.3)
         grid = default_grid(filt)
         search = GapSearchConfig(initial_guess=1.4, max_window=0.6)
         records = theta_sweep(model, TrotterPlan(1, 35), filt, grid,
@@ -258,7 +258,7 @@ class TestThetaSweep:
 
     def test_shot_mode_records_derived_seeds(self):
         model = SpinModel(3, 0.4, 1.0)
-        filt = Filter.gaussian(0.3)
+        filt = Filter("gaussian", 0.3)
         grid = default_grid(filt)
         records = theta_sweep(model, TrotterPlan(1, 20), filt, grid,
                               [0.2 * math.pi, 0.3 * math.pi], shots=512, seed=4,
@@ -272,7 +272,7 @@ class TestThetaSweep:
         # the neighbor peak's tail drags the estimate as theta -> 0, so the
         # error decays monotonically onto the resolution plateau
         model = SpinModel(4, 0.4, 1.0)
-        filt = Filter.gaussian(0.3)
+        filt = Filter("gaussian", 0.3)
         grid = default_grid(filt)
         thetas = [math.pi * l / 50 for l in range(0, 25, 4)]
         records = theta_sweep(model, TrotterPlan(1, 100), filt, grid, thetas,
@@ -307,11 +307,11 @@ class TestUnfilteredInvariance:
         found = set()
         for theta in (0.1 * math.pi, 0.2 * math.pi, 0.3 * math.pi, 0.45 * math.pi):
             [psi] = prepare_input(3, [theta]).T
-            weights = np.abs(eig.overlaps(psi)) ** 2
+            weights = np.abs(eig.states.conj().T @ psi) ** 2
             amps = np.exp(-1j * np.outer(grid.times, eig.energies)) \
                 @ weights.astype(complex)
-            spec = transform(grid, np.abs(amps) ** 2, Filter.none())
-            est = find_gap(grid, spec, Filter.none(), GapSearchConfig(
+            spec = transform(grid, np.abs(amps) ** 2, Filter("none"))
+            est = find_gap(grid, spec, Filter("none"), GapSearchConfig(
                 initial_guess=perturbative_gap_guess(model),
                 initial_window=0.5, max_window=0.5))
             found.add(round(est.gap, 12))

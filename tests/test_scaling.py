@@ -112,7 +112,7 @@ class TestBandConvergence:
                             default_grid, theta_sweep)
 
         eta = 0.3
-        filt = Filter.gaussian(eta)
+        filt = Filter("gaussian", eta)
         grid = default_grid(filt)
         thetas = [math.pi * l / 50 for l in range(0, 25, 4)]
         widths = {}

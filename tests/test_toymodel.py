@@ -36,7 +36,7 @@ class TestTwoPeakSpectrum:
             make_model(family="none")
         with pytest.raises(ParameterError):
             TwoPeakModel(center=-1.0, separation=0.6, relative_height=0.5,
-                         filter=Filter.lorentzian(0.1))
+                         filter=Filter("lorentzian", 0.1))
 
     @pytest.mark.parametrize("center, separation", [
         pytest.param(1e308, 0.6e308, id="bracket-end"),
@@ -45,7 +45,7 @@ class TestTwoPeakSpectrum:
         # [c - sep, c + 1.5 sep + 2 eta], or its width, overflows
         with pytest.raises(ParameterError, match="search bracket"):
             TwoPeakModel(center=center, separation=separation, relative_height=0.5,
-                         filter=Filter.lorentzian(0.1))
+                         filter=Filter("lorentzian", 0.1))
 
 
 def scipy_peak_shift(m):
