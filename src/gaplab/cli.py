@@ -192,8 +192,8 @@ def cmd_depth_bound(cfg, out) -> int:
     if min(cfg["t_points"], cfg["n_points"]) < 1 or cfg["n_max"] < 2:
         raise ParameterError("depth-bound needs --t-points and --n-points >= 1 "
                              "and --n-max >= 2")
-    if not all(map(math.isfinite, (cfg["t_max"], cfg["fixed_ht"]))):
-        raise ParameterError("depth-bound needs finite --t-max and --fixed-ht")
+    if not all(0 <= t < math.inf for t in (cfg["t_max"], cfg["fixed_ht"])):
+        raise ParameterError("depth-bound needs finite, non-negative --t-max and --fixed-ht")
     filters = [Filter(family, cfg["eta_over_h"])
                for family in ("none", "lorentzian", "gaussian")]
     with np.errstate(over="ignore"):    # past the float range: inf, refused below

@@ -77,8 +77,8 @@ class Filter:
             raise ParameterError(f"unknown filter family {self.family!r}")
         if not (self.eta >= 0 and math.isfinite(self.eta)):
             raise ParameterError(f"broadening must be finite and >= 0, got {self.eta}")
-        if not math.isfinite(math.pi * self.eta * self.eta):   # the line shapes square eta
-            raise ParameterError(f"broadening {self.eta} is too wide: pi eta^2 overflows")
+        if self.eta and not sys.float_info.min <= math.pi * self.eta * self.eta < math.inf:
+            raise ParameterError(f"broadening {self.eta}: pi eta^2 overflows or underflows")
         if self.family == "none":
             object.__setattr__(self, "eta", 0.0)
 

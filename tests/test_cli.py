@@ -78,6 +78,17 @@ class TestDepthBound:
         assert not out.exists()
         assert capsys.readouterr().err.startswith("gaplab:")
 
+    # a budget reads |ht|, so a negative time would get the rows of its magnitude
+    @pytest.mark.parametrize("argv", [
+        pytest.param(["--t-max", "-5", "--t-points", "3", "--n-points", "1"], id="t-max"),
+        pytest.param(["--fixed-ht", "-6"], id="fixed-ht")])
+    def test_negative_time_refused(self, tmp_path, capsys, argv):
+        out = tmp_path / "depth.csv"
+        assert run(["depth-bound", *argv, "--out", str(out)]) == 1
+        assert not out.exists()
+        assert capsys.readouterr().err == (
+            "gaplab: depth-bound needs finite, non-negative --t-max and --fixed-ht\n")
+
 
 class TestSpectrum:
     def test_deterministic_bytes(self, tmp_path):
@@ -421,13 +432,23 @@ class TestOverflowingWidths:
         pytest.param(["spectrum", "--exact", "--filter", "lorentzian",
                       "--eta-over-h", "1e200", "--oracle"], id="spectrum"),
         pytest.param(["toy", "--eta-list", "1e200"], id="toy"),
-        pytest.param(["depth-bound", "--eta-over-h", "1e308"], id="depth-bound")])
+        pytest.param(["depth-bound", "--eta-over-h", "1e308"], id="depth-bound"),
+        # below eta ~ 8.4e-155 pi eta^2 is subnormal or 0, where the line
+        # shapes would come out inf, NaN or off 1/(pi eta)
+        pytest.param(["spectrum", "--exact", "--oracle", "--filter", "lorentzian",
+                      "--eta-over-h", "1e-170", "--d-omega-over-h", "0.1"],
+                     id="spectrum-lorentzian-underflow"),
+        pytest.param(["spectrum", "--exact", "--oracle", "--filter", "gaussian",
+                      "--eta-over-h", "1e-170", "--d-omega-over-h", "0.1"],
+                     id="spectrum-gaussian-underflow"),
+        pytest.param(["toy", "--center", "1e-300", "--eta-list", "1e-301"],
+                     id="toy-underflow")])
     def test_refused_in_one_line(self, tmp_path, no_simulation, capsys, argv):
         out = tmp_path / "x.out"
         assert run(argv + ["--out", str(out)]) == 1
         err = capsys.readouterr().err
         assert err.startswith("gaplab: broadening ") and err.count("\n") == 1
-        assert "pi eta^2 overflows" in err
+        assert "pi eta^2 overflows or underflows" in err
         assert not out.exists()
 
 

@@ -7,7 +7,7 @@ np.linalg.matrix_power, the time-reversal
 identity the engine relies on, the FFT transform against the cosine sum and
 a batch of rows against one call per row, the vectorized peak search against
 a per-index scan, `scaling`'s search-only pick against the scored sweep's best
-record, and file round trips.
+record, the filter width rule across the float range, and file round trips.
 
 Examples are drawn under the derandomized profile loaded in conftest, so a
 run is repeatable.
@@ -18,6 +18,7 @@ import functools
 import io
 import json
 import math
+import sys
 import tempfile
 from pathlib import Path
 
@@ -37,7 +38,7 @@ from gaplab.gapfinder import _derived_seed, _windows
 from gaplab.model import mirror_classes
 from gaplab.scaling import Extrapolation, phase_diagram_to_csv
 from gaplab.simulator import apply_gates, gate_sequence, prepare_input
-from gaplab.spectral import spectrum_to_csv, transform
+from gaplab.spectral import filter_fourier, spectrum_to_csv, transform
 from gaplab.trotter import _step, _x_rotation_block
 
 from conftest import (gate_sequence_unitary, mirror_block, mirror_pairs, overlap_by_path,
@@ -46,10 +47,36 @@ from conftest import (gate_sequence_unitary, mirror_block, mirror_pairs, overlap
 EPS = np.finfo(float).eps
 finite = st.floats(allow_nan=False, allow_infinity=False)
 unit = st.floats(0.0, 1.0)
+# widths Filter accepts: 0, or one whose pi eta^2 is a normal float (eta >~ 8.4e-155)
+widths = st.one_of(st.just(0.0), st.floats(1e-150, 2.0))
 filters = st.one_of(
     st.just(Filter("none")),
-    st.builds(Filter, st.just("lorentzian"), st.floats(0.0, 2.0)),
-    st.builds(Filter, st.just("gaussian"), st.floats(0.0, 2.0)))
+    st.builds(Filter, st.just("lorentzian"), widths),
+    st.builds(Filter, st.just("gaussian"), widths))
+
+
+@given(st.sampled_from(("lorentzian", "gaussian", "none")),
+       st.one_of(st.just(0.0), st.builds(math.ldexp, st.floats(0.5, 1.0, exclude_max=True),
+                                         st.integers(-1073, 1024))))
+@example("lorentzian", math.sqrt(sys.float_info.min / math.pi))
+@example("gaussian", math.sqrt(sys.float_info.max / math.pi))
+def test_width_rule_at_both_ends(family, eta):
+    # eta log-uniform over every positive float: Filter takes exactly 0 and
+    # the widths whose pi eta^2 is a finite normal float, and at those both
+    # line shapes peak at their closed forms 1/(pi eta) and 1/(sqrt(2 pi) sigma)
+    square = math.pi * eta * eta
+    normal = 0 < square < math.inf and math.frexp(square)[1] >= sys.float_info.min_exp
+    try:
+        filt = Filter(family, eta)
+    except ParameterError:
+        assert not (eta == 0 or normal)
+        return
+    assert eta == 0 or normal
+    if filt.broadened:
+        peak = (1 / (math.pi * eta) if family == "lorentzian"
+                else 1 / (math.sqrt(2 * math.pi) * filt.sigma))
+        got = filter_fourier(filt, 0.0)
+        assert math.isfinite(got) and abs(got - peak) <= 1e-12 * peak
 
 
 @st.composite

@@ -144,20 +144,6 @@ class TestPropagatorOverlap:
         p_matrix = overlap_by_path(model, plan, 0.27 * math.pi, 1.0, "matrix")
         assert abs(p_gates - p_matrix) < 1e-10
 
-    @pytest.mark.parametrize("order", [1, 2, 4])
-    def test_zero_coupling_closed_form(self, order):
-        # J = 0 factorizes into independent spins:
-        # P(t) = [cos^2(ht) + sin^2(ht) sin^2(theta)]^N for every order
-        n, theta, field = 4, 0.27 * math.pi, 1.0
-        model = SpinModel(n, 0.0, field)
-        plan = TrotterPlan(order, 6)
-        for ht in (0.4, 1.1, 2.9):
-            ref = (math.cos(field * ht) ** 2
-                   + math.sin(field * ht) ** 2 * math.sin(theta) ** 2) ** n
-            for path in ("gates", "matrix"):
-                got = overlap_by_path(model, plan, theta, ht, path)
-                assert got == pytest.approx(ref, abs=1e-10)
-
     def test_exact_evolution_is_even_in_time(self):
         h1, h2 = naive_tfim(3, 0.4, 1.0)
         [psi] = prepare_input(3, [0.27 * math.pi]).T
