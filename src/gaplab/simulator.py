@@ -57,10 +57,10 @@ class TimeGrid:
     length: int
 
     def __post_init__(self):
-        if not (self.dt > 0 and math.isfinite(self.dt)):
-            raise ParameterError(f"dt must be positive and finite, got {self.dt}")
         if not is_count(self.length, 2) or self.length % 2:
             raise ParameterError(f"length must be even and >= 2, got {self.length}")
+        if not (self.dt > 0 and math.isfinite(self.dt * self.length)):
+            raise ParameterError(f"dt must be positive, L dt finite, got dt = {self.dt}")
 
     @property
     def times(self) -> np.ndarray:

@@ -28,10 +28,10 @@ class TwoPeakModel:
     def __post_init__(self):
         if not (0 < self.center < math.inf and 0 < self.separation < math.inf):
             raise ParameterError("peak center and separation must be positive and finite")
-        if not 0 <= self.relative_height < math.inf:
-            raise ParameterError("relative height must be finite and >= 0")
         if self.filter.family not in ("lorentzian", "gaussian"):
             raise ParameterError("two-peak model needs a lorentzian or gaussian shape")
+        if not 0 <= self.relative_height * filter_fourier(self.filter, 0.0) < math.inf:
+            raise ParameterError("second peak lambda Ftilde(0) must be finite and >= 0")
         lo, hi = self.bracket
         if not math.isfinite(hi - lo):
             raise ParameterError(f"the search bracket [{lo:g}, {hi:g}] is not finite")

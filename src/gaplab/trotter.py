@@ -95,14 +95,15 @@ class Filter:
 
 
 def filter_value(filt: Filter, t):
-    """F(t) evaluated at |t|; scalar in (0, 1] or an array of such."""
+    """F(t) evaluated at |t|; scalar in [0, 1] or an array of such."""
     ta = np.abs(np.asarray(t, dtype=float))
-    if filt.family == "none":
-        out = np.ones_like(ta)
-    elif filt.family == "lorentzian":
-        out = np.exp(-filt.eta * ta)
-    else:
-        out = np.exp(-0.5 * filt.sigma**2 * ta**2)
+    with np.errstate(over="ignore"):    # a product past the float range: F = 0
+        if not filt.broadened:
+            out = np.ones_like(ta)
+        elif filt.family == "lorentzian":
+            out = np.exp(-filt.eta * ta)
+        else:
+            out = np.exp(-0.5 * filt.sigma**2 * ta**2)
     return out if out.ndim else float(out)
 
 

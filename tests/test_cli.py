@@ -1,5 +1,8 @@
 """The gaplab command line, run in process and as the benchmark runs it.
 
+Every refused run goes through one harness, `refused`, which checks it against
+the whole refusal contract of README's "Command line" section.
+
 Every row of an `argv` parametrization carries an explicit id, so a row
 inserted later renames no other row's test: the rows written before ids were
 given keep the positional names they had (`argv0`, `argv1`, ...), and a new
@@ -26,6 +29,7 @@ from gaplab.cli import build_parser, main
 from conftest import PERFBENCH, perfbench_module, read_config_header, read_table
 
 FAST_SPECTRUM = ["--exact", "--eta-over-h", "0.3", "--filter", "gaussian"]
+OUT = ["--out", "x.out"]
 
 
 def run(args):
@@ -33,12 +37,53 @@ def run(args):
 
 
 @pytest.fixture
-def no_simulation(monkeypatch):
-    """Fail the test if the run simulates: a refused run must exit first."""
-    def refuse(*args, **kwargs):
-        raise AssertionError("simulated a run that should have been refused")
-    monkeypatch.setattr("gaplab.cli.run_time_series", refuse)
-    monkeypatch.setattr("gaplab.gapfinder.run_time_series", refuse)
+def refused(tmp_path, monkeypatch, capsys):
+    """`refused(argv, code=1, says="gaplab: ", config=None, engine=False)` runs
+    `gaplab argv` in tmp_path beside an empty directory `sub`, given `config`
+    (a JSON value, or a file's text) with --config cfg.json, and asserts the
+    refusal contract of README's "Command line" section: exit `code`, nothing
+    on stdout, and on stderr one `gaplab: ` line holding `says`, or, where
+    `says` holds ": error: ", the usage line over a last line holding it; no
+    file made, removed or opened to write; no propagator built, no chain
+    diagonalized and, unless `engine` (a row the engine's own checks refuse),
+    no run_time_series call.  It returns the last stderr line."""
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "sub").mkdir()
+
+    def work(*args, **kwargs):
+        raise AssertionError("worked on a run that should have been refused")
+
+    for name in ("simulator.trotter_propagator", "cli.exact_diagonalize",
+                 "gapfinder.exact_diagonalize"):
+        monkeypatch.setattr(f"gaplab.{name}", work)
+    # every output is written through _textio's open
+    monkeypatch.setattr("gaplab._textio.open", work, raising=False)
+
+    def check(argv, code=1, says="gaplab: ", config=None, engine=False):
+        if not engine:
+            monkeypatch.setattr("gaplab.cli.run_time_series", work)
+            monkeypatch.setattr("gaplab.gapfinder.run_time_series", work)
+        if config is not None:
+            text = config if isinstance(config, str) else json.dumps(config)
+            (tmp_path / "cfg.json").write_text(text)
+            argv = [argv[0], "--config", "cfg.json", *argv[1:]]
+        before = sorted(tmp_path.rglob("*"))
+        try:
+            got, usage = main(argv), False
+        except SystemExit as exc:
+            got, usage = exc.code, True
+        out, err = capsys.readouterr()
+        lines = err.splitlines()
+        assert (got, usage, out) == (code, ": error: " in says, ""), err
+        assert sorted(tmp_path.rglob("*")) == before
+        if usage:
+            assert lines[0].startswith("usage: ") and says in lines[-1], err
+        else:
+            assert len(lines) == 1 and lines[0].startswith("gaplab: "), err
+            assert says in lines[0], err
+        return lines[-1]
+
+    return check
 
 
 class TestDepthBound:
@@ -72,22 +117,16 @@ class TestDepthBound:
         pytest.param(["--t-max", "1e300"], id="argv0"),
         pytest.param(["--fixed-ht", "1e300"], id="argv1"),
         pytest.param(["--eps-c", "1e-320"], id="argv2")])
-    def test_overflowing_budget_refused(self, tmp_path, no_simulation, capsys, argv):
-        out = tmp_path / "depth.csv"
-        assert run(["depth-bound", *argv, "--out", str(out)]) == 1
-        assert not out.exists()
-        assert capsys.readouterr().err.startswith("gaplab:")
+    def test_overflowing_budget_refused(self, refused, argv):
+        refused(["depth-bound", *argv, *OUT], says="depth budget overflows")
 
     # a budget reads |ht|, so a negative time would get the rows of its magnitude
     @pytest.mark.parametrize("argv", [
         pytest.param(["--t-max", "-5", "--t-points", "3", "--n-points", "1"], id="t-max"),
         pytest.param(["--fixed-ht", "-6"], id="fixed-ht")])
-    def test_negative_time_refused(self, tmp_path, capsys, argv):
-        out = tmp_path / "depth.csv"
-        assert run(["depth-bound", *argv, "--out", str(out)]) == 1
-        assert not out.exists()
-        assert capsys.readouterr().err == (
-            "gaplab: depth-bound needs finite, non-negative --t-max and --fixed-ht\n")
+    def test_negative_time_refused(self, refused, argv):
+        assert refused(["depth-bound", *argv, *OUT]) == (
+            "gaplab: depth-bound needs finite, non-negative --t-max and --fixed-ht")
 
 
 class TestSpectrum:
@@ -145,57 +184,43 @@ class TestSpectrum:
         peak = omegas[window][np.argmax(values[window])]
         assert abs(peak - 1.3923086086455778) <= 0.005
 
-    def test_unknown_config_key_is_usage_error(self, tmp_path):
-        cfg_file = tmp_path / "cfg.json"
-        cfg_file.write_text(json.dumps({"not_a_key": 1}))
-        with pytest.raises(SystemExit) as exc:
-            run(["spectrum", "--config", str(cfg_file), "--out",
-                 str(tmp_path / "x.csv")])
-        assert exc.value.code == 1
+    def test_unknown_config_key_is_usage_error(self, refused):
+        refused(["spectrum", *OUT], config={"not_a_key": 1},
+                says="gaplab: error: unknown config keys: ['not_a_key']")
 
     @pytest.mark.parametrize("text", ["5", "null", '["n"]', '[["n", 3]]'])
-    def test_config_that_is_not_an_object_is_usage_error(self, tmp_path, capsys,
-                                                          text):
-        cfg_file = tmp_path / "cfg.json"
-        cfg_file.write_text(text)
-        with pytest.raises(SystemExit) as exc:
-            run(["gap", "--config", str(cfg_file), "--out", str(tmp_path / "x.json")])
-        assert exc.value.code == 1
-        assert "config file must hold a JSON object" in capsys.readouterr().err
+    def test_config_that_is_not_an_object_is_usage_error(self, refused, text):
+        refused(["gap", *OUT], config=text,
+                says="gaplab: error: config file must hold a JSON object")
 
-    def test_bad_order_is_usage_error(self, tmp_path):
-        with pytest.raises(SystemExit) as exc:
-            run(["spectrum", "--p", "3", "--out", str(tmp_path / "x.csv")])
-        assert exc.value.code == 1
+    def test_bad_order_is_usage_error(self, refused):
+        refused(["spectrum", "--p", "3", *OUT],
+                says="gaplab spectrum: error: argument --p: invalid choice")
 
-    def test_filter_none_needs_explicit_grid(self, tmp_path, capsys):
-        assert run(["spectrum", "--filter", "none", "--exact",
-                    "--out", str(tmp_path / "x.csv")]) == 1
-        assert "give --d-omega-over-h" in capsys.readouterr().err
+    def test_filter_none_needs_explicit_grid(self, refused):
+        refused(["spectrum", "--filter", "none", "--exact", *OUT],
+                says="; give --d-omega-over-h")
 
     @pytest.mark.parametrize("eta", ["nan", "inf", "-1"])
-    def test_filter_none_checks_eta(self, tmp_path, no_simulation, capsys, eta):
+    def test_filter_none_checks_eta(self, refused, eta):
         # --filter none reads no width, but a bad one is still refused
-        out = tmp_path / "x.csv"
-        assert run(["spectrum", "--filter", "none", "--eta-over-h", eta,
-                    "--d-omega-over-h", "0.1", "--exact", "--out", str(out)]) == 1
-        assert not out.exists()
-        err = capsys.readouterr().err.splitlines()
-        assert len(err) == 1 and err[0].startswith("gaplab:")
+        refused(["spectrum", "--filter", "none", "--eta-over-h", eta,
+                 "--d-omega-over-h", "0.1", "--exact", *OUT],
+                says="broadening must be finite and >= 0")
 
     @pytest.mark.parametrize("command", ["gap", "spectrum", "sweep-theta", "scaling"])
-    @pytest.mark.parametrize("argv", [
-        pytest.param(["--d-omega-over-h", "0"], id="argv0"),
-        pytest.param(["--l-points", "0"], id="argv1"),
+    @pytest.mark.parametrize("argv, says", [
+        pytest.param(["--d-omega-over-h", "0"], "d_omega must be positive", id="argv0"),
+        pytest.param(["--l-points", "0"], "L must be a positive even", id="argv1"),
         # grids longer than MAX_GRID_LENGTH = 2**17
-        pytest.param(["--d-omega-over-h", "5e-324"], id="argv2"),
-        pytest.param(["--l-points", "131074"], id="argv3")])
-    def test_impossible_grid_refused_before_simulating(self, tmp_path, no_simulation,
-                                                       capsys, command, argv):
-        out = tmp_path / "x.out"
-        assert run([command, *argv, "--out", str(out)]) == 1
-        assert not out.exists()
-        assert "give --d-omega-over-h" not in capsys.readouterr().err
+        pytest.param(["--d-omega-over-h", "5e-324"], "needs L > 131072", id="argv2"),
+        pytest.param(["--l-points", "131074"], "up to MAX_GRID_LENGTH", id="argv3"),
+        # a step dt = 2 pi / (L d_omega) whose last time L dt overflows
+        pytest.param(["--l-points", "4", "--d-omega-over-h", "1.6e-308"],
+                     "L dt finite", id="time-overflow")])
+    def test_impossible_grid_refused_before_simulating(self, refused, command, argv,
+                                                       says):
+        assert "give --d-omega-over-h" not in refused([command, *argv, *OUT], says=says)
 
 
 class TestGap:
@@ -317,27 +342,24 @@ class TestScaling:
                     "--theta-count", "2", "--out", str(out)]) == 0
         assert len(read_table(out)[2]) == 1
 
-    @pytest.mark.parametrize("argv", [
-        pytest.param(["--n-list", "2,3,4,1"], id="argv0"),
-        pytest.param(["--j-list", "0.4,nan"], id="argv1"),
+    @pytest.mark.parametrize("argv, says", [
+        pytest.param(["--n-list", "2,3,4,1"], "integer >= 2 spins, got 1", id="argv0"),
+        pytest.param(["--j-list", "0.4,nan"], "coupling must be finite", id="argv1"),
         # too few distinct sizes to extrapolate, or a repeated cell
-        pytest.param(["--n-list", "2,3"], id="argv2"),
-        pytest.param(["--n-list", "2,2,2"], id="argv3"),
-        pytest.param(["--n-list", "2,3,4,4"], id="argv4"),
-        pytest.param(["--j-list", "0.4,0.4"], id="argv5"),
-        pytest.param(["--j-list", ""], id="argv6")])
-    def test_every_cell_checked_before_simulating(self, tmp_path, no_simulation, argv):
-        out = tmp_path / "d.csv"
-        assert run(["scaling", "--exact", *argv, "--out", str(out)]) == 1
-        assert not out.exists()
+        pytest.param(["--n-list", "2,3"], "3 or more distinct sizes", id="argv2"),
+        pytest.param(["--n-list", "2,2,2"], "3 or more distinct sizes", id="argv3"),
+        pytest.param(["--n-list", "2,3,4,4"], "3 or more distinct sizes", id="argv4"),
+        pytest.param(["--j-list", "0.4,0.4"], "distinct couplings", id="argv5"),
+        pytest.param(["--j-list", ""], "distinct couplings", id="argv6")])
+    def test_every_cell_checked_before_simulating(self, refused, argv, says):
+        refused(["scaling", "--exact", *argv, *OUT], says=says)
 
 
 class TestUnfilteredRuns:
     @pytest.mark.parametrize("command", ["gap", "sweep-theta", "scaling"])
-    def test_gap_commands_reject_filter_none_before_simulating(
-            self, tmp_path, no_simulation, command):
-        assert run([command, "--exact", "--filter", "none", "--d-omega-over-h",
-                    "0.075", "--out", str(tmp_path / "x.out")]) == 1
+    def test_gap_commands_reject_filter_none_before_simulating(self, refused, command):
+        refused([command, "--exact", "--filter", "none", "--d-omega-over-h", "0.075",
+                 *OUT], says="need a broadened filter")
 
     @pytest.mark.parametrize("argv", [
         pytest.param(["gap", "--d-omega-over-h", "0.1"], id="argv0"),
@@ -345,11 +367,9 @@ class TestUnfilteredRuns:
         pytest.param(["scaling", "--d-omega-over-h", "0.1"], id="argv2"),
         pytest.param(["spectrum", "--oracle", "--d-omega-over-h", "0.1"], id="argv3"),
         pytest.param(["gap"], id="argv4")])
-    def test_zero_broadening_refused_before_simulating(self, tmp_path, no_simulation,
-                                                       capsys, argv):
-        assert run(argv + ["--exact", "--eta-over-h", "0",
-                           "--out", str(tmp_path / "x.out")]) == 1
-        assert "need a broadened filter" in capsys.readouterr().err
+    def test_zero_broadening_refused_before_simulating(self, refused, argv):
+        refused([*argv, "--exact", "--eta-over-h", "0", *OUT],
+                says="need a broadened filter")
 
     def test_spectrum_accepts_filter_none(self, tmp_path):
         out = tmp_path / "raw.csv"
@@ -359,23 +379,18 @@ class TestUnfilteredRuns:
 
 
 class TestSimulationCap:
-    @pytest.mark.parametrize("argv", [
-        pytest.param(["gap", "--n", "9"], id="argv0"),
-        pytest.param(["sweep-theta", "--n", "9", "--theta-count", "2"], id="argv1"),
-        pytest.param(["scaling", "--n-list", "2,3,9", "--j-list", "0.4"], id="argv2")])
-    def test_chains_above_the_cap_fail_before_simulating(self, tmp_path, monkeypatch,
-                                                         capsys, argv):
-        def no_diagonalization(*args, **kwargs):
-            raise AssertionError("diagonalized a chain it cannot simulate")
-        monkeypatch.setattr("gaplab.gapfinder.exact_diagonalize", no_diagonalization)
-        out = tmp_path / "x.out"
-        assert run(argv + ["--exact", "--out", str(out)]) == 2
-        assert not out.exists()
-        assert "simulation limited to MAX_SIMULATED_SPINS = 8" in capsys.readouterr().err
+    # gap and sweep-theta reach the engine, whose own spin cap refuses the chain
+    @pytest.mark.parametrize("argv, engine", [
+        pytest.param(["gap", "--n", "9"], True, id="argv0"),
+        pytest.param(["sweep-theta", "--n", "9", "--theta-count", "2"], True, id="argv1"),
+        pytest.param(["scaling", "--n-list", "2,3,9", "--j-list", "0.4"], False,
+                     id="argv2")])
+    def test_chains_above_the_cap_fail_before_simulating(self, refused, argv, engine):
+        refused(argv + ["--exact", *OUT], 2,
+                "simulation limited to MAX_SIMULATED_SPINS = 8", engine=engine)
 
-    def test_scaling_checks_every_length_first(self, tmp_path, no_simulation):
-        assert run(["scaling", "--exact", "--n-list", "2,3,9", "--out",
-                    str(tmp_path / "d.csv")]) == 2
+    def test_scaling_checks_every_length_first(self, refused):
+        refused(["scaling", "--exact", "--n-list", "2,3,9", *OUT], 2, "got 9")
 
 
 class TestNonFiniteOrientation:
@@ -383,10 +398,8 @@ class TestNonFiniteOrientation:
         pytest.param(["gap", "--theta-over-pi", "nan"], id="argv0"),
         pytest.param(["gap", "--theta-over-pi", "inf"], id="argv1"),
         pytest.param(["sweep-theta", "--theta-list", "0.2,nan"], id="argv2")])
-    def test_rejected_before_simulating(self, tmp_path, no_simulation, argv):
-        out = tmp_path / "x.out"
-        assert run(argv + ["--exact", "--out", str(out)]) == 1
-        assert not out.exists()
+    def test_rejected_before_simulating(self, refused, argv):
+        refused(argv + ["--exact", *OUT], says="one or more finite angles")
 
 
 class TestSearchWindow:
@@ -404,23 +417,19 @@ class TestSearchWindow:
         # a perturbative guess 2h[1 - (1 - 1/N) |J|/h] <= 0: |J|/h >= N/(N - 1)
         pytest.param(["gap", "--j-over-h", "2"], id="argv8"),
         pytest.param(["scaling", "--j-list", "2"], id="argv9")])
-    def test_rejected_before_simulating(self, tmp_path, no_simulation, argv):
-        out = tmp_path / "x.out"
-        assert run(argv + ["--exact", "--out", str(out)]) == 1
-        assert not out.exists()
+    def test_rejected_before_simulating(self, refused, argv):
+        refused(argv + ["--exact", *OUT])
 
     @pytest.mark.parametrize("argv, n, j, guess", [
         pytest.param(["gap", "--j-over-h", "2"], 4, "2", "-1", id="argv0-4"),
         pytest.param(["scaling", "--j-list", "2"], 2, "2", "0", id="argv1-2"),
         # the guess reads |J|, and so does the formula printed beside it
         pytest.param(["gap", "--j-over-h", "-2"], 4, "-2", "-1", id="negative-coupling")])
-    def test_non_positive_guess_named(self, tmp_path, no_simulation, capsys, argv, n, j,
-                                      guess):
+    def test_non_positive_guess_named(self, refused, argv, n, j, guess):
         # the refusal names the guess, not the windows the user never set
-        assert run(argv + ["--exact", "--out", str(tmp_path / "x.out")]) == 1
-        assert capsys.readouterr().err == (
+        assert refused(argv + ["--exact", *OUT]) == (
             f"gaplab: the gap guess 2h[1 - (1 - 1/N) |J|/h] = {guess} is not positive "
-            f"at N = {n}, J/h = {j}\n")
+            f"at N = {n}, J/h = {j}")
 
 
 class TestOverflowingWidths:
@@ -443,28 +452,42 @@ class TestOverflowingWidths:
                      id="spectrum-gaussian-underflow"),
         pytest.param(["toy", "--center", "1e-300", "--eta-list", "1e-301"],
                      id="toy-underflow")])
-    def test_refused_in_one_line(self, tmp_path, no_simulation, capsys, argv):
-        out = tmp_path / "x.out"
-        assert run(argv + ["--out", str(out)]) == 1
-        err = capsys.readouterr().err
-        assert err.startswith("gaplab: broadening ") and err.count("\n") == 1
-        assert "pi eta^2 overflows or underflows" in err
-        assert not out.exists()
+    def test_refused_in_one_line(self, refused, argv):
+        assert refused(argv + OUT, says="pi eta^2 overflows or underflows").startswith(
+            "gaplab: broadening ")
+
+
+# d_omega = 1e-160, so dt ~ 1.6e160: t^2, and eta t at eta = 1e150, overflow
+FAR_TIMES = ["spectrum", "--exact", "--l-points", "4", "--d-omega-over-h", "1e-160"]
 
 
 class TestFarOffLineShapes:
-    # a line shape far from its center squares a frequency past the float range,
-    # where it is 0: no numpy warning reaches stderr
+    # a line shape or filter far from its center squares a frequency or time
+    # past the float range, where it is 0: no numpy warning reaches stderr
     @pytest.mark.parametrize("argv, code, err", [
         pytest.param(["toy", "--center", "1e307"], 0, "", id="toy"),
         pytest.param(["toy", "--center", "1e306"], 1,
                      "gaplab: no maximum found: broadening too small for the grid\n",
                      id="toy-no-maximum"),
         pytest.param(["spectrum", "--exact", "--filter", "lorentzian",
-                      "--eta-over-h", "7e153", "--oracle"], 0, "", id="spectrum")])
+                      "--eta-over-h", "7e153", "--oracle"], 0, "", id="spectrum"),
+        # F(t) is 0 past the float range, or 1 at zero width
+        pytest.param([*FAR_TIMES, "--filter", "gaussian", "--eta-over-h", "0"], 0, "",
+                     id="filter-zero-width"),
+        pytest.param([*FAR_TIMES, "--filter", "gaussian", "--eta-over-h", "0.3"], 0, "",
+                     id="filter-gaussian"),
+        pytest.param([*FAR_TIMES, "--filter", "lorentzian", "--eta-over-h", "1e150"], 0,
+                     "", id="filter-lorentzian")])
     def test_nothing_printed_beyond_the_refusal(self, tmp_path, capsys, argv, code, err):
         assert run(argv + ["--out", str(tmp_path / "x.out")]) == code
         assert capsys.readouterr().err == err
+
+    def test_unbroadened_filters_agree_past_the_float_range(self, tmp_path):
+        columns = []
+        for filt in (["gaussian", "--eta-over-h", "0"], ["none"]):
+            assert run([*FAR_TIMES, "--filter", *filt, "--out", str(tmp_path / "x")]) == 0
+            columns.append([row[2] for row in read_table(tmp_path / "x")[2]])
+        assert columns[0] == columns[1]
 
 
 class TestEmptyScans:
@@ -490,13 +513,11 @@ class TestEmptyScans:
         # theta = pi l / 50 repeats with period 100 in l: a count above 100
         # only repeats orientations
         pytest.param(["sweep-theta", "--exact", "--theta-count", "101"], id="argv16"),
-        pytest.param(["scaling", "--exact", "--theta-count", "1000"], id="argv17")])
-    def test_refused(self, tmp_path, no_simulation, capsys, argv):
-        out = tmp_path / "x.out"
-        assert run(argv + ["--out", str(out)]) == 1
-        assert not out.exists()
-        err = capsys.readouterr().err
-        assert err.startswith("gaplab:") and err.count("\n") == 1
+        pytest.param(["scaling", "--exact", "--theta-count", "1000"], id="argv17"),
+        # a second line whose peak lambda Ftilde(0) overflows
+        pytest.param(["toy", "--lambda-list", "1e308"], id="lambda-overflow")])
+    def test_refused(self, refused, argv):
+        refused(argv + OUT)
 
     def test_theta_count_up_to_one_period(self):
         # 100 orientations are one whole period of theta = pi l / 50
@@ -506,22 +527,17 @@ class TestEmptyScans:
 
 
 class TestNegativeSeed:
-    @pytest.mark.parametrize("argv", [
-        pytest.param(["gap"], id="argv0"),
-        pytest.param(["spectrum"], id="argv1"),
-        pytest.param(["sweep-theta", "--theta-count", "2"], id="argv2"),
-        pytest.param(["scaling", "--exact"], id="argv3"),
-        pytest.param(["sweep-theta", "--exact", "--theta-count", "2"], id="argv4"),
-        pytest.param(["gap", "--exact"], id="argv5"),
-        pytest.param(["spectrum", "--exact"], id="argv6")])
-    def test_refused_before_any_propagator(self, tmp_path, monkeypatch, capsys, argv):
-        def refuse(*args, **kwargs):
-            raise AssertionError("built a propagator for a refused seed")
-        monkeypatch.setattr("gaplab.simulator.trotter_propagator", refuse)
-        out = tmp_path / "x.out"
-        assert run(argv + ["--seed", "-1", "--out", str(out)]) == 1
-        assert not out.exists()
-        assert capsys.readouterr().err.startswith("gaplab:")
+    # all but the shot-mode sweep, which derives its seeds first, reach the engine
+    @pytest.mark.parametrize("argv, engine", [
+        pytest.param(["gap"], True, id="argv0"),
+        pytest.param(["spectrum"], True, id="argv1"),
+        pytest.param(["sweep-theta", "--theta-count", "2"], False, id="argv2"),
+        pytest.param(["scaling", "--exact"], True, id="argv3"),
+        pytest.param(["sweep-theta", "--exact", "--theta-count", "2"], True, id="argv4"),
+        pytest.param(["gap", "--exact"], True, id="argv5"),
+        pytest.param(["spectrum", "--exact"], True, id="argv6")])
+    def test_refused_before_any_propagator(self, refused, argv, engine):
+        refused(argv + ["--seed", "-1", *OUT], says=" >= 0", engine=engine)
 
 
 class TestNonIntegerCounts:
@@ -530,19 +546,10 @@ class TestNonIntegerCounts:
         ("spectrum", "seed", 1.5), ("sweep-theta", "seed", 1.5),
         ("sweep-theta", "theta_count", 2.5), ("scaling", "shots", 10.5),
         ("scaling", "seed", 1.5), ("scaling", "theta_count", 2.5)])
-    def test_refused_before_any_propagator(self, tmp_path, monkeypatch, capsys,
-                                           command, key, value):
+    def test_refused_before_any_propagator(self, refused, command, key, value):
         # a fractional shot count would truncate the binomial draw but still
         # divide by the fraction; fractional seeds and counts reach numpy
-        def refuse(*args, **kwargs):
-            raise AssertionError("built a propagator for a refused setting")
-        monkeypatch.setattr("gaplab.simulator.trotter_propagator", refuse)
-        cfg_file = tmp_path / "cfg.json"
-        cfg_file.write_text(json.dumps({key: value}))
-        out = tmp_path / "x.out"
-        assert run([command, "--config", str(cfg_file), "--out", str(out)]) == 1
-        assert not out.exists()
-        assert capsys.readouterr().err.startswith("gaplab:")
+        refused([command, *OUT], config={key: value}, says=f"setting {key} takes int")
 
 
 class TestBenchmarkReference:
@@ -601,17 +608,13 @@ class TestToy:
             shifts = [float(r[3]) for r in rows if r[2] == family]
             assert shifts == sorted(shifts)
 
-    def test_unbounded_bracket_refused(self, tmp_path, capsys):
+    def test_unbounded_bracket_refused(self, refused):
         # c + 1.5 sep + 2 eta overflows at c = 1e308, sep = 0.6 c
-        out = tmp_path / "toy.csv"
-        assert run(["toy", "--center", "1e308", "--out", str(out)]) == 1
-        assert capsys.readouterr().err.startswith("gaplab: the search bracket ")
-        assert not out.exists()
+        assert refused(["toy", "--center", "1e308", *OUT]).startswith(
+            "gaplab: the search bracket ")
 
-    def test_missing_out_is_usage_error(self):
-        with pytest.raises(SystemExit) as exc:
-            run(["toy"])
-        assert exc.value.code == 1
+    def test_missing_out_is_usage_error(self, refused):
+        refused(["toy"], says="gaplab toy: error: the following arguments are required")
 
 
 def _subparsers():
@@ -699,12 +702,8 @@ class TestSettings:
         pytest.param("gap", ["--eta", "0.2"], id="gap-argv18"),
         # --exact and --shots set the same setting
         pytest.param("gap", ["--shots", "64", "--exact"], id="gap-argv19")])
-    def test_unread_flags_refused(self, tmp_path, no_simulation, command, argv):
-        out = tmp_path / "x.out"
-        with pytest.raises(SystemExit) as exc:
-            run([command, *argv, "--out", str(out)])
-        assert exc.value.code == 1
-        assert not out.exists()
+    def test_unread_flags_refused(self, refused, command, argv):
+        assert argv[0] in refused([command, *argv, *OUT], says=": error: ")
 
     def test_no_subcommand_takes_abbreviations(self):
         assert not any(sp.allow_abbrev for sp in _subparsers().values())
@@ -727,22 +726,12 @@ def _float_settings():
                 yield command, key
 
 
-@pytest.mark.filterwarnings("error::RuntimeWarning")
 @pytest.mark.parametrize("value", ["nan", "inf"])
 @pytest.mark.parametrize("command, key", list(_float_settings()))
-def test_non_finite_settings_refused(tmp_path, no_simulation, capsys, command, key,
-                                     value):
+def test_non_finite_settings_refused(refused, command, key, value):
     # every float setting of every subcommand, including ones added later,
     # refused before numpy computes with it (a RuntimeWarning fails the row)
-    out = tmp_path / "x.out"
-    try:
-        code = run([command, "--" + key.replace("_", "-"), value, "--out", str(out)])
-    except SystemExit as exc:
-        code = exc.code
-    assert code == 1
-    assert not out.exists()
-    err = capsys.readouterr().err
-    assert err.startswith("gaplab:") or err.startswith("usage:")
+    refused([command, "--" + key.replace("_", "-"), value, *OUT])
 
 
 def _wrong_typed_settings():
@@ -760,26 +749,17 @@ def _wrong_typed_settings():
 
 
 @pytest.mark.parametrize("command, key, value", list(_wrong_typed_settings()))
-def test_wrong_typed_config_value_refused(tmp_path, monkeypatch, capsys, command, key,
-                                          value):
+def test_wrong_typed_config_value_refused(refused, command, key, value):
     # every setting of every subcommand: a --config value of another type than
-    # its flag's (samples_out 7 would open file descriptor 7) exits 1 with one
-    # line and no traceback, before any propagator is built
-    def refuse(*args, **kwargs):
-        raise AssertionError("built a propagator for a refused setting")
-    monkeypatch.setattr("gaplab.simulator.trotter_propagator", refuse)
-    cfg_file = tmp_path / "cfg.json"
-    cfg_file.write_text(json.dumps({key: value}))
-    assert run([command, "--config", str(cfg_file), "--out",
-                str(tmp_path / "x.out")]) == 1
-    assert list(tmp_path.iterdir()) == [cfg_file]
-    assert capsys.readouterr().err.startswith(f"gaplab: setting {key} takes ")
+    # its flag's (samples_out 7 would open file descriptor 7)
+    assert refused([command, *OUT], config={key: value}).startswith(
+        f"gaplab: setting {key} takes ")
 
 
 def _unwritable_outputs():
     """(command, output flag, path) for every output of every subcommand: a
     path in a directory that does not exist, the empty path, and an existing
-    directory ("sub", made by the test)."""
+    directory ("sub", made by the harness)."""
     for command in cli._COMMANDS:
         for flag in ["--out"] + (["--samples-out"] if "samples_out" in
                                  cli._settings(command) else []):
@@ -788,33 +768,18 @@ def _unwritable_outputs():
 
 
 @pytest.mark.parametrize("command, flag, path", list(_unwritable_outputs()))
-def test_unwritable_output_refused(tmp_path, no_simulation, capsys, command, flag,
-                                   path):
-    # refused before any work: exit 1 with one line and no traceback, and no
-    # output written (a bad --samples-out leaves no diagram.csv either)
-    (tmp_path / "sub").mkdir()
-    argv = [command, flag, str(tmp_path / path) if path else ""]
-    if flag != "--out":
-        argv += ["--out", str(tmp_path / "diagram.csv")]
-    assert run(argv) == 1
-    assert list(tmp_path.iterdir()) == [tmp_path / "sub"]
-    assert list((tmp_path / "sub").iterdir()) == []
-    err = capsys.readouterr().err
-    assert err.startswith("gaplab: ") and err.count("\n") == 1
+def test_unwritable_output_refused(refused, command, flag, path):
+    # a bad --samples-out leaves no diagram either
+    refused([command, flag, path, *([] if flag == "--out" else OUT)])
 
 
 @pytest.mark.parametrize("samples_out", ["same.csv", "./same.csv"])
-def test_samples_out_naming_the_diagram_refused(tmp_path, no_simulation, capsys,
-                                                monkeypatch, samples_out):
-    # the samples JSON would overwrite the phase diagram: refused before any work,
-    # however the one file is spelled
-    monkeypatch.chdir(tmp_path)
-    assert run(["scaling", "--exact", "--j-list", "0.4", "--n-list", "2,3,4",
-                "--theta-count", "3", "--samples-out", samples_out,
-                "--out", str(tmp_path / "same.csv")]) == 1
-    assert list(tmp_path.iterdir()) == []
-    err = capsys.readouterr().err
-    assert err.startswith("gaplab: ") and err.count("\n") == 1
+def test_samples_out_naming_the_diagram_refused(refused, tmp_path, samples_out):
+    # the samples JSON would overwrite the phase diagram, however the one file
+    # is spelled
+    refused(["scaling", "--exact", "--j-list", "0.4", "--n-list", "2,3,4",
+             "--theta-count", "3", "--samples-out", samples_out,
+             "--out", str(tmp_path / "same.csv")], says="both name")
 
 
 def test_write_error_reported_in_one_line(tmp_path, capsys):

@@ -169,6 +169,9 @@ def mirror_cases(draw):
 
 
 @given(mirror_cases())
+@example((SpinModel(3, 0.4, 1.0), TrotterPlan(1, 3), -1.3))    # negative times too
+@example((SpinModel(3, 0.4, 1.0), TrotterPlan(2, 3), -1.3))
+@example((SpinModel(3, 0.4, 1.0), TrotterPlan(4, 3), -1.3))
 def test_propagator_is_mirror_block_of_gate_circuit(case):
     # the engine powers only the mirror-even block B^T U B of the circuit's
     # full-space unitary, B the isometry of conftest.mirror_basis
@@ -196,6 +199,7 @@ def test_gate_circuit_applies_to_each_column_of_a_block(n, k, order, depth, coup
 
 
 @given(mirror_cases(), st.lists(st.floats(0.0, 2 * math.pi), min_size=1, max_size=3))
+@example((SpinModel(4, 0.4, 1.0), TrotterPlan(1, 35), 1.0), [0.27 * math.pi])
 def test_engine_rows_match_gate_circuit(case, thetas):
     # each input enters the block once, as sqrt(s_i) psi[r_i], against the
     # circuit applied to the whole 2^N statevector

@@ -15,14 +15,12 @@ from gaplab import (
     gate_sequence,
     prepare_input,
     run_time_series,
-    trotter_propagator,
 )
 from gaplab import simulator
 from gaplab.simulator import MAX_SIMULATED_SPINS, apply_gates
 from gaplab.trotter import KAPPA4, _step
 
-from conftest import (gate_sequence_unitary, literal_gate_count, mirror_block,
-                      mirror_pairs, naive_tfim, operator_norm, overlap_by_path)
+from conftest import literal_gate_count, mirror_pairs, naive_tfim
 
 
 def kron_state(n_spins, theta):
@@ -111,15 +109,6 @@ class TestGateSequence:
                                    (KAPPA4 / 2, KAPPA4, (1 - 3 * KAPPA4) / 2)})
         assert x_fracs == sorted({round(v, 10) for v in (KAPPA4, 1 - 4 * KAPPA4)})
 
-    @pytest.mark.parametrize("order", [1, 2, 4])
-    @pytest.mark.parametrize("n,t", [(2, 0.9), (3, -1.3)])
-    def test_gate_list_reproduces_propagator(self, order, n, t):
-        model = SpinModel(n, 0.4, 1.0)
-        plan = TrotterPlan(order, 3)
-        u_gates = mirror_block(gate_sequence_unitary(model, plan, t), n)
-        u_matrix = trotter_propagator(model, plan, t)
-        assert operator_norm(u_gates - u_matrix) < 1e-10
-
     def test_norm_preserved_through_gates(self, rng):
         model = SpinModel(4, 0.4, 1.0)
         gates = gate_sequence(model, TrotterPlan(4, 5), 2.7)
@@ -135,14 +124,6 @@ class TestPropagatorOverlap:
         [p] = run_time_series(model, TrotterPlan(1, 5), [0.27 * math.pi],
                               TimeGrid(dt=0.5, length=4))
         assert p[0] == 1.0
-
-    def test_paths_agree(self):
-        # two independent internal code paths on the documented working point
-        model = SpinModel(4, 0.4, 1.0)
-        plan = TrotterPlan(1, 35)
-        p_gates = overlap_by_path(model, plan, 0.27 * math.pi, 1.0, "gates")
-        p_matrix = overlap_by_path(model, plan, 0.27 * math.pi, 1.0, "matrix")
-        assert abs(p_gates - p_matrix) < 1e-10
 
     def test_exact_evolution_is_even_in_time(self):
         h1, h2 = naive_tfim(3, 0.4, 1.0)

@@ -37,6 +37,10 @@ class TestTwoPeakSpectrum:
         with pytest.raises(ParameterError):
             TwoPeakModel(center=-1.0, separation=0.6, relative_height=0.5,
                          filter=Filter("lorentzian", 0.1))
+        # the second line's peak lambda / (pi eta) overflows
+        with pytest.raises(ParameterError, match="second peak"):
+            TwoPeakModel(center=1.0, separation=0.6, relative_height=1e308,
+                         filter=Filter("lorentzian", 0.02))
 
     @pytest.mark.parametrize("center, separation", [
         pytest.param(1e308, 0.6e308, id="bracket-end"),

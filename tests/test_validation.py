@@ -26,6 +26,7 @@ from gaplab import (DataError, Filter, GapSearchConfig, ParameterError, SpinMode
     pytest.param(lambda: TrotterPlan(4, 10**80), id="depth-power-beyond-float"),
     pytest.param(lambda: SpinModel(10**400, 0.4, 1.0), id="spins-beyond-float"),
     pytest.param(lambda: TimeGrid(math.nan, 4), id="dt-nan"),
+    pytest.param(lambda: TimeGrid(1e308, 4), id="last-time-overflows"),
     pytest.param(lambda: TimeGrid(0.5, 4.0), id="length-float"),
     pytest.param(lambda: Filter("gaussian", math.nan), id="eta-nan"),
     pytest.param(lambda: Filter("lorentzian", math.inf), id="eta-inf"),
